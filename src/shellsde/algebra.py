@@ -18,7 +18,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Mapping, Sequence
+from typing import Mapping, NamedTuple, Sequence
 
 import numpy as np
 
@@ -558,13 +558,38 @@ def lift_real(x: np.ndarray) -> np.ndarray:
 # ----------------------------------------------------------------------
 
 
+class KernelTerm(NamedTuple):
+    """One non-zero ``B[j, a, b, c]`` of interaction j over its shell range.
+
+    The step kernel adds ``coef * X[b, src] * V[other]`` to ``out[a, dst]``,
+    where X is a (d, N, P) batch of paths and V is either X itself, with
+    ``other = (c, shells)``, or the step's (n_star, d, window, P) noise slab,
+    with ``other = (row, c, window cells)``.  ``coef`` has shape (len, 1):
+    the bilinear entry times ``keff[j]`` on the destination shells, times
+    sigma for noise terms.
+    """
+
+    a: int
+    dst: slice
+    b: int
+    src: slice
+    other: tuple
+    coef: np.ndarray
+
+
 class CoefficientTable:
     """Vectorised effective coefficients of ``spec`` on a truncation 1..N.
 
     Arrays are indexed by interaction position j and zero-based shell
     index.  ``keff[j, n-1]`` is zero outside the active set of shell n.
     ``gamma[n-1]`` is the positive quadratic rate matrix, so the drift
-    correction is ``-gamma[n-1] @ X_n``.
+    correction is ``-gamma[n-1] @ X_n``; when every gram is the identity it
+    is the scalar ``pi[n-1] / 2``.
+
+    The step kernel's term lists are built here once: ``transport_terms``
+    (state times state), ``noise_terms`` (state times slab) and
+    ``ledger_rows``, the (slab row, state shells, window cells) that the
+    Girsanov ledger reads.  Slab window cell 0 is shell index ``lo``.
     """
 
     def __init__(self, spec: ModelSpec, N: int):
@@ -595,10 +620,45 @@ class CoefficientTable:
         grams = np.stack([it.B.gram() for it in inter])
         self.gamma = 0.5 * spec.sigma**2 * np.einsum("jn,jab->nab", keff**2, grams)
         self.pi = spec.sigma**2 * (keff**2).sum(axis=0)
-        eye = np.eye(spec.d)
-        self.identity_grams = all(np.max(np.abs(g - eye)) <= 1e-12 for g in grams)
-        # scalar damping rates when every gram is the identity
-        self.gamma_diag = 0.5 * spec.sigma**2 * (keff**2).sum(axis=0)
+        self.identity_grams = spec.has_identity_grams()
+        self.lo = 1 - spec.h_max_abs
+        self.window = N + spec.h_max_abs - self.lo + 1
+        self.transport_terms, self.noise_terms = self._kernel_terms()
+        self.ledger_rows = []
+        for j, iid in enumerate(star):
+            mlo = max(1, 1 + spec.interaction(iid).h)
+            if mlo <= N:
+                self.ledger_rows.append((j, slice(mlo - 1, N), slice(mlo - self.lo, N - self.lo + 1)))
+
+    def _kernel_terms(self) -> tuple[list[KernelTerm], list[KernelTerm]]:
+        """Transport and noise terms of every non-zero bilinear entry.
+
+        A term covers the shells n where its interaction is active and the
+        transported shell n + r exists; a transport term also needs the
+        partner shell n + h.
+        """
+        N, lo, sigma = self.N, self.lo, self.spec.sigma
+        transport, noise = [], []
+        for j, it in enumerate(self.spec.interactions):
+            nlo = max(1, 1 - it.r, 1 - it.h)
+            nhi = min(N, N - it.r)
+            if nlo > nhi or it.k == 0.0:
+                continue
+            top = min(nhi, N - it.h)  # last shell of the transport terms
+            keff = self.keff[j, nlo - 1 : nhi, None]
+            B = it.B.entries
+            vals = B[B != 0.0][:, None, None]
+            noise_coef = (sigma * vals) * keff
+            transport_coef = vals * keff[: top - nlo + 1]
+            dst, src = slice(nlo - 1, nhi), slice(nlo - 1 + it.r, nhi + it.r)
+            dst_t, src_t = slice(nlo - 1, top), slice(nlo - 1 + it.r, top + it.r)
+            row, cells = int(self.star_row[j]), slice(nlo + it.h - lo, nhi + it.h - lo + 1)
+            for i, (a, b, c) in enumerate(np.argwhere(B).tolist()):
+                noise.append(KernelTerm(a, dst, b, src, (row, c, cells), noise_coef[i]))
+                if nlo <= top:
+                    other = (c, slice(nlo - 1 + it.h, top + it.h))
+                    transport.append(KernelTerm(a, dst_t, b, src_t, other, transport_coef[i]))
+        return transport, noise
 
     @property
     def n_interactions(self) -> int:

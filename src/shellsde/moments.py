@@ -23,6 +23,7 @@ import numpy as np
 import scipy.linalg
 
 from .algebra import IdentityGramError, ModelSpec
+from .noise import check_shells
 
 __all__ = [
     "QMatrix",
@@ -72,6 +73,7 @@ def build_qmatrix(spec: ModelSpec, N: int) -> QMatrix:
     _require_identity_grams(spec)
     if N < 1:
         raise ValueError("N must be >= 1")
+    check_shells(N)
     Q = np.zeros((N, N))
     pi = np.zeros(N)
     for n in range(1, N + 1):

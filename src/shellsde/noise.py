@@ -23,6 +23,7 @@ from .algebra import ModelSpec
 
 __all__ = [
     "MAX_SHELLS",
+    "check_shells",
     "slab_rng",
     "sample_slab",
     "NoiseSlab",
@@ -33,6 +34,12 @@ __all__ = [
 
 # Guard against overflow of lambda**(2N) scales downstream.
 MAX_SHELLS = 64
+
+
+def check_shells(N: int) -> None:
+    """Reject truncation levels beyond :data:`MAX_SHELLS`."""
+    if N > MAX_SHELLS:
+        raise ValueError(f"window overflow: N = {N} exceeds configured maximum {MAX_SHELLS}")
 
 
 def slab_rng(seed: int, stream: int = 0, step: int = 0) -> np.random.Generator:
@@ -94,8 +101,7 @@ def sample_slab(
         raise ValueError("dt must be positive")
     if N < 1:
         raise ValueError("N must be >= 1")
-    if N > MAX_SHELLS:
-        raise ValueError(f"window overflow: N = {N} exceeds configured maximum {MAX_SHELLS}")
+    check_shells(N)
     if isinstance(rng_state, np.random.Generator):
         rng = rng_state
     elif isinstance(rng_state, (tuple, list)):

@@ -26,6 +26,17 @@ Three schemes are provided:
 Girsanov path weights are accumulated with left-point (Ito) evaluation of
 the integrand, so the exponential density is an exact discrete martingale
 for every adapted scheme.
+
+Step kernel.  A batch of P paths is stored component-major, as a contiguous
+(d, N, P) array, so that every (component, shell range) slice is a block of
+whole rows over the paths.  A step's noise slab is drawn in the sampling
+layout (P, n_star, window, d) and copied once into (n_star, d, window, P).
+Transport and diffusion are then sums of unrolled terms, one per non-zero
+``B[j, a, b, c]``, precomputed by :class:`CoefficientTable`: each term
+multiplies two row blocks, scales by its folded coefficient vector and adds
+into the destination rows, in place in preallocated buffers.  The Girsanov
+ledger reduces the same layout over components and shells.  The single-path
+functions are adapters that run this kernel with P = 1.
 """
 from __future__ import annotations
 
@@ -36,7 +47,7 @@ from typing import Optional, Sequence
 import numpy as np
 
 from .algebra import CoefficientTable, ModelSpec
-from .noise import NoiseSlab, goy_noise_bridge, slab_rng
+from .noise import NoiseSlab, check_shells, goy_noise_bridge, slab_rng
 
 __all__ = [
     "TruncatedState",
@@ -115,81 +126,47 @@ def make_state(spec: ModelSpec, N: int, x0, t: float = 0.0) -> TruncatedState:
 
 
 # ----------------------------------------------------------------------
-# Vectorised kernels over a batch of paths; X has shape (P, N, d)
+# Step kernel over a batch of paths: X has shape (d, N, P), the step's
+# noise slab dW has shape (n_star, d, window, P)
 # ----------------------------------------------------------------------
 
 
-def _transport_batch(table: CoefficientTable, X: np.ndarray) -> np.ndarray:
-    P, N, d = X.shape
-    out = np.zeros_like(X)
-    for j in range(table.n_interactions):
-        r, h = int(table.r[j]), int(table.h[j])
-        nlo = max(1, 1 - r, 1 - h)
-        nhi = min(N, N - r, N - h)
-        if nlo > nhi:
-            continue
-        sl = slice(nlo - 1, nhi)
-        Xr = X[:, nlo - 1 + r : nhi + r]
-        Xh = X[:, nlo - 1 + h : nhi + h]
-        term = np.einsum("abc,pnb,pnc->pna", table.B[j], Xr, Xh)
-        out[:, sl] += table.keff[j, sl][None, :, None] * term
-    return out
+class _StepBuffers:
+    """Scratch arrays for one batch of P paths, reused by each of its steps."""
+
+    def __init__(self, table: CoefficientTable, P: int):
+        self.incr = np.empty((table.d, table.N, P))
+        self.alt = np.empty((table.d, table.N, P))
+        self.tmp = np.empty((table.N, P))
 
 
-def _correction_batch(table: CoefficientTable, X: np.ndarray) -> np.ndarray:
+def _add_terms(terms, X: np.ndarray, V: np.ndarray, out: np.ndarray, tmp: np.ndarray) -> None:
+    """out[a, dst] += coef * X[b, src] * V[other] for every term of the list."""
+    for t in terms:
+        prod = tmp[: t.coef.shape[0]]
+        np.multiply(X[t.b, t.src], V[t.other], out=prod)
+        prod *= t.coef
+        out[t.a, t.dst] += prod
+
+
+def _shell_matmul(mats: np.ndarray, X: np.ndarray, out: np.ndarray) -> np.ndarray:
+    """out[:, n] = mats[n] @ X[:, n] for every shell and path."""
+    return np.einsum("nab,bnp->anp", mats, X, out=out)
+
+
+def _sub_correction(table: CoefficientTable, X: np.ndarray, out: np.ndarray, buf: np.ndarray) -> None:
+    """out -= gamma X, the quadratic (Ito) drift correction."""
     if table.identity_grams:
-        return -table.gamma_diag[None, :, None] * X
-    return -np.einsum("nab,pnb->pna", table.gamma, X)
-
-
-def _diffusion_batch(table: CoefficientTable, X: np.ndarray, dW: np.ndarray, lo: int) -> np.ndarray:
-    """Noise increment sum_i sigma * k_eff * B_i(X_{n+r_i}, dW_{i, n+h_i})."""
-    P, N, d = X.shape
-    sigma = table.spec.sigma
-    out = np.zeros_like(X)
-    for j in range(table.n_interactions):
-        r, h = int(table.r[j]), int(table.h[j])
-        nlo = max(1, 1 - r)
-        nhi = min(N, N - r)
-        if nlo > nhi:
-            continue
-        sl = slice(nlo - 1, nhi)
-        Xr = X[:, nlo - 1 + r : nhi + r]
-        Wj = dW[:, table.star_row[j], nlo + h - lo : nhi + h - lo + 1]
-        term = np.einsum("abc,pnb,pnc->pna", table.B[j], Xr, Wj)
-        out[:, sl] += sigma * table.keff[j, sl][None, :, None] * term
-    return out
-
-
-def _weight_increment(
-    table: CoefficientTable, X: np.ndarray, dW: np.ndarray, lo: int, dt: float
-) -> tuple[np.ndarray, np.ndarray]:
-    """Per-path increments of the log integrand and its quadratic variation.
-
-    Sums over the representative channels only; their increments are
-    mutually independent, which the exponential martingale requires.
-    """
-    P, N, d = X.shape
-    spec = table.spec
-    zinc = np.zeros(P)
-    qvinc = np.zeros(P)
-    star = spec.star_ids()
-    for row, iid in enumerate(star):
-        h = spec.interaction(iid).h
-        mlo = max(1, 1 + h)
-        if mlo > N:
-            continue
-        Xm = X[:, mlo - 1 : N]
-        Wm = dW[:, row, mlo - lo : N - lo + 1]
-        zinc += (Xm * Wm).sum(axis=(1, 2)) / spec.sigma
-        qvinc += (Xm * Xm).sum(axis=(1, 2)) * dt / spec.sigma**2
-    return zinc, qvinc
+        np.multiply(X, (table.pi / 2.0)[:, None], out=buf)
+    else:
+        _shell_matmul(table.gamma, X, buf)
+    out -= buf
 
 
 def _half_damp_factors(table: CoefficientTable, dt: float):
     """exp(-gamma * dt / 2) per shell, scalar when every gram is the identity."""
     if table.identity_grams:
-        return np.exp(-table.gamma_diag * dt / 2.0)
+        return np.exp(-(table.pi / 2.0) * dt / 2.0)
     out = np.empty_like(table.gamma)
     for n in range(table.N):
         w, V = np.linalg.eigh(table.gamma[n])
@@ -197,78 +174,142 @@ def _half_damp_factors(table: CoefficientTable, dt: float):
     return out
 
 
-def _apply_damp(table: CoefficientTable, X: np.ndarray, fac) -> np.ndarray:
+def _damp(table: CoefficientTable, X: np.ndarray, fac, buf: np.ndarray) -> None:
     if table.identity_grams:
-        return fac[None, :, None] * X
-    return np.einsum("nab,pnb->pna", fac, X)
+        X *= fac[:, None]
+    else:
+        np.copyto(X, _shell_matmul(fac, X, buf))
+
+
+def _path_dot(A: np.ndarray, B: np.ndarray) -> np.ndarray:
+    """Per-path sum of A * B over components and shells."""
+    return np.einsum("dnp,dnp->p", A, B)
 
 
 def _step_batch(
     table: CoefficientTable,
     X: np.ndarray,
     dW: np.ndarray,
-    lo: int,
     dt: float,
     which: str,
     scheme: str,
     energy0: Optional[np.ndarray] = None,
     half_fac=None,
+    work: Optional[_StepBuffers] = None,
 ) -> np.ndarray:
-    nonlinear = which == "nonlinear"
-    if scheme == "split":
+    """Advance the paths ``X`` (d, N, P) by one step, in place, and return X.
+
+    ``dW`` is the step's slab scaled to variance dt, laid out (n_star, d,
+    window, P).  ``work`` holds the scratch arrays; batches stepped
+    concurrently each need their own.
+    """
+    if work is None:
+        work = _StepBuffers(table, X.shape[2])
+    split = scheme == "split"
+    if split:
         if half_fac is None:
             half_fac = _half_damp_factors(table, dt)
-        X = _apply_damp(table, X, half_fac)
-        incr = _diffusion_batch(table, X, dW, lo)
-        if nonlinear:
-            incr = incr + dt * _transport_batch(table, X)
-        X = X + incr
-        return _apply_damp(table, X, half_fac)
-    drift = _correction_batch(table, X)
-    if nonlinear:
-        drift = drift + _transport_batch(table, X)
-    Xn = X + dt * drift + _diffusion_batch(table, X, dW, lo)
-    if scheme == "conservative":
-        e = (Xn * Xn).sum(axis=(1, 2))
-        target = energy0 if energy0 is not None else (X * X).sum(axis=(1, 2))
+        _damp(table, X, half_fac, work.alt)
+    elif scheme == "conservative" and energy0 is None:
+        energy0 = _path_dot(X, X)
+    incr = work.incr
+    incr.fill(0.0)
+    if which == "nonlinear":
+        _add_terms(table.transport_terms, X, X, incr, work.tmp)
+    if not split:
+        _sub_correction(table, X, incr, work.alt)
+    incr *= dt
+    _add_terms(table.noise_terms, X, dW, incr, work.tmp)
+    X += incr
+    if split:
+        _damp(table, X, half_fac, work.alt)
+    elif scheme == "conservative":
+        e = _path_dot(X, X)
         with np.errstate(divide="ignore", invalid="ignore"):
-            fac = np.sqrt(target / e)
-        fac = np.where(e > 0.0, fac, 0.0)
-        Xn = Xn * fac[:, None, None]
-    return Xn
+            fac = np.sqrt(energy0 / e)
+        X *= np.where(e > 0.0, fac, 0.0)
+    return X
+
+
+def _weight_increment(
+    table: CoefficientTable, X: np.ndarray, dW: np.ndarray, dt: float
+) -> tuple[np.ndarray, np.ndarray]:
+    """Per-path increments of the log integrand and its quadratic variation.
+
+    Sums over the representative channels only; their increments are
+    mutually independent, which the exponential martingale requires.
+    Layouts are those of :func:`_step_batch`.
+    """
+    zinc = np.zeros(X.shape[2])
+    qvinc = np.zeros(X.shape[2])
+    for row, shells, cells in table.ledger_rows:
+        Xm = X[:, shells]
+        zinc += _path_dot(Xm, dW[row, :, cells])
+        qvinc += _path_dot(Xm, Xm)
+    sigma = table.spec.sigma
+    zinc /= sigma
+    qvinc *= dt / sigma**2
+    return zinc, qvinc
 
 
 # ----------------------------------------------------------------------
-# Single-path API
+# Single-path API: P = 1 adapters over the step kernel
 # ----------------------------------------------------------------------
+
+
+def _batch_of(x: np.ndarray) -> np.ndarray:
+    """(N, d) state of one path as a new (d, N, 1) batch."""
+    return x.T[:, :, None].copy()
+
+
+def _path_of(X: np.ndarray) -> np.ndarray:
+    return X[:, :, 0].T.copy()
+
+
+def _slab_batch(table: CoefficientTable, slab: NoiseSlab) -> np.ndarray:
+    """Slab increments (paths, n_star, window, d) in the kernel layout."""
+    if slab.lo != table.lo or slab.increments.shape[1:3] != (len(table.star_ids), table.window):
+        raise ValueError(f"slab window [{slab.lo}, {slab.hi}] does not match truncation N={table.N}")
+    return np.ascontiguousarray(slab.increments.transpose(1, 3, 2, 0))
 
 
 def bilinear_drift(spec: ModelSpec, state: TruncatedState) -> np.ndarray:
     """Bilinear transport part of the nonlinear drift, no quadratic correction."""
     table = CoefficientTable(spec, state.N)
-    return _transport_batch(table, state.x[None])[0]
+    X = _batch_of(state.x)
+    out = np.zeros_like(X)
+    _add_terms(table.transport_terms, X, X, out, np.empty((state.N, 1)))
+    return _path_of(out)
 
 
 def drift_nonlinear(spec: ModelSpec, state: TruncatedState) -> np.ndarray:
     """Per-shell drift of the nonlinear system (transport plus correction)."""
     table = CoefficientTable(spec, state.N)
-    X = state.x[None]
-    return (_transport_batch(table, X) + _correction_batch(table, X))[0]
+    X = _batch_of(state.x)
+    out = np.zeros_like(X)
+    _add_terms(table.transport_terms, X, X, out, np.empty((state.N, 1)))
+    _sub_correction(table, X, out, np.empty_like(X))
+    return _path_of(out)
 
 
 def drift_linear(spec: ModelSpec, state: TruncatedState) -> np.ndarray:
     """Per-shell drift of the auxiliary linear system (correction only)."""
     table = CoefficientTable(spec, state.N)
-    return _correction_batch(table, state.x[None])[0]
+    X = _batch_of(state.x)
+    out = np.zeros_like(X)
+    _sub_correction(table, X, out, np.empty_like(X))
+    return _path_of(out)
 
 
 def diffusion_apply(spec: ModelSpec, state: TruncatedState, slab: NoiseSlab) -> np.ndarray:
     """Noise increment for one step with the given slab."""
     table = CoefficientTable(spec, state.N)
-    dW = slab.increments
     if slab.paths != 1:
         raise ValueError("single-path API expects a one-path slab")
-    return _diffusion_batch(table, state.x[None], dW, slab.lo)[0]
+    X = _batch_of(state.x)
+    out = np.zeros_like(X)
+    _add_terms(table.noise_terms, X, _slab_batch(table, slab), out, np.empty((state.N, 1)))
+    return _path_of(out)
 
 
 def _advance(spec, state, slab, which, scheme) -> TruncatedState:
@@ -277,14 +318,14 @@ def _advance(spec, state, slab, which, scheme) -> TruncatedState:
     table = CoefficientTable(spec, state.N)
     e0 = np.array([state.energy0])
     with np.errstate(over="ignore", invalid="ignore"):
-        Xn = _step_batch(table, state.x[None], slab.increments, slab.lo, slab.dt, which, scheme, e0)
-    if not np.all(np.isfinite(Xn)):
+        X = _step_batch(table, _batch_of(state.x), _slab_batch(table, slab), slab.dt, which, scheme, e0)
+    if not np.all(np.isfinite(X)):
         worst = int(np.nanargmax(np.abs(state.x).max(axis=1))) + 1
         raise NumericalBlowupError(
             f"non-finite state after step at t={state.t + slab.dt:.6g} "
             f"(largest pre-step amplitude at shell {worst}); reduce dt or use scheme='split'"
         )
-    return TruncatedState(N=state.N, t=state.t + slab.dt, x=Xn[0], energy0=state.energy0)
+    return TruncatedState(N=state.N, t=state.t + slab.dt, x=_path_of(X), energy0=state.energy0)
 
 
 def step_em(spec: ModelSpec, state: TruncatedState, slab: NoiseSlab, which: str = "nonlinear") -> TruncatedState:
@@ -320,7 +361,7 @@ def accumulate_weight(
     if direction not in ("PtoQ", "QtoP"):
         raise ValueError("direction must be 'PtoQ' or 'QtoP'")
     table = CoefficientTable(spec, state.N)
-    zinc, qvinc = _weight_increment(table, state.x[None], slab.increments, slab.lo, slab.dt)
+    zinc, qvinc = _weight_increment(table, _batch_of(state.x), _slab_batch(table, slab), slab.dt)
     sign = 1.0 if direction == "QtoP" else -1.0
     return PathWeight(z=weight.z + sign * float(zinc[0]), qv=weight.qv + float(qvinc[0]))
 
@@ -404,16 +445,15 @@ def run_ensemble(
     for idx, k in enumerate(rec_steps):
         rec_index.setdefault(k, []).append(idx)
 
+    check_shells(N)
     table = CoefficientTable(spec, N)
     x0arr = make_state(spec, N, x0).x
     d = spec.d
-    reach = spec.h_max_abs
-    lo = 1 - reach
-    window = N + reach - lo + 1
     nstar = len(spec.istar)
     half_fac = _half_damp_factors(table, dt) if scheme == "split" else None
     weighted = weight_direction is not None
     sign = 1.0 if weight_direction == "QtoP" else -1.0
+    sqrt_dt = math.sqrt(dt)
 
     nrec = len(rec_steps)
     sums = {
@@ -435,7 +475,11 @@ def run_ensemble(
     ]
 
     def run_block(b: int, P: int):
-        X = np.tile(x0arr[None], (P, 1, 1))
+        X = np.empty((d, N, P))
+        X[...] = x0arr.T[:, :, None]
+        work = _StepBuffers(table, P)
+        normals = np.empty((P, nstar, table.window, d))
+        dW = np.empty((nstar, d, table.window, P))
         alive = np.ones(P, dtype=bool)
         z = np.zeros(P)
         qv = np.zeros(P)
@@ -443,8 +487,8 @@ def run_ensemble(
         partial = {k: np.zeros_like(v) for k, v in sums.items()}
 
         def record(idx_list):
-            vals = (X * X).sum(axis=2)  # (P, N)
-            energy = vals.sum(axis=1)
+            vals = (X * X).sum(axis=0)  # (N, P)
+            energy = vals.sum(axis=0)
             if weighted:
                 with np.errstate(over="ignore"):
                     w = np.where(alive, np.exp(z - 0.5 * qv), 0.0)
@@ -455,10 +499,10 @@ def run_ensemble(
             qv_alive = float(qv[alive].max()) if alive.any() else 0.0
             for idx in idx_list:
                 partial["S0"][idx] += w.sum()
-                partial["S1"][idx] += w @ vals
+                partial["S1"][idx] += vals @ w
                 partial["T0"][idx] += w2.sum()
-                partial["T1"][idx] += w2 @ vals
-                partial["T2"][idx] += w2 @ (vals * vals)
+                partial["T1"][idx] += vals @ w2
+                partial["T2"][idx] += (vals * vals) @ w2
                 partial["E1"][idx] += w @ energy
                 partial["ET1"][idx] += w2 @ energy
                 partial["ET2"][idx] += w2 @ (energy * energy)
@@ -467,17 +511,19 @@ def run_ensemble(
         if 0 in rec_index:
             record(rec_index[0])
         for k in range(nsteps):
-            dW = slab_rng(seed, b, k).standard_normal((P, nstar, window, d)) * math.sqrt(dt)
+            slab_rng(seed, b, k).standard_normal(normals.shape, out=normals)
+            normals *= sqrt_dt
+            np.copyto(dW, normals.transpose(1, 3, 2, 0))
             with np.errstate(over="ignore", invalid="ignore"):
                 if weighted:
-                    zinc, qvinc = _weight_increment(table, X, dW, lo, dt)
-                    z = z + sign * zinc
-                    qv = qv + qvinc
-                X = _step_batch(table, X, dW, lo, dt, which, scheme, e0, half_fac)
-            ok = np.isfinite(X).all(axis=(1, 2))
+                    zinc, qvinc = _weight_increment(table, X, dW, dt)
+                    z += sign * zinc
+                    qv += qvinc
+                X = _step_batch(table, X, dW, dt, which, scheme, e0, half_fac, work)
+            ok = np.isfinite(X).all(axis=(0, 1))
             if not ok.all():
                 alive &= ok
-                X[~alive] = 0.0
+                X[:, :, ~alive] = 0.0
             if (k + 1) in rec_index:
                 record(rec_index[k + 1])
         return partial, int(P - alive.sum())

@@ -82,12 +82,12 @@ def _run_path(table, x0, dt, nsteps, which, scheme, seed):
     reach = spec.h_max_abs
     lo = 1 - reach
     W = table.N + reach - lo + 1
-    X = x0[None]
+    X = x0.T[:, :, None].copy()
     e0 = np.array([float((x0 * x0).sum())])
     energies = np.empty(nsteps)
     for k in range(nsteps):
         dW = slab_rng(seed, 0, k).standard_normal((1, len(spec.istar), W, spec.d)) * math.sqrt(dt)
-        X = _step_batch(table, X, dW, lo, dt, which, scheme, e0)
+        X = _step_batch(table, X, dW.transpose(1, 3, 2, 0), dt, which, scheme, e0)
         energies[k] = (X * X).sum()
     return energies
 

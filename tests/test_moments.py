@@ -7,6 +7,7 @@ import pytest
 import shellsde as s
 from shellsde.algebra import BilinearMap, IdentityGramError
 from shellsde.moments import embedded_matrix, expm_oracle
+from shellsde.noise import MAX_SHELLS
 
 
 def test_novikov_rates_hand_values(novikov):
@@ -76,6 +77,11 @@ def test_non_identity_gram_refused(goy):
     assert s.validate_model(scaled).accepted  # algebra is still conservative
     with pytest.raises(IdentityGramError):
         s.build_qmatrix(scaled, 5)
+
+
+def test_qmatrix_rejects_too_many_shells(novikov):
+    with pytest.raises(ValueError, match="window overflow"):
+        s.build_qmatrix(novikov, MAX_SHELLS + 1)
 
 
 # ----------------------------------------------------------------- forward solve

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -5,9 +6,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import einsum_oracle as oracle
 import shellsde as s
-from shellsde.noise import NoiseSlab
-from shellsde.sde import NumericalBlowupError
+from shellsde.algebra import BilinearMap, CoefficientTable
+from shellsde.noise import MAX_SHELLS, NoiseSlab
+from shellsde.sde import SCHEMES, SYSTEMS, NumericalBlowupError, _step_batch, _weight_increment
 
 
 def random_state(spec, N, seed, sparse=False):
@@ -303,12 +306,23 @@ def test_run_ensemble_se_scaling(novikov):
     assert 1.5 < ratio < 2.7  # doubling paths twice shrinks SE by about 2
 
 
-def test_run_ensemble_threads_deterministic(novikov):
-    base = dict(N=6, dt=1e-3, T=0.1, paths=3000, which="linear", scheme="em",
-                record_times=[0.1], block_size=1000)
-    a = s.run_ensemble(novikov, [1.0], seed=9, threads=1, **base)
-    b = s.run_ensemble(novikov, [1.0], seed=9, threads=3, **base)
-    assert np.array_equal(a.mean_sq, b.mean_sq)
+def test_run_ensemble_threads_deterministic(novikov, goy):
+    # each block owns its step buffers, so threads cannot change a single bit
+    cases = [
+        (novikov, [1.0], dict(N=6, dt=1e-3, T=0.1, which="linear", scheme="em", record_times=[0.1]), 3),
+        (goy, [[1.0, 0.0]], dict(N=6, dt=1e-3, T=0.05, which="nonlinear", scheme="split",
+                                 record_times=[0.02, 0.05]), 2),
+    ]
+    for spec, x0, base, threads in cases:
+        a = s.run_ensemble(spec, x0, paths=3000, block_size=1000, seed=9, threads=1, **base)
+        b = s.run_ensemble(spec, x0, paths=3000, block_size=1000, seed=9, threads=threads, **base)
+        for field in dataclasses.fields(a):
+            assert np.array_equal(getattr(a, field.name), getattr(b, field.name)), field.name
+
+
+def test_run_ensemble_rejects_too_many_shells(novikov):
+    with pytest.raises(ValueError, match="window overflow"):
+        s.run_ensemble(novikov, [1.0], N=MAX_SHELLS + 1, dt=1e-3, T=1e-3, paths=1)
 
 
 def test_run_ensemble_all_aborted_raises(novikov):
@@ -317,6 +331,56 @@ def test_run_ensemble_all_aborted_raises(novikov):
             novikov, [1.0], N=14, dt=1e-3, T=1.0, paths=50, which="linear", scheme="em",
             seed=2, record_times=[1.0],
         )
+
+
+# ----------------------------------------------------------------- kernel oracle
+
+
+def _kernel_model(name, request):
+    if name != "goy_scaled":
+        return request.getfixturevalue(name)
+    goy = request.getfixturevalue("goy")
+    return dataclasses.replace(
+        goy,
+        interactions=tuple(
+            dataclasses.replace(it, B=BilinearMap(1.1 * it.B.entries)) for it in goy.interactions
+        ),
+    )
+
+
+def _close(got, expected):
+    # relative to the array's scale: an entry may cancel to near zero
+    scale = np.abs(expected).max()
+    np.testing.assert_allclose(got, expected, rtol=1e-13, atol=1e-13 * scale)
+
+
+@pytest.mark.parametrize("model", ["novikov", "goy", "sabra", "goy_scaled"])
+def test_step_kernel_matches_einsum_oracle(model, request):
+    spec = _kernel_model(model, request)
+    N, P, dt = 6, 7, 1e-4
+    table = CoefficientTable(spec, N)
+    assert table.identity_grams == (model != "goy_scaled")
+    rng = np.random.default_rng(23)
+    X = rng.standard_normal((P, N, spec.d))
+    e0 = rng.uniform(0.5, 2.0, P)
+    slab = s.sample_slab(spec, N, dt, (29, 0, 0), paths=P)
+    dW = slab.increments.transpose(1, 3, 2, 0)
+    for scheme in SCHEMES:
+        for which in SYSTEMS:
+            for energy0 in (e0, None) if scheme == "conservative" else (e0,):
+                got = _step_batch(table, X.transpose(2, 1, 0).copy(), dW, dt, which, scheme, energy0)
+                expected = oracle.step(table, X, slab.increments, slab.lo, dt, which, scheme, energy0)
+                _close(got.transpose(2, 1, 0), expected)
+    zinc, qvinc = _weight_increment(table, X.transpose(2, 1, 0).copy(), dW, dt)
+    z_ref, qv_ref = oracle.weight_increment(table, X, slab.increments, slab.lo, dt)
+    _close(zinc, z_ref)
+    _close(qvinc, qv_ref)
+    # the single-path adapters run the same kernel with P = 1
+    state = s.TruncatedState(N=N, t=0.0, x=X[0])
+    one = NoiseSlab(spec=spec, dt=dt, lo=slab.lo, increments=slab.increments[:1])
+    _close(s.bilinear_drift(spec, state), oracle.transport(table, X[:1])[0])
+    _close(s.drift_linear(spec, state), oracle.correction(table, X[:1])[0])
+    _close(s.diffusion_apply(spec, state, one), oracle.diffusion(table, X[:1], one.increments, one.lo)[0])
 
 
 # ----------------------------------------------------------------- conjugacy
