@@ -8,6 +8,20 @@ is declared exploded once it exceeds a level cap or a jump-count cap,
 which is a conservative proxy that converges as the caps grow.  The
 expected remaining time above the level cap is reported alongside so the
 proxy error is accounted for.
+
+:func:`simulate_chain` walks one path.  :func:`survival_curve` and
+:func:`visit_statistics` walk many replicates in lockstep instead: the
+replicates run in batches of ``_BATCH``, and each step of a batch moves
+every live replicate by one jump with numpy masks (one holding-time draw
+and one target draw each), then drops the replicates that finished.
+Streams are keyed as in the single-path walk: replicate ``rep`` reads
+its own ``chain_rng(seed, rep)`` in the order :func:`simulate_chain`
+does, one start draw and then the draws of each jump, fetched
+``_CHUNK`` jumps at a time with ``Generator.random(out=...)``, which
+gives the same values as drawing them one by one.  Results therefore do
+not depend on ``_BATCH`` or ``_CHUNK``.  Both walks read their jump rows
+from one padded table (cumulative probabilities padded with +inf), so
+``searchsorted(cum, u, side="right")`` is ``(cum[row] <= u).sum(-1)``.
 """
 from __future__ import annotations
 
@@ -34,6 +48,9 @@ __all__ = [
     "explosion_tail_bound",
     "chain_rng",
 ]
+
+_BATCH = 512  # replicates walked together; bounds the live generators (~1 kB each)
+_CHUNK = 16  # jumps of uniforms fetched per generator call
 
 
 def chain_rng(seed: int, replicate: int) -> np.random.Generator:
@@ -62,15 +79,35 @@ class ChainTrajectory:
         return int(self.states[idx])
 
 
+def _padded_rows(rows: Sequence[tuple[np.ndarray, np.ndarray]]) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Stack (targets, cumulative probabilities) rows into padded arrays.
+
+    Returns ``cum`` padded with +inf, ``targets`` padded with 0 and the
+    number of targets per row.
+    """
+    width = max([1] + [len(t) for t, _ in rows])
+    cum = np.full((len(rows), width), np.inf)
+    targets = np.zeros((len(rows), width), dtype=np.int64)
+    count = np.array([len(t) for t, _ in rows], dtype=np.int64)
+    for n, (t, c) in enumerate(rows):
+        targets[n, : len(t)] = t
+        cum[n, : len(t)] = c
+    return cum, targets, count
+
+
 class _RateTable:
-    """Cached holding rates and alias rows up to a level cap."""
+    """Holding rates and padded jump rows up to a level cap.
+
+    Shell n jumps to ``targets[n-1, k]`` with ``k = (cum[n-1] <= u).sum()``.
+    The last real entry of each row is stored as +inf too, so a rounding
+    shortfall of the row total below 1 cannot send a uniform past the row.
+    """
 
     def __init__(self, spec: ModelSpec, max_level: int):
         _require_identity_grams(spec)
         self.max_level = max_level
         self.pi = np.array([spec.pi_n(n) for n in range(1, max_level + 1)])
-        self.targets: list[np.ndarray] = []
-        self.cum: list[np.ndarray] = []
+        rows = []
         for n in range(1, max_level + 1):
             rates: dict[int, float] = {}
             for iid in spec.ids:
@@ -79,14 +116,12 @@ class _RateTable:
                     continue
                 m = n + spec.interaction(iid).r
                 rates[m] = rates.get(m, 0.0) + spec.sigma**2 * k * k
-            if rates:
-                t = np.array(sorted(rates))
-                p = np.array([rates[m] for m in t])
-                self.targets.append(t)
-                self.cum.append(np.cumsum(p) / p.sum())
-            else:
-                self.targets.append(np.array([], dtype=int))
-                self.cum.append(np.array([]))
+            t = np.array(sorted(rates), dtype=np.int64)
+            p = np.array([rates[m] for m in t], dtype=float)
+            cum = np.cumsum(p) / p.sum() if rates else p
+            cum[-1:] = np.inf
+            rows.append((t, cum))
+        self.cum, self.targets, _ = _padded_rows(rows)
 
 
 def embedded_step(spec: ModelSpec, n: int, rng: np.random.Generator) -> int:
@@ -132,14 +167,55 @@ def increment_distribution(spec: ModelSpec) -> IncrementDistribution:
         weights[it.r] = weights.get(it.r, 0.0) + it.k**2
         total += it.k**2
     offsets = np.array(sorted(weights))
-    probs = np.array([weights[r] for r in offsets]) / total
+    probs = np.array([weights[r] for r in offsets]) / (total or 1.0)  # all zero when no interaction is active
     return IncrementDistribution(offsets=offsets, probs=probs, drift=float((offsets * probs).sum()))
 
 
-def _sample_start(start_dist: np.ndarray, rng: np.random.Generator) -> int:
-    cum = np.cumsum(start_dist)
-    cum = cum / cum[-1]
-    return int(np.searchsorted(cum, rng.random(), side="right")) + 1
+def _start_cdf(start_dist: Sequence[float]) -> np.ndarray:
+    """Normalised cumulative start law; shell n is drawn for u in [cum[n-2], cum[n-1])."""
+    start = np.asarray(start_dist, dtype=float)
+    if start.ndim != 1 or not np.all(np.isfinite(start)) or np.any(start < 0.0):
+        raise ValueError("start distribution must be a 1-d array of finite non-negative weights")
+    cum = np.cumsum(start)
+    if not (cum.size and 0.0 < cum[-1] < math.inf):
+        raise ValueError("start distribution must have a positive finite total")
+    return cum / cum[-1]
+
+
+def _sample_start(cum: np.ndarray, u):
+    return np.searchsorted(cum, u, side="right") + 1
+
+
+class _Streams:
+    """The uniforms of a batch of replicates, read in lockstep.
+
+    Replicate ``rep`` reads ``chain_rng(seed, rep)``: one start draw, then
+    ``per_jump`` draws for each jump.  Every live replicate has made the
+    same number of jumps, so they all read the same buffer columns.
+    """
+
+    def __init__(self, seed: int, reps: range, per_jump: int):
+        self.gens = [chain_rng(seed, rep) for rep in reps]
+        self.per_jump = per_jump
+        self.chunk = _CHUNK
+        self.buf = np.empty((len(reps), 1 + per_jump * self.chunk))
+        for gen, row in zip(self.gens, self.buf):
+            gen.random(out=row)
+        self.live = np.arange(len(reps))  # buffer rows of the live replicates
+
+    def start(self) -> np.ndarray:
+        return self.buf[:, 0]
+
+    def jump(self, step: int) -> np.ndarray:
+        """The draws of jump ``step`` (from 0) of the live replicates, shape (live, per_jump)."""
+        j = step % self.chunk
+        if j == 0 and step > 0:
+            for i in self.live.tolist():
+                self.gens[i].random(out=self.buf[i, 1:])
+        return self.buf[self.live, 1 + j * self.per_jump : 1 + (j + 1) * self.per_jump]
+
+    def keep(self, live: np.ndarray) -> None:
+        self.live = self.live[live]
 
 
 def simulate_chain(
@@ -158,8 +234,7 @@ def simulate_chain(
     Cap hits are data, not errors: the path status records them.
     """
     table = _table or _RateTable(spec, caps.max_level)
-    start = np.asarray(start_dist, dtype=float)
-    pos = _sample_start(start, rng)
+    pos = int(_sample_start(_start_cdf(start_dist), rng.random()))
     t = 0.0
     times = [0.0]
     states = [pos]
@@ -175,8 +250,7 @@ def simulate_chain(
         t += -math.log(rng.random()) / rate
         if t > horizon:
             break
-        cum = table.cum[pos - 1]
-        pos = int(table.targets[pos - 1][np.searchsorted(cum, rng.random(), side="right")])
+        pos = int(table.targets[pos - 1, (table.cum[pos - 1] <= rng.random()).sum()])
         times.append(t)
         states.append(pos)
     else:
@@ -194,6 +268,16 @@ class SurvivalEstimate:
     occupancy_se: np.ndarray
     replicates: int
     tail_time_bound: float
+    # replicate status at the horizon; the four counts sum to ``replicates``
+    alive: int  # still below the level cap
+    absorbed: int  # stopped at a shell with no outgoing rate
+    exploded_level: int  # passed the level cap
+    exploded_jumpcap: int  # made max_jumps jumps without passing the level cap
+    jumps: int  # jumps made over all replicates
+
+    def status_counts(self) -> dict[str, int]:
+        names = ("alive", "absorbed", "exploded_level", "exploded_jumpcap", "jumps")
+        return {name: getattr(self, name) for name in names}
 
 
 def survival_curve(
@@ -210,20 +294,62 @@ def survival_curve(
     (finitely many jumps, below the level cap) at time t, with binomial
     standard errors.  The monotone copy is the running minimum, for
     reporting; survival events are nested so the true curve cannot rise.
+
+    Replicate ``rep`` is the path ``simulate_chain`` draws from
+    ``chain_rng(seed, rep)``, except that holding times use ``np.log``
+    where it uses ``math.log``.  The two can differ in the last bit, which
+    changes a count only when a jump lands within one ulp of a grid time.
     """
     t = np.asarray(tgrid, dtype=float)
+    horizon = float(t.max())
+    if t.min() < 0.0:
+        raise ValueError("grid times must be non-negative")
+    start = _start_cdf(start_dist)
     table = _RateTable(spec, caps.max_level)
     levels = caps.max_level
-    alive_counts = np.zeros(len(t))
-    occ_counts = np.zeros((len(t), levels))
-    for rep in range(replicates):
-        rng = chain_rng(seed, rep)
-        traj = simulate_chain(spec, start_dist, float(t.max()), caps, rng, _table=table)
-        for ti, tv in enumerate(t):
-            pos = traj.position_at(tv)
-            if pos is not None and pos <= levels:
-                alive_counts[ti] += 1
-                occ_counts[ti, pos - 1] += 1
+    grid, slot = np.unique(t, return_inverse=True)
+    G = len(grid)
+    # a replicate holding at shell n over grid indices [lo, hi) adds +1 at
+    # (lo, n) and -1 at (hi, n); a cumulative sum over the grid gives the counts
+    changes = np.zeros((G + 1, levels), dtype=np.int64)
+    level = absorbed = alive = capped = jumps = 0
+    for first in range(0, replicates, _BATCH):
+        streams = _Streams(seed, range(first, min(first + _BATCH, replicates)), per_jump=2)
+        pos = _sample_start(start, streams.start())
+        clock = np.zeros(len(pos))
+        lo = np.zeros(len(pos), dtype=np.int64)  # first grid index not yet recorded
+        for step in range(caps.max_jumps):
+            if not len(pos):
+                break
+            over = pos > levels
+            row = np.minimum(pos, levels) - 1
+            rate = table.pi[row]
+            dead = ~over & (rate <= 0.0)
+            u = streams.jump(step)
+            with np.errstate(divide="ignore"):
+                arrive = clock + -np.log(u[:, 0]) / rate
+            cross = ~over & ~dead & (arrive > horizon)
+            hi = np.searchsorted(grid, arrive)  # G when crossing or absorbed (arrive = inf)
+            hi[over] = lo[over]
+            held = hi > lo
+            cell = pos[held] - 1
+            np.add.at(changes, (lo[held], cell), 1)
+            np.subtract.at(changes, (hi[held], cell), 1)
+            live = ~(over | dead | cross)
+            level += int(over.sum())
+            absorbed += int(dead.sum())
+            alive += int(cross.sum())
+            jumps += int(live.sum())
+            row, target_u = row[live], u[live, 1]
+            streams.keep(live)
+            pos = table.targets[row, (table.cum[row] <= target_u[:, None]).sum(-1)]
+            clock, lo = arrive[live], hi[live]
+        beyond = int((pos > levels).sum())
+        level += beyond
+        capped += len(pos) - beyond
+        del streams  # release this batch's generators before keying the next
+    occ_counts = np.cumsum(changes, axis=0)[slot]
+    alive_counts = occ_counts.sum(axis=1)
     p = alive_counts / replicates
     se = np.sqrt(p * (1.0 - p) / replicates)
     occ = occ_counts / replicates
@@ -237,6 +363,11 @@ def survival_curve(
         occupancy_se=occ_se,
         replicates=replicates,
         tail_time_bound=explosion_tail_bound(spec, caps.max_level),
+        alive=alive,
+        absorbed=absorbed,
+        exploded_level=level,
+        exploded_jumpcap=capped,
+        jumps=jumps,
     )
 
 
@@ -261,36 +392,41 @@ def visit_statistics(
 
     Estimates E[V_n | V_n > 0] where V_n counts visits at jump index >= 1;
     the chain itself only needs the embedded transition law, no holding
-    times.
+    times.  Each jump reads one uniform u of ``chain_rng(seed, rep)`` after
+    the start draw; the row's tail mass beyond N absorbs, i.e. u at or
+    above the row total.
     """
     P = embedded_matrix(spec, N)
-    cum_rows = []
-    targets_rows = []
+    rows = []
     for n in range(N):
         idx = np.nonzero(P[n])[0]
-        targets_rows.append(idx + 1)
-        cum_rows.append(np.cumsum(P[n, idx]))  # tail mass beyond N absorbs
+        rows.append((idx + 1, np.cumsum(P[n, idx])))
+    cum, targets, count = _padded_rows(rows)
     start = np.zeros(N)
     if start_dist is None:
         start[0] = 1.0
     else:
         start[: len(start_dist)] = start_dist
+    start = _start_cdf(start)
     counts = np.zeros((replicates, N), dtype=np.int64)
-    for rep in range(replicates):
-        rng = chain_rng(seed, rep)
-        pos = _sample_start(start, rng)
-        for _ in range(max_jumps):
-            row = pos - 1
-            cum = cum_rows[row]
-            if len(cum) == 0:
+    for first in range(0, replicates, _BATCH):
+        reps = range(first, min(first + _BATCH, replicates))
+        streams = _Streams(seed, reps, per_jump=1)
+        rep = np.arange(reps.start, reps.stop)
+        row = _sample_start(start, streams.start()) - 1
+        for step in range(max_jumps):
+            if not len(rep):
                 break
-            u = rng.random()
-            if u > cum[-1]:
-                break  # jumped past the truncation, absorbed
-            pos = int(targets_rows[row][np.searchsorted(cum, u, side="right")])
-            counts[rep, pos - 1] += 1
-        else:
+            u = streams.jump(step)[:, 0]
+            k = (cum[row] <= u[:, None]).sum(-1)
+            live = k < count[row]
+            streams.keep(live)
+            rep = rep[live]
+            row = targets[row[live], k[live]] - 1
+            counts[rep, row] += 1
+        if len(rep):
             raise RuntimeError("embedded chain failed to absorb within the jump budget")
+        del streams  # release this batch's generators before keying the next
     visited = counts > 0
     nvis = visited.sum(axis=0)
     mean = np.full(N, np.nan)
@@ -317,7 +453,7 @@ def explosion_tail_bound(spec: ModelSpec, level: int, tol: float = 1e-12) -> flo
     the series is summed to ``tol`` relative accuracy.
     """
     inc = increment_distribution(spec)
-    if inc.drift <= 0.0:
+    if inc.drift <= 0.0:  # also a model without active interactions: no bound
         return math.inf
     visits = 1.0 / inc.drift
     total = 0.0

@@ -54,6 +54,13 @@ def _load(ref: str) -> algebra.ModelSpec:
     return modelio.load_model(ref)
 
 
+def _check_start_shell(shell: int, *levels: int) -> None:
+    """Reject a start shell outside 1..min(levels), the shortest array it indexes."""
+    top = min(levels)
+    if not 1 <= shell <= top:
+        raise ValueError(f"--start-shell must be in 1..{top}, got {shell}")
+
+
 def _start_vector(spec: algebra.ModelSpec, N: int, shell: int, energy: float) -> np.ndarray:
     x0 = np.zeros((N, spec.d))
     x0[shell - 1, 0] = math.sqrt(energy)
@@ -80,6 +87,7 @@ def cmd_validate(args) -> int:
 
 def cmd_simulate(args) -> int:
     spec = _load(args.model)
+    _check_start_shell(args.start_shell, args.shells)
     nrec = max(2, args.record)
     times = [round(k * args.horizon / (nrec - 1), 12) for k in range(nrec)]
     times = [round(round(t / args.dt) * args.dt, 12) for t in times]
@@ -127,6 +135,7 @@ def _time_grid(spec: algebra.ModelSpec, N: int, horizon: float, points: int, kin
 
 def cmd_moments(args) -> int:
     spec = _load(args.model)
+    _check_start_shell(args.start_shell, args.shells)
     Q = moments.build_qmatrix(spec, args.shells)
     tgrid = _time_grid(spec, args.shells, args.horizon, args.points, args.grid)
     u0 = _start_vector(spec, args.shells, args.start_shell, args.energy)
@@ -142,6 +151,7 @@ def cmd_moments(args) -> int:
 
 def cmd_chain(args) -> int:
     spec = _load(args.model)
+    _check_start_shell(args.start_shell, args.max_level)
     tgrid = np.linspace(0.0, args.horizon, args.points)
     start = np.zeros(args.max_level)
     start[args.start_shell - 1] = 1.0
@@ -168,7 +178,7 @@ def cmd_chain(args) -> int:
             )
     _write_csv(
         args.out,
-        _config_of(args),
+        {**_config_of(args), "status": est.status_counts()},
         ["t", "survival", "survival_se", "n", "occupancy", "occupancy_se"],
         rows,
     )
@@ -248,6 +258,7 @@ def cmd_triangulate(args) -> int:
     times = [float(s) for s in args.times.split(",")]
     N = args.shells
     n_sde = args.sde_shells or sde_resolvable_shells(spec, args.dt, N)
+    _check_start_shell(args.start_shell, n_sde, N, args.max_level)
     x0 = _start_vector(spec, min(n_sde, N), args.start_shell, args.energy)
     x_norm_sq = float((x0 * x0).sum())
 
@@ -341,6 +352,7 @@ def cmd_dissipation(args) -> int:
     spec = _load(args.model)
     Ns = [int(s) for s in args.shells_list.split(",")]
     Nmax = max(Ns)
+    _check_start_shell(args.start_shell, *Ns, *([args.sde_shells] if args.paths > 0 else []))
     tgrid = _time_grid(spec, Nmax, args.horizon, args.points, "geometric")
     curves = {}
     for N in Ns:

@@ -1,0 +1,96 @@
+"""Per-replicate reference walks for the lockstep chain estimators.
+
+These are the earlier bodies of :func:`shellsde.chain.survival_curve` and
+:func:`shellsde.chain.visit_statistics`: one Python loop per replicate on
+its own ``chain_rng(seed, rep)``.  The survival walk goes through
+:func:`shellsde.chain.simulate_chain`, and its status counts use the
+benchmark tracer's classification: an exploded path whose last state is
+above the level cap passed the level cap, any other exploded path hit the
+jump cap.
+"""
+import math
+
+import numpy as np
+
+from shellsde.chain import ChainTrajectory, _RateTable, chain_rng, simulate_chain
+from shellsde.moments import embedded_matrix
+
+
+def _status(traj: ChainTrajectory, max_level: int) -> str:
+    if traj.status != "exploded":
+        return traj.status
+    return "exploded_level" if traj.states[-1] > max_level else "exploded_jumpcap"
+
+
+def survival_curve(spec, start_dist, tgrid, replicates, caps, seed=0):
+    """Survival and occupancy arrays plus status counts, keyed like the estimator's fields."""
+    t = np.asarray(tgrid, dtype=float)
+    table = _RateTable(spec, caps.max_level)
+    levels = caps.max_level
+    alive_counts = np.zeros(len(t))
+    occ_counts = np.zeros((len(t), levels))
+    status = dict.fromkeys(("alive", "absorbed", "exploded_level", "exploded_jumpcap", "jumps"), 0)
+    for rep in range(replicates):
+        rng = chain_rng(seed, rep)
+        traj = simulate_chain(spec, start_dist, float(t.max()), caps, rng, _table=table)
+        status[_status(traj, levels)] += 1
+        status["jumps"] += len(traj.times) - 1
+        for ti, tv in enumerate(t):
+            pos = traj.position_at(tv)
+            if pos is not None and pos <= levels:
+                alive_counts[ti] += 1
+                occ_counts[ti, pos - 1] += 1
+    p = alive_counts / replicates
+    occ = occ_counts / replicates
+    return {
+        "survival": p,
+        "se": np.sqrt(p * (1.0 - p) / replicates),
+        "survival_monotone": np.minimum.accumulate(p),
+        "occupancy": occ,
+        "occupancy_se": np.sqrt(occ * (1.0 - occ) / replicates),
+        **status,
+    }
+
+
+def visit_statistics(spec, N, replicates, seed=0, start_dist=None, max_jumps=100_000):
+    """(mean_visits, se, p_visit) of the embedded chain absorbing beyond N."""
+    P = embedded_matrix(spec, N)
+    cum_rows = []
+    targets_rows = []
+    for n in range(N):
+        idx = np.nonzero(P[n])[0]
+        targets_rows.append(idx + 1)
+        cum_rows.append(np.cumsum(P[n, idx]))
+    start = np.zeros(N)
+    if start_dist is None:
+        start[0] = 1.0
+    else:
+        start[: len(start_dist)] = start_dist
+    start_cum = np.cumsum(start)
+    start_cum = start_cum / start_cum[-1]
+    counts = np.zeros((replicates, N), dtype=np.int64)
+    for rep in range(replicates):
+        rng = chain_rng(seed, rep)
+        pos = int(np.searchsorted(start_cum, rng.random(), side="right")) + 1
+        for _ in range(max_jumps):
+            row = pos - 1
+            cum = cum_rows[row]
+            if len(cum) == 0:
+                break
+            u = rng.random()
+            if u > cum[-1]:
+                break
+            pos = int(targets_rows[row][np.searchsorted(cum, u, side="right")])
+            counts[rep, pos - 1] += 1
+        else:
+            raise RuntimeError("embedded chain failed to absorb within the jump budget")
+    visited = counts > 0
+    nvis = visited.sum(axis=0)
+    mean = np.full(N, np.nan)
+    se = np.full(N, np.nan)
+    for n in range(N):
+        if nvis[n] > 0:
+            vals = counts[visited[:, n], n].astype(float)
+            mean[n] = vals.mean()
+            se[n] = vals.std(ddof=1) / math.sqrt(len(vals)) if len(vals) > 1 else np.inf
+    return mean, se, nvis / replicates

@@ -1,11 +1,21 @@
+import dataclasses
 import math
 
 import numpy as np
 import pytest
 
+import chain_oracle as oracle
 import shellsde as s
+from shellsde import chain
 from shellsde.chain import ChainCaps, chain_rng, explosion_tail_bound
 from shellsde.moments import embedded_matrix
+
+
+def _dead_novikov():
+    spec = s.build_novikov(2.0, 1.0)
+    return dataclasses.replace(
+        spec, interactions=tuple(dataclasses.replace(it, k=0.0) for it in spec.interactions)
+    )
 
 
 def test_embedded_step_novikov_probabilities(novikov):
@@ -126,12 +136,7 @@ def test_cap_doubling_insensitive(novikov):
 
 
 def test_absorbed_status_for_dead_model():
-    import dataclasses
-
-    spec = s.build_novikov(2.0, 1.0)
-    dead = dataclasses.replace(
-        spec, interactions=tuple(dataclasses.replace(it, k=0.0) for it in spec.interactions)
-    )
+    dead = _dead_novikov()
     start = np.zeros(10)
     start[0] = 1.0
     traj = s.simulate_chain(dead, start, 5.0, ChainCaps(1000, 10), chain_rng(1, 1))
@@ -218,3 +223,115 @@ def test_chain_rng_reproducible(novikov):
     b = s.simulate_chain(novikov, start, 1.0, ChainCaps(1000, 20), chain_rng(5, 7))
     assert np.array_equal(a.times, b.times)
     assert np.array_equal(a.states, b.states)
+
+
+ESTIMATE_ARRAYS = ("survival", "se", "survival_monotone", "occupancy", "occupancy_se")
+STATUSES = ("alive", "absorbed", "exploded_level", "exploded_jumpcap")
+
+
+def _start(levels, weights):
+    start = np.zeros(levels)
+    for n, w in weights.items():
+        start[n - 1] = w
+    return start
+
+
+# (model, start weights by shell, grid, replicates, caps, statuses that must occur)
+SURVIVAL_CASES = {
+    "novikov": ("novikov", {1: 1.0}, [0.25, 0.5, 1.0], 400, ChainCaps(200_000, 40), ("alive", "exploded_level")),
+    "goy_unsorted_grid": ("goy", {1: 0.5, 3: 1.0, 4: 0.25}, [0.6, 0.0, 0.2, 0.6, 0.05], 300, ChainCaps(100_000, 30), ("alive", "exploded_level")),
+    "small_caps": ("novikov", {1: 1.0, 2: 1.0}, [0.0, 0.4, 0.1], 400, ChainCaps(25, 12), ("exploded_level", "exploded_jumpcap")),
+    "goy_small_caps": ("goy", {2: 1.0}, [1.0, 0.3, 0.3], 300, ChainCaps(40, 20), ("exploded_level", "exploded_jumpcap")),
+    "dead": ("dead", {1: 1.0, 3: 1.0}, [5.0, 0.0, 2.5], 50, ChainCaps(1000, 10), ("absorbed",)),
+    # a low cap escapes at a slow shell, so grid times follow closely after an escape
+    "low_level_cap": ("novikov", {1: 1.0}, list(np.linspace(0.0, 0.5, 26)), 200, ChainCaps(1000, 3), ("exploded_level",)),
+}
+
+
+def _model(name, request):
+    return _dead_novikov() if name == "dead" else request.getfixturevalue(name)
+
+
+def _assert_same_survival(est, ref):
+    for name in ESTIMATE_ARRAYS:
+        assert np.array_equal(getattr(est, name), ref[name]), name
+    assert est.status_counts() == {k: ref[k] for k in (*STATUSES, "jumps")}
+
+
+@pytest.mark.parametrize("case", sorted(SURVIVAL_CASES))
+@pytest.mark.parametrize("seed", [0, 7, 102])
+def test_survival_curve_matches_per_replicate_oracle(case, seed, request):
+    model, weights, grid, replicates, caps, seen = SURVIVAL_CASES[case]
+    spec = _model(model, request)
+    start = _start(caps.max_level, weights)
+    est = s.survival_curve(spec, start, grid, replicates, caps, seed=seed)
+    _assert_same_survival(est, oracle.survival_curve(spec, start, grid, replicates, caps, seed=seed))
+    assert sum(getattr(est, k) for k in STATUSES) == replicates
+    for status in seen:
+        assert getattr(est, status) > 0, status
+
+
+@pytest.mark.parametrize("batch,chunk", [(1, 1), (10**6, 1000), (7, 3)])
+def test_lockstep_constants_do_not_change_results(batch, chunk, novikov, goy, monkeypatch):
+    start = _start(12, {1: 1.0, 2: 0.5})
+    grid = [0.3, 0.0, 0.1]
+    caps = ChainCaps(25, 12)
+    survival = s.survival_curve(goy, start, grid, 200, caps, seed=3)
+    visits = s.visit_statistics(novikov, 10, 200, seed=4)
+    monkeypatch.setattr(chain, "_BATCH", batch)
+    monkeypatch.setattr(chain, "_CHUNK", chunk)
+    patched = s.survival_curve(goy, start, grid, 200, caps, seed=3)
+    for name in ESTIMATE_ARRAYS:
+        assert np.array_equal(getattr(patched, name), getattr(survival, name)), name
+    assert patched.status_counts() == survival.status_counts()
+    again = s.visit_statistics(novikov, 10, 200, seed=4)
+    for name in ("mean_visits", "se", "p_visit"):
+        assert np.array_equal(getattr(again, name), getattr(visits, name), equal_nan=True), name
+
+
+@pytest.mark.parametrize(
+    "model,N,start_dist,seed",
+    [("novikov", 10, None, 13), ("novikov", 8, [0.0, 1.0, 0.0, 2.0], 2), ("goy", 12, None, 5), ("goy", 9, [1.0, 1.0], 21)],
+)
+def test_visit_statistics_matches_per_replicate_oracle(model, N, start_dist, seed, request):
+    spec = request.getfixturevalue(model)
+    vs = s.visit_statistics(spec, N, 600, seed=seed, start_dist=start_dist)
+    ref = oracle.visit_statistics(spec, N, 600, seed=seed, start_dist=start_dist)
+    for got, want in zip((vs.mean_visits, vs.se, vs.p_visit), ref):
+        assert np.array_equal(got, want, equal_nan=True)
+
+
+def test_visit_statistics_jump_budget_error(novikov):
+    with pytest.raises(RuntimeError, match="failed to absorb"):
+        s.visit_statistics(novikov, 10, 50, seed=1, max_jumps=3)
+
+
+@pytest.mark.parametrize(
+    "start_dist",
+    [np.zeros(10), [0.0, -0.5, 1.5], [np.nan, 1.0], [np.inf, 1.0], []],
+    ids=["zeros", "negative", "nan", "inf", "empty"],
+)
+def test_start_distribution_is_validated(start_dist, novikov):
+    caps = ChainCaps(1000, 10)
+    with pytest.raises(ValueError, match="start distribution"):
+        s.survival_curve(novikov, start_dist, [0.5], 10, caps)
+    with pytest.raises(ValueError, match="start distribution"):
+        s.simulate_chain(novikov, start_dist, 0.5, caps, chain_rng(0, 0))
+    with pytest.raises(ValueError, match="start distribution"):
+        s.visit_statistics(novikov, 10, 10, start_dist=start_dist)
+
+
+def test_survival_rejects_negative_grid_times(novikov):
+    with pytest.raises(ValueError, match="non-negative"):
+        s.survival_curve(novikov, _start(10, {1: 1.0}), [-0.1, 0.5], 10, ChainCaps(1000, 10))
+
+
+def test_grid_time_on_a_jump_counts_the_new_shell(novikov):
+    # grid times that equal jump times of replicates 0 and 1 exactly
+    caps = ChainCaps(1000, 20)
+    start = _start(20, {1: 1.0})
+    a = s.simulate_chain(novikov, start, 1.0, caps, chain_rng(4, 0))
+    b = s.simulate_chain(novikov, start, 1.0, caps, chain_rng(4, 1))
+    grid = [a.times[1], a.times[3], b.times[2], 1.0]
+    est = s.survival_curve(novikov, start, grid, 20, caps, seed=4)
+    _assert_same_survival(est, oracle.survival_curve(novikov, start, grid, 20, caps, seed=4))

@@ -103,6 +103,41 @@ def test_chain_csv(tmp_path):
     assert len(lines) == 2 + 3 * 30
 
 
+def test_chain_header_status_counts(tmp_path):
+    args = ["chain", "--model", "novikov", "--replicates", "200", "--horizon", "0.5",
+            "--points", "3", "--max-level", "12", "--max-jumps", "25", "--seed", "2"]
+    a, b = tmp_path / "a.csv", tmp_path / "b.csv"
+    assert main(args + ["--out", str(a)]) == 0
+    assert main(args + ["--out", str(b)]) == 0
+    assert read_out(a).replace(str(a), "X") == read_out(b).replace(str(b), "X")
+    config = json.loads(read_out(a).splitlines()[0].removeprefix("# config: "))
+    status = config["status"]
+    assert set(status) == {"alive", "absorbed", "exploded_level", "exploded_jumpcap", "jumps"}
+    assert sum(v for k, v in status.items() if k != "jumps") == 200
+    assert status["exploded_level"] > 0 and status["exploded_jumpcap"] > 0
+
+
+@pytest.mark.parametrize(
+    "argv,top",
+    [
+        (["chain", "--max-level", "20", "--start-shell", "0"], 20),
+        (["chain", "--max-level", "20", "--start-shell", "25"], 20),
+        (["simulate", "--shells", "5", "--start-shell", "6"], 5),
+        (["simulate", "--shells", "5", "--start-shell", "-1"], 5),
+        (["moments", "--shells", "8", "--start-shell", "9"], 8),
+        (["triangulate", "--shells", "10", "--sde-shells", "4", "--start-shell", "5"], 4),
+        (["triangulate", "--shells", "10", "--max-level", "6", "--start-shell", "7"], 6),
+        (["dissipation", "--shells-list", "8,12", "--start-shell", "9"], 8),
+        (["dissipation", "--shells-list", "8,12", "--paths", "10", "--sde-shells", "4", "--start-shell", "5"], 4),
+    ],
+)
+def test_start_shell_out_of_range_is_usage_error(argv, top, capsys):
+    assert main(argv + ["--model", "novikov"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: ") and f"1..{top}" in captured.err
+
+
 def test_constants_json(capsys):
     assert main(["constants", "--model", "novikov", "--shells", "25", "--energy", "1.0"]) == 0
     doc = json.loads(capsys.readouterr().out)
