@@ -13,6 +13,7 @@ from .algebra import (
     CoefficientTable,
     IdentityGramError,
     Interaction,
+    JumpRates,
     MalformedModelError,
     ModelSpec,
     ValidationReport,
@@ -21,6 +22,7 @@ from .algebra import (
     build_sabra,
     embed_complex,
     ito_correction,
+    jump_rates,
     lift_real,
     validate_model,
 )
@@ -28,7 +30,6 @@ from .chain import (
     ChainCaps,
     ChainTrajectory,
     IncrementDistribution,
-    embedded_step,
     increment_distribution,
     simulate_chain,
     survival_curve,
@@ -43,7 +44,7 @@ from .moments import (
     smallness_threshold_goy_sabra,
     solve_forward,
 )
-from .noise import NoiseSlab, goy_noise_bridge, sample_slab
+from .noise import NoiseSlab, sample_slab
 from .sde import (
     EnsembleStats,
     PathWeight,
@@ -53,7 +54,6 @@ from .sde import (
     diffusion_apply,
     drift_linear,
     drift_nonlinear,
-    goy_complex_em_step,
     make_state,
     run_ensemble,
     step_conservative,

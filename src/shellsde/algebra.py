@@ -10,9 +10,12 @@ conservative because interactions come in pairs under an involution
 shell, and paired noise channels alias to the same Brownian motion.
 
 This module defines the model container, validates the pairing algebra,
-provides the GOY, Sabra and Novikov constructions, and implements the
-quadratic (Ito) correction that the simulation engine and the moment flow
-both consume.
+provides the GOY, Sabra and Novikov constructions, and builds the one table
+of jump rates, :func:`jump_rates`: the effective coefficients and the rates
+sigma**2 * k_eff(i, n)**2, grouped by target n + r_i.  Every route reads
+it: the SDE engine's :class:`CoefficientTable` and quadratic (Ito)
+correction, the forward equation's rate matrix and embedded chain in
+:mod:`shellsde.moments`, and the jump chain in :mod:`shellsde.chain`.
 """
 from __future__ import annotations
 
@@ -26,6 +29,7 @@ __all__ = [
     "REL_TOL",
     "MalformedModelError",
     "IdentityGramError",
+    "require_identity_grams",
     "BilinearMap",
     "Interaction",
     "ModelSpec",
@@ -35,6 +39,8 @@ __all__ = [
     "build_goy",
     "build_sabra",
     "build_novikov",
+    "JumpRates",
+    "jump_rates",
     "ito_correction",
     "embed_complex",
     "lift_real",
@@ -56,6 +62,15 @@ class MalformedModelError(ValueError):
 
 class IdentityGramError(ValueError):
     """A consumer required every interaction gram matrix to be the identity."""
+
+
+def require_identity_grams(spec: ModelSpec) -> None:
+    """Raise :class:`IdentityGramError` unless every gram of ``spec`` is the identity."""
+    if not spec.has_identity_grams():
+        raise IdentityGramError(
+            "the second-moment closure requires every interaction gram B B^T "
+            "to be the identity; this model has non-identity grams"
+        )
 
 
 @dataclass(frozen=True, eq=False)
@@ -203,15 +218,16 @@ class ModelSpec:
         return self._by_id[iid].k * self.lam**n
 
     def pi_n(self, n: int) -> float:
-        """Total quadratic rate sigma**2 * sum_i k_eff(i, n)**2 at shell ``n``."""
-        return self.sigma**2 * sum(self.k_eff(iid, n) ** 2 for iid in self.ids)
+        """Total jump rate out of shell ``n``, read from :func:`jump_rates`."""
+        return float(jump_rates(self, n).pi[-1])
 
-    def grams(self) -> dict[str, np.ndarray]:
-        return {it.iid: it.B.gram() for it in self.interactions}
+    def grams(self) -> np.ndarray:
+        """(J, d, d) stack of the gram matrices, in interaction order."""
+        return np.stack([it.B.gram() for it in self.interactions])
 
     def has_identity_grams(self, tol: float = REL_TOL) -> bool:
         eye = np.eye(self.d)
-        return all(np.max(np.abs(g - eye)) <= tol * max(1.0, np.max(np.abs(g))) for g in self.grams().values())
+        return all(np.max(np.abs(g - eye)) <= tol * max(1.0, np.max(np.abs(g))) for g in self.grams())
 
     def star_ids(self) -> tuple[str, ...]:
         return tuple(sorted(self.istar))
@@ -321,35 +337,14 @@ def validate_model(spec: ModelSpec) -> ValidationReport:
             scale = max(1.0, float(np.max(np.abs(it.B.entries))))
             if diff > REL_TOL * scale:
                 bad_b.append(it.iid)
-    ok = involution
-    checks.append(
-        CheckResult(
-            "k_cancellation",
-            ok and not bad_k,
-            "k[tau(i)] = -k[i] * lambda**(-r[i])" if not bad_k else f"violated for ids {bad_k}",
-        )
+    relations = (
+        ("k_cancellation", bad_k, "k[tau(i)] = -k[i] * lambda**(-r[i])"),
+        ("r_reversal", bad_r2, "r[tau(i)] = -r[i]"),
+        ("h_shift", bad_h, "h[tau(i)] = h[i] - r[i]"),
+        ("bilinear_alias", bad_b, "<u, B[tau(i)](v, w)> = <v, B[i](u, w)>"),
     )
-    checks.append(
-        CheckResult(
-            "r_reversal",
-            ok and not bad_r2,
-            "r[tau(i)] = -r[i]" if not bad_r2 else f"violated for ids {bad_r2}",
-        )
-    )
-    checks.append(
-        CheckResult(
-            "h_shift",
-            ok and not bad_h,
-            "h[tau(i)] = h[i] - r[i]" if not bad_h else f"violated for ids {bad_h}",
-        )
-    )
-    checks.append(
-        CheckResult(
-            "bilinear_alias",
-            ok and not bad_b,
-            "<u, B[tau(i)](v, w)> = <v, B[i](u, w)>" if not bad_b else f"violated for ids {bad_b}",
-        )
-    )
+    for name, bad, rule in relations:
+        checks.append(CheckResult(name, involution and not bad, f"violated for ids {bad}" if bad else rule))
 
     hbar = spec.h_bar
     checks.append(CheckResult("noise_reach", hbar >= 0, f"max h = {hbar}"))
@@ -520,23 +515,80 @@ def build_novikov(lam: float, sigma: float) -> ModelSpec:
 
 
 # ----------------------------------------------------------------------
+# The jump-rate table
+# ----------------------------------------------------------------------
+
+
+@dataclass(frozen=True, eq=False)
+class JumpRates:
+    """Effective coefficients and jump rates of a model on shells 1..N.
+
+    Rows are interactions in model order, columns zero-based shells.
+    ``keff`` is :meth:`ModelSpec.k_eff` (zero where inactive), ``rate =
+    (sigma**2 * keff) * keff`` the rate of the jump n -> n + r[j] and ``pi``
+    the exit rate of each shell.  By target, ``grouped[i]`` sums the rates
+    of the interactions with offset ``offsets[i]`` (ascending), also where
+    the target lies past N.  Every sum adds interactions in model order.
+    """
+
+    keff: np.ndarray
+    rate: np.ndarray
+    r: np.ndarray
+    pi: np.ndarray
+    offsets: np.ndarray
+    grouped: np.ndarray
+
+    def inside(self) -> np.ndarray:
+        """(N, N) matrix of the rates n -> m with both shells in 1..N."""
+        N = len(self.pi)
+        out = np.zeros((N, N))
+        for off, rates in zip(self.offsets.tolist(), self.grouped):
+            n = np.arange(max(0, -off), N - max(0, off))
+            out[n, n + off] = rates[n]
+        return out
+
+
+def _power(lam: float, n: int) -> float:
+    """Python's scalar ``lam**n``, as :meth:`ModelSpec.k_eff` takes it; inf past the float range."""
+    try:
+        return lam**n
+    except OverflowError:
+        return math.inf
+
+
+def jump_rates(spec: ModelSpec, N: int) -> JumpRates:
+    """The one table of effective coefficients and jump rates on shells 1..N."""
+    if N < 1:
+        raise ValueError("truncation level must be >= 1")
+    r = np.array([it.r for it in spec.interactions])
+    lowest = np.array([[min(it.r, it.h)] for it in spec.interactions])
+    k = np.array([[it.k] for it in spec.interactions], dtype=float)
+    active = (np.arange(1, N + 1) + lowest >= 1) & (k != 0.0)
+    keff = np.zeros(active.shape)
+    offsets = np.unique(r)
+    with np.errstate(over="ignore"):
+        np.multiply(k, [_power(spec.lam, n) for n in range(1, N + 1)], out=keff, where=active)
+        rate = (spec.sigma**2 * keff) * keff
+        # cumsum adds the interactions in order; sum(axis=0) may pair them
+        pi = rate.cumsum(axis=0)[-1]
+        grouped = np.stack([rate[r == off].cumsum(axis=0)[-1] for off in offsets])
+    return JumpRates(keff, rate, r, pi, offsets, grouped)
+
+
+# ----------------------------------------------------------------------
 # Quadratic correction and complex embedding
 # ----------------------------------------------------------------------
 
 
 def ito_correction(spec: ModelSpec, n: int) -> np.ndarray:
-    """Drift matrix -(sigma**2 / 2) * sum_i k_eff(i, n)**2 * gram(B_i) at shell ``n``.
+    """Drift matrix -(1/2) * sum_i rate(i, n) * gram(B_i) at shell ``n``.
 
+    The rates are sigma**2 * k_eff(i, n)**2 from :func:`jump_rates`.
     Symmetric negative semidefinite; applied as matrix @ X_n.
     """
     if n < 1:
         raise ValueError("shell index must be >= 1")
-    out = np.zeros((spec.d, spec.d))
-    for it in spec.interactions:
-        k = spec.k_eff(it.iid, n)
-        if k != 0.0:
-            out -= 0.5 * spec.sigma**2 * k * k * it.B.gram()
-    return out
+    return -0.5 * np.einsum("j,jab->ab", jump_rates(spec, n).rate[:, -1], spec.grams())
 
 
 def embed_complex(u: Sequence[complex]) -> np.ndarray:
@@ -578,10 +630,10 @@ class KernelTerm(NamedTuple):
 
 
 class CoefficientTable:
-    """Vectorised effective coefficients of ``spec`` on a truncation 1..N.
+    """Step-kernel coefficients of ``spec`` on a truncation 1..N.
 
-    Arrays are indexed by interaction position j and zero-based shell
-    index.  ``keff[j, n-1]`` is zero outside the active set of shell n.
+    ``keff`` and ``pi`` are those of :func:`jump_rates`.  Arrays are indexed
+    by interaction position j and zero-based shell index.
     ``gamma[n-1]`` is the positive quadratic rate matrix, so the drift
     correction is ``-gamma[n-1] @ X_n``; when every gram is the identity it
     is the scalar ``pi[n-1] / 2``.
@@ -593,13 +645,14 @@ class CoefficientTable:
     """
 
     def __init__(self, spec: ModelSpec, N: int):
-        if N < 1:
-            raise ValueError("truncation level must be >= 1")
+        rates = jump_rates(spec, N)
+        if not np.all(np.isfinite(rates.keff)):
+            raise OverflowError("effective coefficients overflow at this truncation level")
         self.spec = spec
         self.N = N
         self.d = spec.d
         inter = spec.interactions
-        self.r = np.array([it.r for it in inter], dtype=int)
+        self.r = rates.r
         self.h = np.array([it.h for it in inter], dtype=int)
         self.B = np.stack([it.B.entries for it in inter])
         star = spec.star_ids()
@@ -609,17 +662,9 @@ class CoefficientTable:
             [row[it.iid] if it.iid in spec.istar else row[spec.pairing[it.iid]] for it in inter],
             dtype=int,
         )
-        ns = np.arange(1, N + 1)
-        keff = np.zeros((len(inter), N))
-        for j, it in enumerate(inter):
-            active = (ns + it.r >= 1) & (ns + it.h >= 1)
-            keff[j, active] = it.k * spec.lam ** ns[active].astype(float)
-        if not np.all(np.isfinite(keff)):
-            raise OverflowError("effective coefficients overflow at this truncation level")
-        self.keff = keff
-        grams = np.stack([it.B.gram() for it in inter])
-        self.gamma = 0.5 * spec.sigma**2 * np.einsum("jn,jab->nab", keff**2, grams)
-        self.pi = spec.sigma**2 * (keff**2).sum(axis=0)
+        self.keff = rates.keff
+        self.gamma = 0.5 * np.einsum("jn,jab->nab", rates.rate, spec.grams())
+        self.pi = rates.pi
         self.identity_grams = spec.has_identity_grams()
         self.lo = 1 - spec.h_max_abs
         self.window = N + spec.h_max_abs - self.lo + 1

@@ -1,13 +1,14 @@
 """Continuous-time Markov chain simulation of the second-moment flow.
 
 The chain jumps on the positive integers with the rates of the symmetric
-matrix built in :mod:`shellsde.moments`: exponential holding time with
-rate pi_n, then a jump drawn from the normalised row.  Because the rates
-grow geometrically the chain runs away to infinity in finite time; a path
-is declared exploded once it exceeds a level cap or a jump-count cap,
-which is a conservative proxy that converges as the caps grow.  The
-expected remaining time above the level cap is reported alongside so the
-proxy error is accounted for.
+matrix built in :mod:`shellsde.moments`, read from the same table,
+:func:`shellsde.algebra.jump_rates`: exponential holding time with rate
+pi_n, then a jump drawn from the normalised row, whose targets may lie
+past the level cap.  Because the rates grow geometrically the chain runs
+away to infinity in finite time; a path is declared exploded once it
+exceeds a level cap or a jump-count cap, which is a conservative proxy
+that converges as the caps grow.  The expected remaining time above the
+level cap is reported alongside so the proxy error is accounted for.
 
 :func:`simulate_chain` walks one path.  :func:`survival_curve` and
 :func:`visit_statistics` walk many replicates in lockstep instead: the
@@ -31,14 +32,13 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .algebra import ModelSpec
-from .moments import embedded_matrix, _require_identity_grams
+from .algebra import ModelSpec, jump_rates, require_identity_grams
+from .moments import embedded_matrix
 
 __all__ = [
     "ChainCaps",
     "ChainTrajectory",
     "IncrementDistribution",
-    "embedded_step",
     "increment_distribution",
     "simulate_chain",
     "SurvivalEstimate",
@@ -72,27 +72,31 @@ class ChainTrajectory:
     status: str  # 'alive' | 'exploded' | 'absorbed'
 
     def position_at(self, t: float) -> Optional[int]:
-        """State at time t, or None when the path is already dead."""
+        """State at time t >= 0, or None when the path is already dead."""
+        if t < 0.0:
+            raise ValueError("time must be non-negative")
         if self.status == "exploded" and t >= self.times[-1]:
             return None
         idx = int(np.searchsorted(self.times, t, side="right")) - 1
         return int(self.states[idx])
 
 
-def _padded_rows(rows: Sequence[tuple[np.ndarray, np.ndarray]]) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Stack (targets, cumulative probabilities) rows into padded arrays.
+def _padded_rows(
+    present: np.ndarray, values: np.ndarray, targets: np.ndarray
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Move the present entries of each row to its front, in column order.
 
-    Returns ``cum`` padded with +inf, ``targets`` padded with 0 and the
-    number of targets per row.
+    Returns ``cum``, the running sums of the present values padded with
+    +inf, their ``targets`` padded with 0 and the number of present entries
+    per row.
     """
-    width = max([1] + [len(t) for t, _ in rows])
-    cum = np.full((len(rows), width), np.inf)
-    targets = np.zeros((len(rows), width), dtype=np.int64)
-    count = np.array([len(t) for t, _ in rows], dtype=np.int64)
-    for n, (t, c) in enumerate(rows):
-        targets[n, : len(t)] = t
-        cum[n, : len(t)] = c
-    return cum, targets, count
+    count = present.sum(axis=1)
+    width = max(1, int(count.max()))
+    order = np.argsort(~present, axis=1, kind="stable")[:, :width]
+    pad = np.arange(width) >= count[:, None]
+    cum = np.cumsum(np.where(pad, 0.0, np.take_along_axis(values, order, axis=1)), axis=1)
+    cum[pad] = np.inf
+    return cum, np.where(pad, 0, np.take_along_axis(targets, order, axis=1)), count
 
 
 class _RateTable:
@@ -104,47 +108,17 @@ class _RateTable:
     """
 
     def __init__(self, spec: ModelSpec, max_level: int):
-        _require_identity_grams(spec)
+        require_identity_grams(spec)
         self.max_level = max_level
-        self.pi = np.array([spec.pi_n(n) for n in range(1, max_level + 1)])
-        rows = []
-        for n in range(1, max_level + 1):
-            rates: dict[int, float] = {}
-            for iid in spec.ids:
-                k = spec.k_eff(iid, n)
-                if k == 0.0:
-                    continue
-                m = n + spec.interaction(iid).r
-                rates[m] = rates.get(m, 0.0) + spec.sigma**2 * k * k
-            t = np.array(sorted(rates), dtype=np.int64)
-            p = np.array([rates[m] for m in t], dtype=float)
-            cum = np.cumsum(p) / p.sum() if rates else p
-            cum[-1:] = np.inf
-            rows.append((t, cum))
-        self.cum, self.targets, _ = _padded_rows(rows)
-
-
-def embedded_step(spec: ModelSpec, n: int, rng: np.random.Generator) -> int:
-    """One jump of the embedded discrete chain from position n.
-
-    The target law is the normalised rate row, which does not depend on
-    sigma (it cancels between numerator and denominator).
-    """
-    if n < 1:
-        raise ValueError("position must be >= 1")
-    rates: dict[int, float] = {}
-    for iid in spec.ids:
-        k = spec.k_eff(iid, n)
-        if k == 0.0:
-            continue
-        m = n + spec.interaction(iid).r
-        rates[m] = rates.get(m, 0.0) + k * k
-    if not rates:
-        raise ValueError(f"no active interaction at shell {n}")
-    targets = np.array(sorted(rates))
-    probs = np.array([rates[m] for m in targets])
-    cum = np.cumsum(probs) / probs.sum()
-    return int(targets[np.searchsorted(cum, rng.random(), side="right")])
+        rates = jump_rates(spec, max_level)
+        self.pi = rates.pi
+        shells = np.arange(1, max_level + 1)[:, None]
+        cum, self.targets, count = _padded_rows(rates.grouped.T > 0.0, rates.grouped.T, shells + rates.offsets)
+        last = np.maximum(count - 1, 0)[:, None]
+        with np.errstate(invalid="ignore"):  # a row without targets is inf / inf
+            cum /= np.take_along_axis(cum, last, axis=1)
+        cum[np.arange(cum.shape[1]) >= last] = np.inf
+        self.cum = cum
 
 
 @dataclass(frozen=True, eq=False)
@@ -397,11 +371,7 @@ def visit_statistics(
     above the row total.
     """
     P = embedded_matrix(spec, N)
-    rows = []
-    for n in range(N):
-        idx = np.nonzero(P[n])[0]
-        rows.append((idx + 1, np.cumsum(P[n, idx])))
-    cum, targets, count = _padded_rows(rows)
+    cum, targets, count = _padded_rows(P != 0.0, P, np.broadcast_to(np.arange(1, N + 1), P.shape))
     start = np.zeros(N)
     if start_dist is None:
         start[0] = 1.0
@@ -456,12 +426,13 @@ def explosion_tail_bound(spec: ModelSpec, level: int, tol: float = 1e-12) -> flo
     if inc.drift <= 0.0:  # also a model without active interactions: no bound
         return math.inf
     visits = 1.0 / inc.drift
-    total = 0.0
-    n = level + 1
-    while True:
-        term = visits / spec.pi_n(n)
-        total += term
-        if term <= tol * max(total, 1e-300) or n > level + 10_000:
-            break
-        n += 1
-    return total
+    last = level + 10_001  # the last shell summed
+    hi = level
+    while True:  # 64 more shells at a time until a term is negligible
+        hi = min(hi + 64, last)
+        terms = visits / jump_rates(spec, hi).pi[level:]
+        total = np.cumsum(terms)
+        stop = terms <= tol * np.maximum(total, 1e-300)
+        stop[-1] |= hi == last
+        if stop.any():
+            return float(total[stop.argmax()])

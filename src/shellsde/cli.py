@@ -33,16 +33,14 @@ def _write_csv(path: Optional[str], config: dict, columns: Sequence[str], rows) 
     lines.append(",".join(columns))
     for row in rows:
         lines.append(",".join("" if v is None else repr(v) if isinstance(v, float) else str(v) for v in row))
-    text = "\n".join(lines) + "\n"
-    if path is None:
-        sys.stdout.write(text)
-    else:
-        with open(path, "w", encoding="utf-8") as fh:
-            fh.write(text)
+    _emit(path, "\n".join(lines) + "\n")
 
 
 def _write_json(path: Optional[str], doc: dict) -> None:
-    text = json.dumps(doc, indent=2, sort_keys=True) + "\n"
+    _emit(path, json.dumps(doc, indent=2, sort_keys=True) + "\n")
+
+
+def _emit(path: Optional[str], text: str) -> None:
     if path is None:
         sys.stdout.write(text)
     else:
@@ -244,10 +242,8 @@ def sde_resolvable_shells(spec: algebra.ModelSpec, dt: float, nmax: int) -> int:
     represent shells with pi_n * dt <= 1.  Deeper shells hold a fraction of
     the second-moment mass that is below Monte Carlo resolution anyway.
     """
-    n = 1
-    while n < nmax and spec.pi_n(n + 1) * dt <= 1.0:
-        n += 1
-    return n
+    resolved = algebra.jump_rates(spec, nmax).pi[1:] * dt <= 1.0
+    return 1 + int(np.cumprod(resolved).sum())
 
 
 def cmd_triangulate(args) -> int:

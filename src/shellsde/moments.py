@@ -5,7 +5,10 @@ amplitudes of the auxiliary linear system close into a deterministic
 system u' = u Pi, where Pi is a symmetric, stable, conservative rate
 matrix on the positive integers.  This module builds its absorbing
 truncation, propagates the forward equation, and assembles the decay
-constants controlling the exponential loss of mass.
+constants controlling the exponential loss of mass.  The rate matrix, the
+embedded chain and the decay constants all read their rates from
+:func:`shellsde.algebra.jump_rates`, the table the SDE engine and the jump
+chain read too.
 
 Boundary treatment is absorbing: rows beyond the truncation are removed
 and the outward flux is tracked as escaped mass.  The untruncated chain
@@ -16,13 +19,12 @@ instead trap the mass and destroy the effect being measured).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from typing import Optional, Sequence
 
 import numpy as np
-import scipy.linalg
 
-from .algebra import IdentityGramError, ModelSpec
+from .algebra import ModelSpec, jump_rates, require_identity_grams
 from .noise import check_shells
 
 __all__ = [
@@ -51,42 +53,22 @@ class QMatrix:
     pi: np.ndarray
     escape: np.ndarray
 
-    def interior_limit(self, spec: ModelSpec) -> int:
-        """Largest n whose row cannot leak (n <= N - max |r|)."""
-        return self.N - spec.r_max_abs
-
-
-def _require_identity_grams(spec: ModelSpec):
-    if not spec.has_identity_grams():
-        raise IdentityGramError(
-            "the second-moment closure requires every interaction gram B B^T "
-            "to be the identity; this model has non-identity grams"
-        )
-
 
 def build_qmatrix(spec: ModelSpec, N: int) -> QMatrix:
     """Rate matrix of the truncated second-moment flow.
 
-    Off-diagonal entries sum sigma**2 * k_eff(i, n)**2 over interactions
-    with shell offset m - n; the pairing makes the result symmetric.
+    Off-diagonal entries are the in-range rates of :func:`jump_rates`,
+    sigma**2 * k_eff(i, n)**2 summed over interactions with shell offset
+    m - n; the pairing makes the result symmetric.
     """
-    _require_identity_grams(spec)
+    require_identity_grams(spec)
     if N < 1:
         raise ValueError("N must be >= 1")
     check_shells(N)
-    Q = np.zeros((N, N))
-    pi = np.zeros(N)
-    for n in range(1, N + 1):
-        for iid in spec.ids:
-            k = spec.k_eff(iid, n)
-            if k == 0.0:
-                continue
-            rate = spec.sigma**2 * k * k
-            pi[n - 1] += rate
-            m = n + spec.interaction(iid).r
-            if 1 <= m <= N:
-                Q[n - 1, m - 1] += rate
-        Q[n - 1, n - 1] = -pi[n - 1]
+    rates = jump_rates(spec, N)
+    Q = rates.inside()
+    pi = rates.pi
+    np.fill_diagonal(Q, -pi)
     escape = pi - (Q.sum(axis=1) - np.diag(Q))
     return QMatrix(N=N, matrix=Q, pi=pi, escape=escape)
 
@@ -172,27 +154,14 @@ def solve_forward(
 def embedded_matrix(spec: ModelSpec, N: int) -> np.ndarray:
     """Transition matrix of the embedded jump chain on 1..N, absorbing outside.
 
-    Rows are pi_{n, m} / pi_n; the sigma and lambda**(2n) factors cancel,
-    so the entries depend only on the squared coefficients.
+    Rows are the in-range rates of :func:`jump_rates` over pi_n; a row
+    without rates stays zero.
     """
-    _require_identity_grams(spec)
-    P = np.zeros((N, N))
-    for n in range(1, N + 1):
-        total = 0.0
-        rates = {}
-        for iid in spec.ids:
-            k = spec.k_eff(iid, n)
-            if k == 0.0:
-                continue
-            total += k * k
-            m = n + spec.interaction(iid).r
-            rates[m] = rates.get(m, 0.0) + k * k
-        if total == 0.0:
-            continue
-        for m, v in rates.items():
-            if 1 <= m <= N:
-                P[n - 1, m - 1] = v / total
-    return P
+    require_identity_grams(spec)
+    rates = jump_rates(spec, N)
+    pi = rates.pi[:, None]
+    with np.errstate(invalid="ignore"):  # a row without rates is 0 / 0
+        return np.where(pi > 0.0, rates.inside() / pi, 0.0)
 
 
 @dataclass(frozen=True, eq=False)
@@ -218,27 +187,14 @@ class DecayConstants:
     converged: bool
 
     def as_dict(self) -> dict:
-        return {
-            "N": self.N,
-            "x_norm_sq": self.x_norm_sq,
-            "nu": self.nu,
-            "Lambda": self.Lambda,
-            "mu": self.mu,
-            "C": self.C,
-            "rho": self.rho,
-            "theta_max": self.theta_max,
-            "tail_rel_change": self.tail_rel_change,
-            "converged": self.converged,
-        }
+        """Every field but the ``nu_n`` array."""
+        return {f.name: getattr(self, f.name) for f in fields(self) if f.name != "nu_n"}
 
 
 def _nu_vector(spec: ModelSpec, N: int) -> np.ndarray:
     """nu_n = E[visits to n | visited] / pi_n via the fundamental matrix."""
-    P = embedded_matrix(spec, N)
-    M = np.linalg.inv(np.eye(N) - P)
-    diag = np.diag(M)
-    pi = np.array([spec.pi_n(n) for n in range(1, N + 1)])
-    return diag / pi
+    M = np.linalg.inv(np.eye(N) - embedded_matrix(spec, N))
+    return np.diag(M) / jump_rates(spec, N).pi
 
 
 def decay_constants(spec: ModelSpec, x_norm_sq: float, N: int, tail_tol: float = 1e-3) -> DecayConstants:
@@ -290,9 +246,3 @@ def smallness_threshold_goy_sabra(a: float, c: float, lam: float, sigma: float) 
     if rad <= 0.0:
         return None
     return math.sqrt(2.0) * (lam - 1.0 / lam) * math.sqrt(rad) * sigma**2
-
-
-def expm_oracle(Q: QMatrix, u0: Sequence[float], t: float) -> np.ndarray:
-    """Independent dense propagation via scipy's scaling-and-squaring expm."""
-    u0 = np.asarray(u0, dtype=float)
-    return u0 @ scipy.linalg.expm(Q.matrix * t)

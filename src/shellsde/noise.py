@@ -15,7 +15,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Sequence
 
 import numpy as np
 
@@ -27,9 +26,6 @@ __all__ = [
     "slab_rng",
     "sample_slab",
     "NoiseSlab",
-    "goy_noise_bridge",
-    "goy_noise_bridge_pair",
-    "goy_inverse_bridge",
 ]
 
 # Guard against overflow of lambda**(2N) scales downstream.
@@ -113,67 +109,3 @@ def sample_slab(
     shape = (paths, len(spec.istar), hi - lo + 1, spec.d)
     increments = rng.standard_normal(shape) * math.sqrt(dt)
     return NoiseSlab(spec=spec, dt=dt, lo=lo, increments=increments)
-
-
-# ----------------------------------------------------------------------
-# Complex noise bridge for the GOY construction
-# ----------------------------------------------------------------------
-
-
-def _goy_params(slab: NoiseSlab) -> tuple[float, float, float, float]:
-    meta = slab.spec.meta
-    if meta.get("preset") != "goy":
-        raise ValueError("noise bridge requires a GOY model built by build_goy")
-    a, c, lam = float(meta["a"]), float(meta["c"]), slab.spec.lam
-    return a, c / lam, lam, math.hypot(a, c / lam)
-
-
-def goy_noise_bridge(slab: NoiseSlab, n: int) -> complex:
-    """Complex increment dw_n driving the complex-coordinate GOY equation.
-
-    Combines the real channels at shell indices n+2 and n-1 so that the
-    complex simulation and the real general-model simulation share their
-    randomness.  Real and imaginary parts each have variance dt.
-    """
-    a, p, _, s = _goy_params(slab)
-    w1 = slab.lookup("1", n + 2)
-    w2 = slab.lookup("2", n - 1)
-    re = (a * w1[..., 0] - p * w2[..., 0]) / s
-    im = -(a * w1[..., 1] - p * w2[..., 1]) / s
-    return re + 1j * im
-
-
-def goy_noise_bridge_pair(slab: NoiseSlab, n: int) -> tuple[complex, complex]:
-    """dw_n together with the orthogonal complement channel dw~_n."""
-    a, p, _, s = _goy_params(slab)
-    w1 = slab.lookup("1", n + 2)
-    w2 = slab.lookup("2", n - 1)
-    dw = (a * w1[..., 0] - p * w2[..., 0]) / s - 1j * (a * w1[..., 1] - p * w2[..., 1]) / s
-    dwt = (p * w1[..., 0] + a * w2[..., 0]) / s - 1j * (p * w1[..., 1] + a * w2[..., 1]) / s
-    return dw, dwt
-
-
-def goy_inverse_bridge(spec: ModelSpec, n: int, dw: complex, dw_tilde: complex) -> dict[tuple[str, int], np.ndarray]:
-    """Rebuild the real channel increments at shells n+2 and n-1 from (dw, dw~).
-
-    Inverse of :func:`goy_noise_bridge_pair`; the combining matrix is a
-    rotation, so the round trip is exact on the spanned subspace.
-    """
-    meta = spec.meta
-    if meta.get("preset") != "goy":
-        raise ValueError("noise bridge requires a GOY model built by build_goy")
-    a, p = float(meta["a"]), float(meta["c"]) / spec.lam
-    s = math.hypot(a, p)
-    w1 = np.array(
-        [
-            (a * dw.real + p * dw_tilde.real) / s,
-            -(a * dw.imag + p * dw_tilde.imag) / s,
-        ]
-    )
-    w2 = np.array(
-        [
-            (-p * dw.real + a * dw_tilde.real) / s,
-            (p * dw.imag - a * dw_tilde.imag) / s,
-        ]
-    )
-    return {("1", n + 2): w1, ("2", n - 1): w2}

@@ -47,7 +47,7 @@ from typing import Optional, Sequence
 import numpy as np
 
 from .algebra import CoefficientTable, ModelSpec
-from .noise import NoiseSlab, check_shells, goy_noise_bridge, slab_rng
+from .noise import NoiseSlab, check_shells, slab_rng
 
 __all__ = [
     "TruncatedState",
@@ -63,7 +63,7 @@ __all__ = [
     "accumulate_weight",
     "EnsembleStats",
     "run_ensemble",
-    "goy_complex_em_step",
+    "make_state",
 ]
 
 SCHEMES = ("em", "split", "conservative")
@@ -573,50 +573,3 @@ def run_ensemble(
         aborted=aborted,
         weighted=weighted,
     )
-
-
-# ----------------------------------------------------------------------
-# Complex-coordinate GOY integrator (conjugacy checks)
-# ----------------------------------------------------------------------
-
-
-def goy_complex_em_step(u: np.ndarray, spec: ModelSpec, slab: NoiseSlab) -> np.ndarray:
-    """One Euler-Maruyama step of the complex-coordinate GOY recursion.
-
-    ``u`` holds shells 1..N as complex numbers; shells outside are read as
-    zero and the geometric factor lambda**m is cut to zero for m <= 0.  The
-    quadratic damping coefficient is sigma_t**2 * (lam_n**2 + lam_{n-1}**2),
-    the unique choice that balances the noise quadratic variation shell by
-    shell (so the ladder energy is a martingale) and matches the real-form
-    integrator under the complex-to-real embedding.
-    """
-    meta = spec.meta
-    if meta.get("preset") != "goy":
-        raise ValueError("goy_complex_em_step requires a GOY model built by build_goy")
-    a, bb, c = float(meta["a"]), float(meta["b"]), float(meta["c"])
-    st = float(meta["sigma_tilde"])
-    lam = spec.lam
-    N = u.shape[0]
-    dt = slab.dt
-
-    def lam_pow(m: int) -> float:
-        return lam**m if m >= 1 else 0.0
-
-    def uc(m: int) -> complex:
-        return np.conj(u[m - 1]) if 1 <= m <= N else 0.0j
-
-    dw = {m: goy_noise_bridge(slab, m) for m in range(0, N + 1)}
-    out = np.empty_like(u)
-    for n in range(1, N + 1):
-        ln, ln1, ln2 = lam_pow(n), lam_pow(n - 1), lam_pow(n - 2)
-        det = (
-            1j * a * ln * uc(n + 1) * uc(n + 2)
-            + 1j * bb * ln1 * uc(n - 1) * uc(n + 1)
-            + 1j * c * ln2 * uc(n - 1) * uc(n - 2)
-        )
-        damp = st**2 * (ln**2 + ln1**2) * u[n - 1]
-        noise = 1j * st * ln * uc(n + 1) * dw[n]
-        if n >= 2:
-            noise -= 1j * st * ln1 * uc(n - 1) * dw[n - 1]
-        out[n - 1] = u[n - 1] + dt * (det - damp) + noise
-    return out

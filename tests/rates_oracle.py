@@ -1,0 +1,115 @@
+"""Reference rate loops and propagation for the second-moment routes.
+
+These are the earlier bodies of the package's rate code: one Python loop
+over (shell, interaction) calling :meth:`ModelSpec.k_eff`, in each of
+``ModelSpec.pi_n``, :func:`shellsde.moments.build_qmatrix`,
+:func:`shellsde.moments.embedded_matrix` and the rows of
+``shellsde.chain._RateTable``, plus the single-jump embedded step and a
+dense ``expm`` propagation.  The package now reads all of these from
+:func:`shellsde.algebra.jump_rates`; the tests hold it to these loops.
+"""
+import numpy as np
+import scipy.linalg
+
+
+def pi_n(spec, n):
+    """Total quadratic rate sigma**2 * sum_i k_eff(i, n)**2 at shell ``n``."""
+    return spec.sigma**2 * sum(spec.k_eff(iid, n) ** 2 for iid in spec.ids)
+
+
+def qmatrix(spec, N):
+    """(matrix, pi, escape) of the absorbing rate matrix, accumulated per interaction."""
+    Q = np.zeros((N, N))
+    pi = np.zeros(N)
+    for n in range(1, N + 1):
+        for iid in spec.ids:
+            k = spec.k_eff(iid, n)
+            if k == 0.0:
+                continue
+            rate = spec.sigma**2 * k * k
+            pi[n - 1] += rate
+            m = n + spec.interaction(iid).r
+            if 1 <= m <= N:
+                Q[n - 1, m - 1] += rate
+        Q[n - 1, n - 1] = -pi[n - 1]
+    escape = pi - (Q.sum(axis=1) - np.diag(Q))
+    return Q, pi, escape
+
+
+def embedded_matrix(spec, N):
+    """Embedded-chain transition matrix from the squared coefficients, sigma cancelled."""
+    P = np.zeros((N, N))
+    for n in range(1, N + 1):
+        total = 0.0
+        rates = {}
+        for iid in spec.ids:
+            k = spec.k_eff(iid, n)
+            if k == 0.0:
+                continue
+            total += k * k
+            m = n + spec.interaction(iid).r
+            rates[m] = rates.get(m, 0.0) + k * k
+        if total == 0.0:
+            continue
+        for m, v in rates.items():
+            if 1 <= m <= N:
+                P[n - 1, m - 1] = v / total
+    return P
+
+
+def chain_rows(spec, max_level):
+    """(cum, targets) of the chain's jump rows, padded with +inf and 0.
+
+    Targets past ``max_level`` are kept; the last real cumulative entry of
+    each row is stored as +inf.
+    """
+    rows = []
+    for n in range(1, max_level + 1):
+        rates = {}
+        for iid in spec.ids:
+            k = spec.k_eff(iid, n)
+            if k == 0.0:
+                continue
+            m = n + spec.interaction(iid).r
+            rates[m] = rates.get(m, 0.0) + spec.sigma**2 * k * k
+        t = np.array(sorted(rates), dtype=np.int64)
+        p = np.array([rates[m] for m in t], dtype=float)
+        cum = np.cumsum(p) / p.sum() if rates else p
+        cum[-1:] = np.inf
+        rows.append((t, cum))
+    width = max([1] + [len(t) for t, _ in rows])
+    cum = np.full((max_level, width), np.inf)
+    targets = np.zeros((max_level, width), dtype=np.int64)
+    for n, (t, c) in enumerate(rows):
+        targets[n, : len(t)] = t
+        cum[n, : len(t)] = c
+    return cum, targets
+
+
+def embedded_step(spec, n, rng):
+    """One jump of the embedded discrete chain from position n.
+
+    The target law is the normalised rate row, which does not depend on
+    sigma (it cancels between numerator and denominator).
+    """
+    if n < 1:
+        raise ValueError("position must be >= 1")
+    rates = {}
+    for iid in spec.ids:
+        k = spec.k_eff(iid, n)
+        if k == 0.0:
+            continue
+        m = n + spec.interaction(iid).r
+        rates[m] = rates.get(m, 0.0) + k * k
+    if not rates:
+        raise ValueError(f"no active interaction at shell {n}")
+    targets = np.array(sorted(rates))
+    probs = np.array([rates[m] for m in targets])
+    cum = np.cumsum(probs) / probs.sum()
+    return int(targets[np.searchsorted(cum, rng.random(), side="right")])
+
+
+def expm_oracle(Q, u0, t):
+    """Independent dense propagation via scipy's scaling-and-squaring expm."""
+    u0 = np.asarray(u0, dtype=float)
+    return u0 @ scipy.linalg.expm(Q.matrix * t)

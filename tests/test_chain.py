@@ -6,6 +6,7 @@ import pytest
 
 import chain_oracle as oracle
 import shellsde as s
+from rates_oracle import embedded_step
 from shellsde import chain
 from shellsde.chain import ChainCaps, chain_rng, explosion_tail_bound
 from shellsde.moments import embedded_matrix
@@ -22,12 +23,12 @@ def test_embedded_step_novikov_probabilities(novikov):
     rng = chain_rng(1, 0)
     # n = 1 jumps to 2 with certainty
     for _ in range(20):
-        assert s.embedded_step(novikov, 1, rng) == 2
+        assert embedded_step(novikov, 1, rng) == 2
     # bulk rows: up with probability 1/(1 + lambda^-2)
     ups = 0
     trials = 100_000
     for k in range(trials):
-        ups += s.embedded_step(novikov, 5, rng) == 6
+        ups += embedded_step(novikov, 5, rng) == 6
     p = ups / trials
     se = math.sqrt(0.8 * 0.2 / trials)
     assert abs(p - 0.8) <= 4 * se
@@ -324,6 +325,21 @@ def test_start_distribution_is_validated(start_dist, novikov):
 def test_survival_rejects_negative_grid_times(novikov):
     with pytest.raises(ValueError, match="non-negative"):
         s.survival_curve(novikov, _start(10, {1: 1.0}), [-0.1, 0.5], 10, ChainCaps(1000, 10))
+
+
+def test_position_at_rejects_negative_times(novikov):
+    traj = s.simulate_chain(novikov, _start(20, {1: 1.0}), 0.6, ChainCaps(1000, 20), chain_rng(1, 3))
+    assert traj.position_at(0.0) == 1
+    with pytest.raises(ValueError, match="non-negative"):
+        traj.position_at(-0.5)
+
+
+def test_rate_table_and_survival_past_max_shells(novikov):
+    # the chain's level cap is not a truncation: it may exceed MAX_SHELLS
+    table = chain._RateTable(novikov, 80)
+    assert table.pi.shape == (80,) and table.targets[79].tolist() == [79, 81]
+    est = s.survival_curve(novikov, _start(80, {1: 1.0}), [0.0, 0.5], 20, ChainCaps(10_000, 80))
+    assert est.survival[0] == 1.0 and est.tail_time_bound < 1e-40
 
 
 def test_grid_time_on_a_jump_counts_the_new_shell(novikov):

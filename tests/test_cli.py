@@ -184,6 +184,13 @@ def test_dissipation_json(capsys):
     assert doc["mass_final"]["12"] < 1.0
 
 
+def test_dissipation_at_sixty_shells(capsys):
+    # decay constants probe N + 5 = 65 shells, past MAX_SHELLS
+    code = main(["dissipation", "--model", "novikov", "--shells-list", "20,60", "--paths", "0"])
+    assert code == 0
+    assert json.loads(capsys.readouterr().out)["constants"]["N"] == 60
+
+
 def test_dissipation_warns_outside_regime(capsys):
     # large initial energy pushes the smallness parameter past one
     code = main(

@@ -5,8 +5,9 @@ import numpy as np
 import pytest
 
 import shellsde as s
+from rates_oracle import expm_oracle
 from shellsde.algebra import BilinearMap, IdentityGramError
-from shellsde.moments import embedded_matrix, expm_oracle
+from shellsde.moments import embedded_matrix
 from shellsde.noise import MAX_SHELLS
 
 
@@ -82,6 +83,13 @@ def test_non_identity_gram_refused(goy):
 def test_qmatrix_rejects_too_many_shells(novikov):
     with pytest.raises(ValueError, match="window overflow"):
         s.build_qmatrix(novikov, MAX_SHELLS + 1)
+
+
+def test_decay_constants_probe_past_max_shells(novikov, goy):
+    # the convergence probe at N + 5 builds no rate matrix, so it may pass MAX_SHELLS
+    for spec, N in ((novikov, 60), (goy, MAX_SHELLS)):
+        dc = s.decay_constants(spec, 1.0, N)
+        assert dc.N == N and np.all(np.isfinite(dc.nu_n)) and dc.converged
 
 
 # ----------------------------------------------------------------- forward solve

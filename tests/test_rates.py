@@ -1,0 +1,92 @@
+"""The one jump-rate table against the per-(shell, interaction) loops it replaced.
+
+Every route reads :func:`shellsde.algebra.jump_rates`: the rate matrix Q
+and the embedded chain of :mod:`shellsde.moments`, the chain's rate rows
+and the SDE engine's coefficient table.  Q and the chain rows must equal
+the loops of ``rates_oracle`` bit for bit; the exit rates ``pi`` of every
+route must now be one and the same array.
+"""
+import dataclasses
+
+import numpy as np
+import pytest
+
+import rates_oracle as oracle
+import shellsde as s
+from shellsde import chain
+from shellsde.algebra import CoefficientTable, jump_rates
+from shellsde.moments import build_qmatrix, embedded_matrix
+
+LAMS = (2.0, 1.5, 2.37, 3.0)
+SHELLS = (1, 2, 10, 30, 64)
+
+
+def _model(name, lam):
+    if name == "novikov":
+        return s.build_novikov(lam, 1.0)
+    if name == "goy":
+        return s.build_goy(1.0, -1.5, 0.5, lam, 1.0)
+    if name == "sabra":
+        return s.build_sabra(1.0, -1.25, 0.25, lam, 0.5 * lam, 0.125)
+    spec = s.build_novikov(lam, 1.0)  # every coefficient zero
+    return dataclasses.replace(spec, interactions=tuple(dataclasses.replace(it, k=0.0) for it in spec.interactions))
+
+
+CASES = [(name, lam) for name in ("novikov", "goy", "sabra") for lam in LAMS] + [("dead", 2.0)]
+
+
+@pytest.mark.parametrize("name,lam", CASES)
+def test_qmatrix_bit_identical_to_loop(name, lam):
+    spec = _model(name, lam)
+    for N in SHELLS:
+        Q = build_qmatrix(spec, N)
+        matrix, pi, escape = oracle.qmatrix(spec, N)
+        assert np.array_equal(Q.matrix, matrix), N
+        assert np.array_equal(Q.pi, pi), N
+        assert np.array_equal(Q.escape, escape), N
+
+
+@pytest.mark.parametrize("name,lam", CASES)
+def test_chain_rows_bit_identical_to_loop(name, lam):
+    spec = _model(name, lam)
+    for N in SHELLS:
+        table = chain._RateTable(spec, N)
+        cum, targets = oracle.chain_rows(spec, N)
+        assert np.array_equal(table.cum, cum), N
+        assert np.array_equal(table.targets, targets), N
+
+
+@pytest.mark.parametrize("name,lam", CASES)
+def test_keff_is_the_scalar_definition(name, lam):
+    spec = _model(name, lam)
+    for N in SHELLS:
+        keff = jump_rates(spec, N).keff
+        for j, iid in enumerate(spec.ids):
+            assert all(keff[j, n - 1] == spec.k_eff(iid, n) for n in range(1, N + 1)), (N, iid)
+
+
+@pytest.mark.parametrize("name,lam", CASES)
+def test_every_route_reads_one_pi(name, lam):
+    spec = _model(name, lam)
+    for N in SHELLS:
+        pi = build_qmatrix(spec, N).pi
+        assert np.array_equal(chain._RateTable(spec, N).pi, pi), N
+        assert np.array_equal(CoefficientTable(spec, N).pi, pi), N
+        assert spec.pi_n(N) == pi[-1]
+        # the earlier sigma**2 * sum(k**2) differs from it by rounding only
+        assert np.allclose([oracle.pi_n(spec, n) for n in range(1, N + 1)], pi, rtol=1e-15, atol=0.0)
+
+
+@pytest.mark.parametrize("name,lam", CASES)
+def test_embedded_matrix_matches_loop(name, lam):
+    spec = _model(name, lam)
+    for N in SHELLS:
+        np.testing.assert_allclose(embedded_matrix(spec, N), oracle.embedded_matrix(spec, N), rtol=1e-14, atol=0.0)
+
+
+def test_jump_rates_keeps_targets_past_the_truncation(goy):
+    rates = jump_rates(goy, 5)
+    assert rates.offsets.tolist() == [-1, 1]
+    # shell 5 reaches shell 6 although the table stops at 5
+    assert rates.grouped[1, 4] > 0.0
+    assert np.array_equal(rates.inside()[4], [0.0, 0.0, 0.0, rates.grouped[0, 4], 0.0])
