@@ -44,7 +44,7 @@ from .moments import (
     smallness_threshold_goy_sabra,
     solve_forward,
 )
-from .noise import NoiseSlab, sample_slab
+from .noise import NoiseSlab, fill_slab, sample_slab
 from .sde import (
     EnsembleStats,
     PathWeight,

@@ -642,6 +642,7 @@ class CoefficientTable:
     (state times state), ``noise_terms`` (state times slab) and
     ``ledger_rows``, the (slab row, state shells, window cells) that the
     Girsanov ledger reads.  Slab window cell 0 is shell index ``lo``.
+    :meth:`slab_cells` merges their cells into the runs a step draws.
     """
 
     def __init__(self, spec: ModelSpec, N: int):
@@ -704,6 +705,26 @@ class CoefficientTable:
                     other = (c, slice(nlo - 1 + it.h, top + it.h))
                     transport.append(KernelTerm(a, dst_t, b, src_t, other, transport_coef[i]))
         return transport, noise
+
+    def slab_cells(self, weighted: bool = False) -> tuple[tuple[int, int, int, int], ...]:
+        """Window cells of the slab that a step reads, as (row, component, start, stop) runs.
+
+        Read from the kernel's own lists: the noise terms' cells and, with
+        ``weighted``, every component of the ledger rows.  Overlapping or
+        adjacent ranges of one (row, component) are merged, so each run is a
+        contiguous block ``dW[row, component, start:stop]`` of the (n_star,
+        d, window, P) slab and no cell appears twice.
+        """
+        ranges = [(row, c, cells.start, cells.stop) for row, c, cells in (t.other for t in self.noise_terms)]
+        if weighted:
+            ranges += [(row, c, cells.start, cells.stop) for row, _, cells in self.ledger_rows for c in range(self.d)]
+        runs: list[tuple[int, int, int, int]] = []
+        for row, c, start, stop in sorted(ranges):
+            if runs and runs[-1][:2] == (row, c) and start <= runs[-1][3]:
+                runs[-1] = (row, c, runs[-1][2], max(stop, runs[-1][3]))
+            else:
+                runs.append((row, c, start, stop))
+        return tuple(runs)
 
     @property
     def n_interactions(self) -> int:

@@ -6,10 +6,14 @@ per interaction pair carries fresh randomness; the partner channel reads
 the identical values, which is exactly the aliasing that makes the noise
 conservative.
 
-Slabs are generated from a counter-style key (seed, stream, step) through
-``numpy``'s SeedSequence, so ensembles are reproducible and can be split
-across workers without shared state.  Increments, not path values, are the
-primitive: integrators only ever consume increments.
+Generators are keyed by (seed, stream, step) through ``numpy``'s
+SeedSequence.  An ensemble keys one generator per block of paths, once, as
+(seed, block, 0), and draws that block's slabs from it in step order with
+:func:`fill_slab`, which writes only the cells the step kernel reads.  So
+ensembles are reproducible for a fixed block size and can be split across
+workers without shared state.  :func:`sample_slab` draws one whole slab
+from its own key.  Increments, not path values, are the primitive:
+integrators only ever consume increments.
 """
 from __future__ import annotations
 
@@ -24,6 +28,7 @@ __all__ = [
     "MAX_SHELLS",
     "check_shells",
     "slab_rng",
+    "fill_slab",
     "sample_slab",
     "NoiseSlab",
 ]
@@ -43,6 +48,21 @@ def slab_rng(seed: int, stream: int = 0, step: int = 0) -> np.random.Generator:
     if seed < 0 or stream < 0 or step < 0:
         raise ValueError("seed, stream and step must be nonnegative")
     return np.random.default_rng(np.random.SeedSequence(entropy=[seed, stream, step]))
+
+
+def fill_slab(rng: np.random.Generator, out: np.ndarray, cells, sqrt_dt: float) -> None:
+    """Draw one step's increments into the read cells of ``out``, in place.
+
+    ``out`` is a slab in the step kernel's (n_star, d, window, P) layout and
+    ``cells`` its (row, component, start, stop) runs, as given by
+    ``CoefficientTable.slab_cells``.  Each run takes one ``standard_normal``
+    call, in the order given, scaled to variance dt; cells outside the runs
+    are left as they are.
+    """
+    for row, c, start, stop in cells:
+        view = out[row, c, start:stop]
+        rng.standard_normal(out=view)
+        view *= sqrt_dt
 
 
 @dataclass(frozen=True, eq=False)

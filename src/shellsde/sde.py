@@ -29,8 +29,10 @@ for every adapted scheme.
 
 Step kernel.  A batch of P paths is stored component-major, as a contiguous
 (d, N, P) array, so that every (component, shell range) slice is a block of
-whole rows over the paths.  A step's noise slab is drawn in the sampling
-layout (P, n_star, window, d) and copied once into (n_star, d, window, P).
+whole rows over the paths.  A step's noise slab is laid out (n_star, d,
+window, P); the ensemble draws it there directly, in contiguous runs of
+cells per (row, component), and only the cells the kernel reads
+(:meth:`CoefficientTable.slab_cells`; the others stay zero).
 Transport and diffusion are then sums of unrolled terms, one per non-zero
 ``B[j, a, b, c]``, precomputed by :class:`CoefficientTable`: each term
 multiplies two row blocks, scales by its folded coefficient vector and adds
@@ -47,7 +49,7 @@ from typing import Optional, Sequence
 import numpy as np
 
 from .algebra import CoefficientTable, ModelSpec
-from .noise import NoiseSlab, check_shells, slab_rng
+from .noise import NoiseSlab, check_shells, fill_slab, slab_rng
 
 __all__ = [
     "TruncatedState",
@@ -424,10 +426,11 @@ def run_ensemble(
 ) -> EnsembleStats:
     """Monte Carlo ensemble of truncated-system paths.
 
-    Paths are organised in blocks; the slab of block b at step k is a pure
-    function of (seed, b, k), so results are independent of scheduling and
-    reproducible for a fixed block size.  Failed paths are frozen, excluded
-    from the statistics and reported in ``aborted``.
+    Paths are organised in blocks.  Block b draws its slabs, in step order,
+    from its own generator ``slab_rng(seed, b)``, keyed once, and fills only
+    the cells the step reads; so results are a pure function of (seed,
+    block_size), independent of scheduling and of ``threads``.  Failed paths
+    are frozen, excluded from the statistics and reported in ``aborted``.
     """
     if which not in SYSTEMS:
         raise ValueError(f"unknown system {which!r}")
@@ -452,6 +455,7 @@ def run_ensemble(
     nstar = len(spec.istar)
     half_fac = _half_damp_factors(table, dt) if scheme == "split" else None
     weighted = weight_direction is not None
+    cells = table.slab_cells(weighted)
     sign = 1.0 if weight_direction == "QtoP" else -1.0
     sqrt_dt = math.sqrt(dt)
 
@@ -478,8 +482,8 @@ def run_ensemble(
         X = np.empty((d, N, P))
         X[...] = x0arr.T[:, :, None]
         work = _StepBuffers(table, P)
-        normals = np.empty((P, nstar, table.window, d))
-        dW = np.empty((nstar, d, table.window, P))
+        rng = slab_rng(seed, b)
+        dW = np.zeros((nstar, d, table.window, P))  # cells no step reads stay zero
         alive = np.ones(P, dtype=bool)
         z = np.zeros(P)
         qv = np.zeros(P)
@@ -510,22 +514,20 @@ def run_ensemble(
 
         if 0 in rec_index:
             record(rec_index[0])
-        for k in range(nsteps):
-            slab_rng(seed, b, k).standard_normal(normals.shape, out=normals)
-            normals *= sqrt_dt
-            np.copyto(dW, normals.transpose(1, 3, 2, 0))
-            with np.errstate(over="ignore", invalid="ignore"):
+        with np.errstate(over="ignore", invalid="ignore"):
+            for k in range(nsteps):
+                fill_slab(rng, dW, cells, sqrt_dt)
                 if weighted:
                     zinc, qvinc = _weight_increment(table, X, dW, dt)
                     z += sign * zinc
                     qv += qvinc
                 X = _step_batch(table, X, dW, dt, which, scheme, e0, half_fac, work)
-            ok = np.isfinite(X).all(axis=(0, 1))
-            if not ok.all():
-                alive &= ok
-                X[:, :, ~alive] = 0.0
-            if (k + 1) in rec_index:
-                record(rec_index[k + 1])
+                ok = np.isfinite(X).all(axis=(0, 1))
+                if not ok.all():
+                    alive &= ok
+                    X[:, :, ~alive] = 0.0
+                if (k + 1) in rec_index:
+                    record(rec_index[k + 1])
         return partial, int(P - alive.sum())
 
     if threads > 1 and len(blocks) > 1:

@@ -10,7 +10,8 @@ import einsum_oracle as oracle
 from goy_oracle import goy_complex_em_step
 import shellsde as s
 from shellsde.algebra import BilinearMap, CoefficientTable
-from shellsde.noise import MAX_SHELLS, NoiseSlab
+from shellsde import sde as sde_module
+from shellsde.noise import MAX_SHELLS, NoiseSlab, slab_rng
 from shellsde.sde import SCHEMES, SYSTEMS, NumericalBlowupError, _step_batch, _weight_increment
 
 
@@ -291,9 +292,14 @@ def test_run_ensemble_single_path_matches_manual(novikov):
         novikov, [1.0], N=N, dt=dt, T=nsteps * dt, paths=1, which="linear", scheme="em",
         seed=5, record_times=[nsteps * dt],
     )
+    # the one block's stream, drawn step by step into the cells the kernel reads
+    table = CoefficientTable(novikov, N)
+    rng = slab_rng(5, 0)
+    dW = np.zeros((len(novikov.istar), novikov.d, table.window, 1))
     state = s.make_state(novikov, N, [1.0])
     for k in range(nsteps):
-        slab = s.sample_slab(novikov, N, dt, (5, 0, k))
+        s.fill_slab(rng, dW, table.slab_cells(), math.sqrt(dt))
+        slab = NoiseSlab(spec=novikov, dt=dt, lo=table.lo, increments=dW.transpose(3, 0, 2, 1).copy())
         state = s.step_em(novikov, state, slab, "linear")
     assert np.allclose(es.mean_sq[0], (state.x**2).sum(axis=1), atol=1e-14)
 
@@ -319,6 +325,43 @@ def test_run_ensemble_threads_deterministic(novikov, goy):
         b = s.run_ensemble(spec, x0, paths=3000, block_size=1000, seed=9, threads=threads, **base)
         for field in dataclasses.fields(a):
             assert np.array_equal(getattr(a, field.name), getattr(b, field.name)), field.name
+
+
+def test_run_ensemble_keys_one_stream_per_block_through_slab_rng(novikov, goy, monkeypatch):
+    # the benchmark times and counts the noise by hooking sde.slab_rng and the
+    # standard_normal calls of the generators it returns
+    cases = [
+        (novikov, [1.0], dict(N=6, dt=1e-3, T=0.02, which="linear", scheme="split", weight_direction="QtoP")),
+        (goy, [[1.0, 0.0]], dict(N=6, dt=1e-3, T=0.01, which="nonlinear", scheme="em")),
+    ]
+    keys, drawn = [], [0]
+
+    class Counting:
+        def __init__(self, gen):
+            self.gen = gen
+
+        def standard_normal(self, *args, **kwargs):
+            out = self.gen.standard_normal(*args, **kwargs)
+            drawn[0] += out.size
+            return out
+
+    def counting_rng(*args):
+        keys.append(args)
+        return Counting(slab_rng(*args))
+
+    for spec, x0, base in cases:
+        paths, block_size, nsteps = 2500, 1000, int(round(base["T"] / base["dt"]))
+        plain = s.run_ensemble(spec, x0, paths=paths, block_size=block_size, seed=13, **base)
+        keys.clear()
+        drawn[0] = 0
+        monkeypatch.setattr(sde_module, "slab_rng", counting_rng)
+        hooked = s.run_ensemble(spec, x0, paths=paths, block_size=block_size, seed=13, threads=2, **base)
+        monkeypatch.undo()
+        assert sorted(keys) == [(13, 0), (13, 1), (13, 2)]
+        cells = CoefficientTable(spec, base["N"]).slab_cells("weight_direction" in base)
+        assert drawn[0] == paths * nsteps * sum(stop - start for _, _, start, stop in cells)
+        for field in dataclasses.fields(plain):
+            assert np.array_equal(getattr(plain, field.name), getattr(hooked, field.name)), field.name
 
 
 def test_run_ensemble_rejects_too_many_shells(novikov):
@@ -382,6 +425,31 @@ def test_step_kernel_matches_einsum_oracle(model, request):
     _close(s.bilinear_drift(spec, state), oracle.transport(table, X[:1])[0])
     _close(s.drift_linear(spec, state), oracle.correction(table, X[:1])[0])
     _close(s.diffusion_apply(spec, state, one), oracle.diffusion(table, X[:1], one.increments, one.lo)[0])
+
+
+@pytest.mark.parametrize("model", ["novikov", "goy", "sabra", "goy_scaled"])
+def test_step_reads_no_undrawn_slab_cell(model, request):
+    # NaN in every cell outside the drawn runs would reach the result if read
+    spec = _kernel_model(model, request)
+    N, P, dt = 6, 5, 1e-4
+    table = CoefficientTable(spec, N)
+    X = np.random.default_rng(31).standard_normal((spec.d, N, P))
+    e0 = (X * X).sum(axis=(0, 1))
+    for weighted in (False, True):
+        cells = table.slab_cells(weighted)
+        dW = np.zeros((len(spec.istar), spec.d, table.window, P))
+        s.fill_slab(slab_rng(37, 0), dW, cells, math.sqrt(dt))
+        poisoned = np.full_like(dW, np.nan)
+        for row, c, start, stop in cells:
+            poisoned[row, c, start:stop] = dW[row, c, start:stop]
+        for scheme in SCHEMES:
+            for which in SYSTEMS:
+                ref = _step_batch(table, X.copy(), dW, dt, which, scheme, e0)
+                got = _step_batch(table, X.copy(), poisoned, dt, which, scheme, e0)
+                assert np.isfinite(got).all() and np.array_equal(got, ref), (weighted, scheme, which)
+        if weighted:
+            for ref, got in zip(_weight_increment(table, X, dW, dt), _weight_increment(table, X, poisoned, dt)):
+                assert np.isfinite(got).all() and np.array_equal(got, ref)
 
 
 # ----------------------------------------------------------------- conjugacy
