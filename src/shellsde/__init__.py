@@ -44,21 +44,7 @@ from .moments import (
     smallness_threshold_goy_sabra,
     solve_forward,
 )
-from .noise import NoiseSlab, fill_slab, sample_slab
-from .sde import (
-    EnsembleStats,
-    PathWeight,
-    TruncatedState,
-    accumulate_weight,
-    bilinear_drift,
-    diffusion_apply,
-    drift_linear,
-    drift_nonlinear,
-    make_state,
-    run_ensemble,
-    step_conservative,
-    step_em,
-    step_split,
-)
+from .noise import fill_slab
+from .sde import EnsembleStats, Stepper, run_ensemble
 
 __version__ = "0.1.0"

@@ -65,6 +65,13 @@ def _start_vector(spec: algebra.ModelSpec, N: int, shell: int, energy: float) ->
     return x0
 
 
+def _on_dt_grid(times: Sequence[float], dt: float) -> list[float]:
+    """Record times moved to the nearest multiple of the SDE step ``dt``."""
+    if not dt > 0.0:
+        raise ValueError(f"--dt must be positive, got {dt}")
+    return [round(round(t / dt) * dt, 12) for t in times]
+
+
 # ----------------------------------------------------------------------
 # Subcommands
 # ----------------------------------------------------------------------
@@ -88,8 +95,7 @@ def cmd_simulate(args) -> int:
     _check_start_shell(args.start_shell, args.shells)
     nrec = max(2, args.record)
     times = [round(k * args.horizon / (nrec - 1), 12) for k in range(nrec)]
-    times = [round(round(t / args.dt) * args.dt, 12) for t in times]
-    times = sorted(set(times))
+    times = sorted(set(_on_dt_grid(times, args.dt)))
     stats = sde.run_ensemble(
         spec,
         _start_vector(spec, args.shells, args.start_shell, args.energy),
@@ -378,7 +384,7 @@ def cmd_dissipation(args) -> int:
     reweight = None
     if args.paths > 0:
         rec = [round(k * args.reweight_horizon / 4, 12) for k in range(1, 5)]
-        rec = [round(round(t / args.dt) * args.dt, 12) for t in rec]
+        rec = _on_dt_grid(rec, args.dt)
         stats = sde.run_ensemble(
             spec,
             _start_vector(spec, args.sde_shells, args.start_shell, args.energy),

@@ -30,15 +30,18 @@ for every adapted scheme.
 Step kernel.  A batch of P paths is stored component-major, as a contiguous
 (d, N, P) array, so that every (component, shell range) slice is a block of
 whole rows over the paths.  A step's noise slab is laid out (n_star, d,
-window, P); the ensemble draws it there directly, in contiguous runs of
+window, P); :meth:`Stepper.fill` draws it there directly, in contiguous runs of
 cells per (row, component), and only the cells the kernel reads
 (:meth:`CoefficientTable.slab_cells`; the others stay zero).
 Transport and diffusion are then sums of unrolled terms, one per non-zero
 ``B[j, a, b, c]``, precomputed by :class:`CoefficientTable`: each term
 multiplies two row blocks, scales by its folded coefficient vector and adds
 into the destination rows, in place in preallocated buffers.  The Girsanov
-ledger reduces the same layout over components and shells.  The single-path
-functions are adapters that run this kernel with P = 1.
+ledger reduces the same layout over components and shells.  A
+:class:`Stepper` binds this kernel to one table, time step, scheme and
+batch size: it owns the slab, the scratch buffers and the damping factors,
+and is the only way in, for an ensemble block and a single path (P = 1)
+alike.
 """
 from __future__ import annotations
 
@@ -49,23 +52,13 @@ from typing import Optional, Sequence
 import numpy as np
 
 from .algebra import CoefficientTable, ModelSpec
-from .noise import NoiseSlab, check_shells, fill_slab, slab_rng
+from .noise import check_shells, fill_slab, slab_rng
 
 __all__ = [
-    "TruncatedState",
-    "PathWeight",
     "NumericalBlowupError",
-    "bilinear_drift",
-    "drift_nonlinear",
-    "drift_linear",
-    "diffusion_apply",
-    "step_em",
-    "step_split",
-    "step_conservative",
-    "accumulate_weight",
+    "Stepper",
     "EnsembleStats",
     "run_ensemble",
-    "make_state",
 ]
 
 SCHEMES = ("em", "split", "conservative")
@@ -76,70 +69,10 @@ class NumericalBlowupError(RuntimeError):
     pass
 
 
-@dataclass(frozen=True, eq=False)
-class TruncatedState:
-    """Shell amplitudes X_1..X_N at time t, with the initial energy pinned."""
-
-    N: int
-    t: float
-    x: np.ndarray  # (N, d)
-    energy0: float = None  # type: ignore[assignment]
-
-    def __post_init__(self):
-        arr = np.array(self.x, dtype=float)
-        if arr.ndim == 1:
-            arr = arr[:, None]
-        if arr.shape[0] != self.N:
-            raise ValueError(f"state has {arr.shape[0]} shells, expected N={self.N}")
-        object.__setattr__(self, "x", arr)
-        if self.energy0 is None:
-            object.__setattr__(self, "energy0", float((arr * arr).sum()))
-
-    @property
-    def d(self) -> int:
-        return self.x.shape[1]
-
-    def energy(self) -> float:
-        return float((self.x * self.x).sum())
-
-
-@dataclass(frozen=True)
-class PathWeight:
-    """Running Girsanov statistics: log integrand z and quadratic variation qv."""
-
-    z: float = 0.0
-    qv: float = 0.0
-
-    def density(self) -> float:
-        return math.exp(self.z - 0.5 * self.qv)
-
-
-def make_state(spec: ModelSpec, N: int, x0, t: float = 0.0) -> TruncatedState:
-    arr = np.zeros((N, spec.d))
-    given = np.asarray(x0, dtype=float)
-    if given.ndim == 1 and spec.d == 1:
-        given = given[:, None]
-    if given.ndim == 1 and spec.d > 1:
-        raise ValueError("x0 must provide d components per shell")
-    if given.shape[0] > N:
-        raise ValueError("x0 support exceeds truncation level")
-    arr[: given.shape[0], :] = given
-    return TruncatedState(N=N, t=t, x=arr)
-
-
 # ----------------------------------------------------------------------
 # Step kernel over a batch of paths: X has shape (d, N, P), the step's
 # noise slab dW has shape (n_star, d, window, P)
 # ----------------------------------------------------------------------
-
-
-class _StepBuffers:
-    """Scratch arrays for one batch of P paths, reused by each of its steps."""
-
-    def __init__(self, table: CoefficientTable, P: int):
-        self.incr = np.empty((table.d, table.N, P))
-        self.alt = np.empty((table.d, table.N, P))
-        self.tmp = np.empty((table.N, P))
 
 
 def _add_terms(terms, X: np.ndarray, V: np.ndarray, out: np.ndarray, tmp: np.ndarray) -> None:
@@ -188,44 +121,29 @@ def _path_dot(A: np.ndarray, B: np.ndarray) -> np.ndarray:
     return np.einsum("dnp,dnp->p", A, B)
 
 
-def _step_batch(
-    table: CoefficientTable,
-    X: np.ndarray,
-    dW: np.ndarray,
-    dt: float,
-    which: str,
-    scheme: str,
-    energy0: Optional[np.ndarray] = None,
-    half_fac=None,
-    work: Optional[_StepBuffers] = None,
-) -> np.ndarray:
-    """Advance the paths ``X`` (d, N, P) by one step, in place, and return X.
+def _step_batch(stepper: Stepper, X: np.ndarray, energy0: np.ndarray) -> np.ndarray:
+    """Advance the paths ``X`` (d, N, P) by one step of ``stepper``, in place, and return X.
 
-    ``dW`` is the step's slab scaled to variance dt, laid out (n_star, d,
-    window, P).  ``work`` holds the scratch arrays; batches stepped
-    concurrently each need their own.
+    The step reads the stepper's slab ``dW`` and scratch buffers; batches
+    stepped concurrently each need their own stepper.  ``energy0`` (P,) is
+    the energy the ``conservative`` scheme projects back to.
     """
-    if work is None:
-        work = _StepBuffers(table, X.shape[2])
-    split = scheme == "split"
+    table = stepper.table
+    split = stepper.scheme == "split"
     if split:
-        if half_fac is None:
-            half_fac = _half_damp_factors(table, dt)
-        _damp(table, X, half_fac, work.alt)
-    elif scheme == "conservative" and energy0 is None:
-        energy0 = _path_dot(X, X)
-    incr = work.incr
+        _damp(table, X, stepper.half_fac, stepper.alt)
+    incr = stepper.incr
     incr.fill(0.0)
-    if which == "nonlinear":
-        _add_terms(table.transport_terms, X, X, incr, work.tmp)
+    if stepper.system == "nonlinear":
+        _add_terms(table.transport_terms, X, X, incr, stepper.tmp)
     if not split:
-        _sub_correction(table, X, incr, work.alt)
-    incr *= dt
-    _add_terms(table.noise_terms, X, dW, incr, work.tmp)
+        _sub_correction(table, X, incr, stepper.alt)
+    incr *= stepper.dt
+    _add_terms(table.noise_terms, X, stepper.dW, incr, stepper.tmp)
     X += incr
     if split:
-        _damp(table, X, half_fac, work.alt)
-    elif scheme == "conservative":
+        _damp(table, X, stepper.half_fac, stepper.alt)
+    elif stepper.scheme == "conservative":
         e = _path_dot(X, X)
         with np.errstate(divide="ignore", invalid="ignore"):
             fac = np.sqrt(energy0 / e)
@@ -233,15 +151,14 @@ def _step_batch(
     return X
 
 
-def _weight_increment(
-    table: CoefficientTable, X: np.ndarray, dW: np.ndarray, dt: float
-) -> tuple[np.ndarray, np.ndarray]:
+def _weight_increment(stepper: Stepper, X: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Per-path increments of the log integrand and its quadratic variation.
 
     Sums over the representative channels only; their increments are
     mutually independent, which the exponential martingale requires.
-    Layouts are those of :func:`_step_batch`.
+    Reads the stepper's slab at the pre-step paths ``X``.
     """
+    table, dW = stepper.table, stepper.dW
     zinc = np.zeros(X.shape[2])
     qvinc = np.zeros(X.shape[2])
     for row, shells, cells in table.ledger_rows:
@@ -250,122 +167,55 @@ def _weight_increment(
         qvinc += _path_dot(Xm, Xm)
     sigma = table.spec.sigma
     zinc /= sigma
-    qvinc *= dt / sigma**2
+    qvinc *= stepper.dt / sigma**2
     return zinc, qvinc
 
 
-# ----------------------------------------------------------------------
-# Single-path API: P = 1 adapters over the step kernel
-# ----------------------------------------------------------------------
+class Stepper:
+    """One time step of a truncated system, bound to a table and a batch of P paths.
 
-
-def _batch_of(x: np.ndarray) -> np.ndarray:
-    """(N, d) state of one path as a new (d, N, 1) batch."""
-    return x.T[:, :, None].copy()
-
-
-def _path_of(X: np.ndarray) -> np.ndarray:
-    return X[:, :, 0].T.copy()
-
-
-def _slab_batch(table: CoefficientTable, slab: NoiseSlab) -> np.ndarray:
-    """Slab increments (paths, n_star, window, d) in the kernel layout."""
-    if slab.lo != table.lo or slab.increments.shape[1:3] != (len(table.star_ids), table.window):
-        raise ValueError(f"slab window [{slab.lo}, {slab.hi}] does not match truncation N={table.N}")
-    return np.ascontiguousarray(slab.increments.transpose(1, 3, 2, 0))
-
-
-def bilinear_drift(spec: ModelSpec, state: TruncatedState) -> np.ndarray:
-    """Bilinear transport part of the nonlinear drift, no quadratic correction."""
-    table = CoefficientTable(spec, state.N)
-    X = _batch_of(state.x)
-    out = np.zeros_like(X)
-    _add_terms(table.transport_terms, X, X, out, np.empty((state.N, 1)))
-    return _path_of(out)
-
-
-def drift_nonlinear(spec: ModelSpec, state: TruncatedState) -> np.ndarray:
-    """Per-shell drift of the nonlinear system (transport plus correction)."""
-    table = CoefficientTable(spec, state.N)
-    X = _batch_of(state.x)
-    out = np.zeros_like(X)
-    _add_terms(table.transport_terms, X, X, out, np.empty((state.N, 1)))
-    _sub_correction(table, X, out, np.empty_like(X))
-    return _path_of(out)
-
-
-def drift_linear(spec: ModelSpec, state: TruncatedState) -> np.ndarray:
-    """Per-shell drift of the auxiliary linear system (correction only)."""
-    table = CoefficientTable(spec, state.N)
-    X = _batch_of(state.x)
-    out = np.zeros_like(X)
-    _sub_correction(table, X, out, np.empty_like(X))
-    return _path_of(out)
-
-
-def diffusion_apply(spec: ModelSpec, state: TruncatedState, slab: NoiseSlab) -> np.ndarray:
-    """Noise increment for one step with the given slab."""
-    table = CoefficientTable(spec, state.N)
-    if slab.paths != 1:
-        raise ValueError("single-path API expects a one-path slab")
-    X = _batch_of(state.x)
-    out = np.zeros_like(X)
-    _add_terms(table.noise_terms, X, _slab_batch(table, slab), out, np.empty((state.N, 1)))
-    return _path_of(out)
-
-
-def _advance(spec, state, slab, which, scheme) -> TruncatedState:
-    if which not in SYSTEMS:
-        raise ValueError(f"unknown system {which!r}")
-    table = CoefficientTable(spec, state.N)
-    e0 = np.array([state.energy0])
-    with np.errstate(over="ignore", invalid="ignore"):
-        X = _step_batch(table, _batch_of(state.x), _slab_batch(table, slab), slab.dt, which, scheme, e0)
-    if not np.all(np.isfinite(X)):
-        worst = int(np.nanargmax(np.abs(state.x).max(axis=1))) + 1
-        raise NumericalBlowupError(
-            f"non-finite state after step at t={state.t + slab.dt:.6g} "
-            f"(largest pre-step amplitude at shell {worst}); reduce dt or use scheme='split'"
-        )
-    return TruncatedState(N=state.N, t=state.t + slab.dt, x=_path_of(X), energy0=state.energy0)
-
-
-def step_em(spec: ModelSpec, state: TruncatedState, slab: NoiseSlab, which: str = "nonlinear") -> TruncatedState:
-    """One Euler-Maruyama step; aborts with a diagnostic on overflow."""
-    return _advance(spec, state, slab, which, "em")
-
-
-def step_split(spec: ModelSpec, state: TruncatedState, slab: NoiseSlab, which: str = "nonlinear") -> TruncatedState:
-    """One Strang split step with exact quadratic damping."""
-    return _advance(spec, state, slab, which, "split")
-
-
-def step_conservative(
-    spec: ModelSpec, state: TruncatedState, slab: NoiseSlab, which: str = "nonlinear"
-) -> TruncatedState:
-    """Euler-Maruyama step projected back to the initial energy sphere."""
-    return _advance(spec, state, slab, which, "conservative")
-
-
-def accumulate_weight(
-    weight: PathWeight,
-    spec: ModelSpec,
-    state: TruncatedState,
-    slab: NoiseSlab,
-    direction: str,
-) -> PathWeight:
-    """Advance the Girsanov ledger by one step using the pre-step state.
-
-    ``direction='QtoP'`` accumulates the density turning linear-system
-    statistics into nonlinear-system ones; ``'PtoQ'`` the reverse (the log
-    integrand flips sign, the quadratic variation is shared).
+    Paths are stored (d, N, P).  The stepper owns the step's noise slab
+    ``dW`` (n_star, d, window, P), zeroed once: :meth:`fill` draws the cells
+    the step reads (``cells``, from ``table.slab_cells(weighted)``) and the
+    others stay zero, so a caller may also write a slab of its own into
+    ``dW``.  :meth:`step` advances paths in place and :meth:`ledger` returns
+    the Girsanov increments of the pre-step paths; both read the current
+    slab, so an ensemble step is ``fill``, ``ledger``, ``step``.  They run
+    the module's ``_step_batch`` and ``_weight_increment``, looked up at
+    call time, so that a wrapper installed on either (as the benchmark's
+    tracer does) sees every step.
     """
-    if direction not in ("PtoQ", "QtoP"):
-        raise ValueError("direction must be 'PtoQ' or 'QtoP'")
-    table = CoefficientTable(spec, state.N)
-    zinc, qvinc = _weight_increment(table, _batch_of(state.x), _slab_batch(table, slab), slab.dt)
-    sign = 1.0 if direction == "QtoP" else -1.0
-    return PathWeight(z=weight.z + sign * float(zinc[0]), qv=weight.qv + float(qvinc[0]))
+
+    def __init__(
+        self, table: CoefficientTable, dt: float, scheme: str, system: str, weighted: bool, paths: int
+    ):
+        if system not in SYSTEMS:
+            raise ValueError(f"unknown system {system!r}")
+        if scheme not in SCHEMES:
+            raise ValueError(f"unknown scheme {scheme!r}")
+        self.table = table
+        self.dt = dt
+        self.scheme = scheme
+        self.system = system
+        self.cells = table.slab_cells(weighted)
+        self.sqrt_dt = math.sqrt(dt)
+        self.half_fac = _half_damp_factors(table, dt) if scheme == "split" else None
+        self.dW = np.zeros((len(table.star_ids), table.d, table.window, paths))
+        self.incr = np.empty((table.d, table.N, paths))
+        self.alt = np.empty((table.d, table.N, paths))
+        self.tmp = np.empty((table.N, paths))
+
+    def fill(self, rng: np.random.Generator) -> None:
+        """Draw the next step's increments from ``rng`` into the read cells of ``dW``."""
+        fill_slab(rng, self.dW, self.cells, self.sqrt_dt)
+
+    def step(self, X: np.ndarray, energy0: np.ndarray) -> np.ndarray:
+        """Advance ``X`` (d, N, P) by one step in place and return it."""
+        return _step_batch(self, X, energy0)
+
+    def ledger(self, X: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """Increments (z, qv) of the Girsanov ledger at the pre-step paths ``X``."""
+        return _weight_increment(self, X)
 
 
 # ----------------------------------------------------------------------
@@ -409,6 +259,26 @@ def _record_steps(record_times: Sequence[float], dt: float, nsteps: int) -> list
     return steps
 
 
+def _start_state(x0, N: int, d: int) -> np.ndarray:
+    """The start state as an (N, d) array; shells past the given ones start at zero.
+
+    ``x0`` gives d components for each of its leading shells; a flat
+    sequence is read as one component per shell when d == 1.
+    """
+    given = np.asarray(x0, dtype=float)
+    if given.ndim == 1 and d == 1:
+        given = given[:, None]
+    if given.ndim != 2 or given.shape[1] != d:
+        raise ValueError(f"x0 must give d = {d} components per shell, got shape {given.shape}")
+    if given.shape[0] > N:
+        raise ValueError("x0 support exceeds truncation level")
+    if not np.all(np.isfinite(given)):
+        raise ValueError("x0 has a non-finite entry")
+    x = np.zeros((N, d))
+    x[: given.shape[0]] = given
+    return x
+
+
 def run_ensemble(
     spec: ModelSpec,
     x0,
@@ -432,10 +302,13 @@ def run_ensemble(
     block_size), independent of scheduling and of ``threads``.  Failed paths
     are frozen, excluded from the statistics and reported in ``aborted``.
     """
-    if which not in SYSTEMS:
-        raise ValueError(f"unknown system {which!r}")
-    if scheme not in SCHEMES:
-        raise ValueError(f"unknown scheme {scheme!r}")
+    for name, value in (("paths", paths), ("block_size", block_size), ("threads", threads)):
+        if value < 1:
+            raise ValueError(f"{name} must be at least 1, got {value}")
+    if not (math.isfinite(dt) and dt > 0.0):
+        raise ValueError(f"dt must be positive and finite, got {dt}")
+    if not (math.isfinite(T) and T >= 0.0):
+        raise ValueError(f"horizon T must be nonnegative and finite, got {T}")
     if weight_direction not in (None, "PtoQ", "QtoP"):
         raise ValueError("weight_direction must be None, 'PtoQ' or 'QtoP'")
     nsteps = int(round(T / dt))
@@ -449,15 +322,10 @@ def run_ensemble(
         rec_index.setdefault(k, []).append(idx)
 
     check_shells(N)
+    x0arr = _start_state(x0, N, spec.d)
     table = CoefficientTable(spec, N)
-    x0arr = make_state(spec, N, x0).x
-    d = spec.d
-    nstar = len(spec.istar)
-    half_fac = _half_damp_factors(table, dt) if scheme == "split" else None
     weighted = weight_direction is not None
-    cells = table.slab_cells(weighted)
     sign = 1.0 if weight_direction == "QtoP" else -1.0
-    sqrt_dt = math.sqrt(dt)
 
     nrec = len(rec_steps)
     sums = {
@@ -479,11 +347,10 @@ def run_ensemble(
     ]
 
     def run_block(b: int, P: int):
-        X = np.empty((d, N, P))
+        X = np.empty((spec.d, N, P))
         X[...] = x0arr.T[:, :, None]
-        work = _StepBuffers(table, P)
+        stepper = Stepper(table, dt, scheme, which, weighted, P)
         rng = slab_rng(seed, b)
-        dW = np.zeros((nstar, d, table.window, P))  # cells no step reads stay zero
         alive = np.ones(P, dtype=bool)
         z = np.zeros(P)
         qv = np.zeros(P)
@@ -516,12 +383,12 @@ def run_ensemble(
             record(rec_index[0])
         with np.errstate(over="ignore", invalid="ignore"):
             for k in range(nsteps):
-                fill_slab(rng, dW, cells, sqrt_dt)
+                stepper.fill(rng)
                 if weighted:
-                    zinc, qvinc = _weight_increment(table, X, dW, dt)
+                    zinc, qvinc = stepper.ledger(X)
                     z += sign * zinc
                     qv += qvinc
-                X = _step_batch(table, X, dW, dt, which, scheme, e0, half_fac, work)
+                X = stepper.step(X, e0)
                 ok = np.isfinite(X).all(axis=(0, 1))
                 if not ok.all():
                     alive &= ok

@@ -5,13 +5,70 @@ complex increments dw_n of the complex GOY equation, and
 :func:`goy_complex_em_step` integrates that equation directly.  The
 conjugacy tests check the real-form integrator of :mod:`shellsde.sde`
 against it under the complex-to-real embedding.
+
+Both sides read the same whole-window slab: :func:`keyed_slab` draws every
+cell of it from one key, in the sampling layout (paths, n_star, window, d)
+that :class:`NoiseSlab` looks channels up in, and :meth:`NoiseSlab.load`
+copies it into a stepper's own slab.
 """
 import math
+from dataclasses import dataclass
 
 import numpy as np
 
-from shellsde.algebra import ModelSpec
-from shellsde.noise import NoiseSlab
+from shellsde.algebra import CoefficientTable, ModelSpec
+from shellsde.noise import slab_rng
+
+
+@dataclass(frozen=True, eq=False)
+class NoiseSlab:
+    """Gaussian increments for one time step over the active shell window.
+
+    ``increments`` has shape (paths, n_star, window, d) with variance dt per
+    component.  ``lookup`` resolves aliased channels: asking for a non
+    representative id returns bit-identical values of its partner.
+    """
+
+    spec: ModelSpec
+    dt: float
+    lo: int
+    increments: np.ndarray
+
+    @property
+    def hi(self) -> int:
+        return self.lo + self.increments.shape[2] - 1
+
+    @property
+    def paths(self) -> int:
+        return self.increments.shape[0]
+
+    def _row(self, iid: str) -> int:
+        star = self.spec.star_ids()
+        if iid in self.spec.istar:
+            return star.index(iid)
+        return star.index(self.spec.pairing[iid])
+
+    def lookup(self, iid: str, m: int) -> np.ndarray:
+        """Increment of channel ``iid`` at shell index ``m`` (d-vector per path)."""
+        if m < self.lo or m > self.hi:
+            raise IndexError(f"shell index {m} outside slab window [{self.lo}, {self.hi}]")
+        out = self.increments[:, self._row(iid), m - self.lo, :]
+        return out[0] if self.paths == 1 else out
+
+    def load(self, stepper) -> None:
+        """Write the increments into ``stepper.dW``, the kernel's (n_star, d, window, P) layout."""
+        stepper.dW[...] = self.increments.transpose(1, 3, 2, 0)
+
+
+def keyed_slab(table: CoefficientTable, dt: float, key, paths: int = 1) -> NoiseSlab:
+    """Every cell of one step's slab for ``table``, drawn from the generator keyed ``key``.
+
+    ``key`` is a (seed, stream, step) tuple, or a prefix of one.  Equal keys
+    give bit-identical slabs.
+    """
+    shape = (paths, len(table.star_ids), table.window, table.d)
+    increments = slab_rng(*key).standard_normal(shape) * math.sqrt(dt)
+    return NoiseSlab(spec=table.spec, dt=dt, lo=table.lo, increments=increments)
 
 
 def _goy_params(slab: NoiseSlab) -> tuple[float, float, float, float]:

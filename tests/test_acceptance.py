@@ -12,12 +12,11 @@ import numpy as np
 import pytest
 
 import shellsde as s
-from goy_oracle import goy_complex_em_step
+from goy_oracle import goy_complex_em_step, keyed_slab
 from shellsde.algebra import CoefficientTable
 from shellsde.chain import ChainCaps, chain_rng
 from shellsde.moments import embedded_matrix
-from shellsde.noise import slab_rng
-from shellsde.sde import _step_batch
+from shellsde.sde import _add_terms
 
 
 def report(num: int, passed: bool, detail: str):
@@ -62,14 +61,18 @@ def test_acceptance_2_drift_cancellation(novikov2):
     worst = 0.0
     for spec in (novikov2, s.build_goy(1.0, -1.5, 0.5, 2.0, 1.0)):
         N = 20
+        table = CoefficientTable(spec, N)
         pi_scale = spec.pi_n(N) / spec.sigma**2
         rng = np.random.default_rng(271828)
         for _ in range(100):
             x = rng.standard_normal((N, spec.d))
             x[rng.random(N) < 0.3] = 0.0
-            state = s.TruncatedState(N=N, t=0.0, x=x)
-            lhs = abs(float((state.x * s.bilinear_drift(spec, state)).sum()))
-            bound = 1e-10 * state.energy() * pi_scale
+            # the step kernel's transport terms on the one-path batch of x
+            X = x.T[:, :, None].copy()
+            t = np.zeros_like(X)
+            _add_terms(table.transport_terms, X, X, t, np.empty((N, 1)))
+            lhs = abs(float((x * t[:, :, 0].T.copy()).sum()))
+            bound = 1e-10 * float((x * x).sum()) * pi_scale
             worst = max(worst, lhs / bound)
     report(2, worst <= 1.0, f"transport orthogonality: worst ratio to bound {worst:.2e}")
 
@@ -79,16 +82,13 @@ def test_acceptance_2_drift_cancellation(novikov2):
 
 def _run_path(table, x0, dt, nsteps, which, scheme, seed):
     """Single path driven by keyed slabs; returns per-step energies."""
-    spec = table.spec
-    reach = spec.h_max_abs
-    lo = 1 - reach
-    W = table.N + reach - lo + 1
+    stepper = s.Stepper(table, dt, scheme, which, False, 1)
     X = x0.T[:, :, None].copy()
     e0 = np.array([float((x0 * x0).sum())])
     energies = np.empty(nsteps)
     for k in range(nsteps):
-        dW = slab_rng(seed, 0, k).standard_normal((1, len(spec.istar), W, spec.d)) * math.sqrt(dt)
-        X = _step_batch(table, X, dW.transpose(1, 3, 2, 0), dt, which, scheme, e0)
+        keyed_slab(table, dt, (seed, 0, k)).load(stepper)
+        X = stepper.step(X, e0)
         energies[k] = (X * X).sum()
     return energies
 
@@ -305,14 +305,18 @@ def test_acceptance_9_goy_conjugacy():
     N, dt, nsteps = 6, 1e-5, 1000
     rng = np.random.default_rng(5150)
     u = (rng.standard_normal(N) + 1j * rng.standard_normal(N)) * 0.3
-    state = s.TruncatedState(N=N, t=0.0, x=s.embed_complex(u))
+    stepper = s.Stepper(CoefficientTable(goy, N), dt, "em", "nonlinear", False, 1)
+    X = s.embed_complex(u).T[:, :, None].copy()
+    e0 = np.array([float((X * X).sum())])
     worst = 0.0
     for k in range(nsteps):
-        slab = s.sample_slab(goy, N, dt, (6060, 0, k))
-        state = s.step_em(goy, state, slab, "nonlinear")
+        slab = keyed_slab(stepper.table, dt, (6060, 0, k))
+        slab.load(stepper)
+        X = stepper.step(X, e0)
+        x = X[:, :, 0].T
         u = goy_complex_em_step(u, goy, slab)
-        diff = np.abs(s.embed_complex(u) - state.x).max()
-        worst = max(worst, diff / (1.0 + np.abs(state.x).max()))
+        diff = np.abs(s.embed_complex(u) - x).max()
+        worst = max(worst, diff / (1.0 + np.abs(x).max()))
     report(9, worst <= 1e-12, f"complex/real step agreement over {nsteps} steps: {worst:.2e}")
 
 

@@ -138,6 +138,25 @@ def test_start_shell_out_of_range_is_usage_error(argv, top, capsys):
     assert captured.err.startswith("error: ") and f"1..{top}" in captured.err
 
 
+@pytest.mark.parametrize(
+    "argv,name",
+    [
+        (["simulate", "--paths", "0"], "paths"),
+        (["simulate", "--dt", "0"], "dt"),
+        (["simulate", "--dt=-1e-3"], "dt"),
+        (["simulate", "--threads", "0"], "threads"),
+        (["triangulate", "--paths", "0", "--replicates", "10"], "paths"),
+        (["triangulate", "--dt", "0", "--paths", "10", "--replicates", "10"], "dt"),
+        (["dissipation", "--paths", "10", "--dt", "0"], "dt"),
+    ],
+)
+def test_bad_ensemble_size_is_usage_error(argv, name, capsys):
+    assert main(argv + ["--model", "novikov"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: ") and name in captured.err
+
+
 def test_constants_json(capsys):
     assert main(["constants", "--model", "novikov", "--shells", "25", "--energy", "1.0"]) == 0
     doc = json.loads(capsys.readouterr().out)

@@ -4,11 +4,26 @@ import numpy as np
 import pytest
 
 import shellsde as s
-from goy_oracle import goy_inverse_bridge, goy_noise_bridge, goy_noise_bridge_pair
+from goy_oracle import goy_inverse_bridge, goy_noise_bridge, goy_noise_bridge_pair, keyed_slab
+from shellsde.algebra import CoefficientTable
+from shellsde.noise import check_shells, slab_rng
+
+
+def stepper(spec, N, dt, paths=1):
+    return s.Stepper(CoefficientTable(spec, N), dt, "em", "linear", False, paths)
+
+
+def draws(st, rng, steps):
+    """(steps, drawn cells) array: the stepper's slab after each fill from rng, run by run, path-major."""
+    out = []
+    for _ in range(steps):
+        st.fill(rng)
+        out.append(np.concatenate([st.dW[row, c, start:stop].T.ravel() for row, c, start, stop in st.cells]))
+    return np.stack(out)
 
 
 def test_aliased_lookup_bit_identical(novikov):
-    slab = s.sample_slab(novikov, 6, 1e-3, (0, 0, 0))
+    slab = keyed_slab(CoefficientTable(novikov, 6), 1e-3, (0, 0, 0))
     for m in range(slab.lo, slab.hi + 1):
         a = slab.lookup("1", m)
         b = slab.lookup("2", m)
@@ -17,43 +32,42 @@ def test_aliased_lookup_bit_identical(novikov):
 
 
 def test_slab_determinism(goy):
-    s1 = s.sample_slab(goy, 8, 1e-4, (7, 3, 5))
-    s2 = s.sample_slab(goy, 8, 1e-4, (7, 3, 5))
-    assert np.array_equal(s1.increments, s2.increments)
-    s3 = s.sample_slab(goy, 8, 1e-4, (7, 3, 6))
-    assert not np.array_equal(s1.increments, s3.increments)
+    s1, s2, s3 = (stepper(goy, 8, 1e-4) for _ in range(3))
+    s1.fill(slab_rng(7, 3, 5))
+    s2.fill(slab_rng(7, 3, 5))
+    assert np.array_equal(s1.dW, s2.dW)
+    s3.fill(slab_rng(7, 3, 6))
+    assert not np.array_equal(s1.dW, s3.dW)
 
 
 def test_slab_window_covers_reachable_indices(goy):
     N = 8
-    slab = s.sample_slab(goy, N, 1e-3, (0, 0, 0))
+    st = stepper(goy, N, 1e-3)
+    lo, hi = st.table.lo, st.table.lo + st.dW.shape[2] - 1
     for it in goy.interactions:
         for n in range(1, N + 1):
             m = n + it.h
-            assert slab.lo <= m <= slab.hi
+            assert lo <= m <= hi
 
 
 def test_window_overflow_rejected(novikov):
     with pytest.raises(ValueError, match="window overflow"):
-        s.sample_slab(novikov, 100, 1e-3, 0)
+        check_shells(100)
 
 
 def test_increment_mean_bound(novikov):
-    # CLT bound on the sample mean of about 1e5 slab increments
+    # CLT bound on the sample mean of about 1e5 increments drawn by a block's steps
     dt = 1e-3
-    vals = np.concatenate(
-        [s.sample_slab(novikov, 4, dt, (1, 0, k), paths=600).increments.ravel() for k in range(30)]
-    )
+    vals = draws(stepper(novikov, 4, dt, paths=1200), slab_rng(1, 0), 30).ravel()
     assert len(vals) >= 100_000
     bound = 4.0 * math.sqrt(dt) / math.sqrt(len(vals))
     assert abs(vals.mean()) < bound
 
 
 def test_increment_covariance(goy):
+    # every drawn cell of one path's slab, over the steps of one stream
     dt = 2e-3
-    samples = np.stack(
-        [s.sample_slab(goy, 4, dt, (5, 0, k)).increments[0, :, 4, :].ravel() for k in range(10_000)]
-    )
+    samples = draws(stepper(goy, 4, dt), slab_rng(5, 0), 10_000)
     cov = np.cov(samples.T)
     se = dt * math.sqrt(2.0 / len(samples))  # variance-of-variance scale
     assert np.all(np.abs(np.diag(cov) - dt) < 5 * se)
@@ -63,7 +77,8 @@ def test_increment_covariance(goy):
 
 def test_goy_bridge_variance_and_independence(goy):
     dt = 1e-3
-    vals = np.array([goy_noise_bridge(s.sample_slab(goy, 6, dt, (11, 0, k)), 3) for k in range(20_000)])
+    table = CoefficientTable(goy, 6)
+    vals = np.array([goy_noise_bridge(keyed_slab(table, dt, (11, 0, k)), 3) for k in range(20_000)])
     se = dt * math.sqrt(2.0 / len(vals))
     assert abs(np.var(vals.real) - dt) < 5 * se
     assert abs(np.var(vals.imag) - dt) < 5 * se
@@ -72,7 +87,7 @@ def test_goy_bridge_variance_and_independence(goy):
 
 def test_goy_bridge_c_zero_uses_single_channel():
     spec = s.build_goy(1.0, -1.0, 0.0, 2.0, 1.0)
-    slab = s.sample_slab(spec, 6, 1e-3, (2, 0, 0))
+    slab = keyed_slab(CoefficientTable(spec, 6), 1e-3, (2, 0, 0))
     n = 3
     dw = goy_noise_bridge(slab, n)
     w1 = slab.lookup("1", n + 2)
@@ -81,7 +96,7 @@ def test_goy_bridge_c_zero_uses_single_channel():
 
 
 def test_goy_bridge_roundtrip(goy):
-    slab = s.sample_slab(goy, 6, 1e-3, (3, 0, 0))
+    slab = keyed_slab(CoefficientTable(goy, 6), 1e-3, (3, 0, 0))
     n = 4
     dw, dwt = goy_noise_bridge_pair(slab, n)
     back = goy_inverse_bridge(goy, n, dw, dwt)
@@ -90,6 +105,6 @@ def test_goy_bridge_roundtrip(goy):
 
 
 def test_bridge_requires_goy_meta(novikov):
-    slab = s.sample_slab(novikov, 6, 1e-3, 0)
+    slab = keyed_slab(CoefficientTable(novikov, 6), 1e-3, (0,))
     with pytest.raises(ValueError):
         goy_noise_bridge(slab, 2)

@@ -7,12 +7,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import einsum_oracle as oracle
-from goy_oracle import goy_complex_em_step
+from goy_oracle import NoiseSlab, goy_complex_em_step, keyed_slab
 import shellsde as s
 from shellsde.algebra import BilinearMap, CoefficientTable
 from shellsde import sde as sde_module
-from shellsde.noise import MAX_SHELLS, NoiseSlab, slab_rng
-from shellsde.sde import SCHEMES, SYSTEMS, NumericalBlowupError, _step_batch, _weight_increment
+from shellsde.noise import MAX_SHELLS, slab_rng
+from shellsde.sde import SCHEMES, SYSTEMS, NumericalBlowupError, Stepper, _add_terms, _sub_correction
 
 
 def random_state(spec, N, seed, sparse=False):
@@ -21,12 +21,56 @@ def random_state(spec, N, seed, sparse=False):
     if sparse:
         mask = rng.random(N) < 0.4
         x[mask] = 0.0
-    return s.TruncatedState(N=N, t=0.0, x=x)
+    return x
 
 
-def zero_slab(spec, N, dt):
-    base = s.sample_slab(spec, N, dt, 0)
-    return NoiseSlab(spec=spec, dt=dt, lo=base.lo, increments=np.zeros_like(base.increments))
+def start(N, x0):
+    """(N, 1) state of a scalar model with the leading shells of x0, the rest zero."""
+    x = np.zeros((N, 1))
+    x[: len(x0), 0] = x0
+    return x
+
+
+def batch(x):
+    """(N, d) state of one path as a new (d, N, 1) batch."""
+    return np.array(x, dtype=float).T[:, :, None].copy()
+
+
+def path(X):
+    """(N, d) copy of the first path of a (d, N, P) batch."""
+    return X[:, :, 0].T.copy()
+
+
+def energy(x):
+    return float((x * x).sum())
+
+
+def transport(table, x):
+    """The step kernel's bilinear transport at the (N, d) state x."""
+    X = batch(x)
+    out = np.zeros_like(X)
+    _add_terms(table.transport_terms, X, X, out, np.empty((table.N, 1)))
+    return path(out)
+
+
+def drift(table, x, which):
+    """Per-shell drift of the nonlinear (transport plus correction) or linear (correction) system."""
+    X = batch(x)
+    out = batch(transport(table, x)) if which == "nonlinear" else np.zeros_like(X)
+    _sub_correction(table, X, out, np.empty_like(X))
+    return path(out)
+
+
+def diffusion(stepper, x):
+    """Noise increment of one step from the (N, d) state x with the stepper's slab."""
+    X = batch(x)
+    out = np.zeros_like(X)
+    _add_terms(stepper.table.noise_terms, X, stepper.dW, out, np.empty((stepper.table.N, 1)))
+    return path(out)
+
+
+def one_path(spec, N, dt, scheme="em", which="linear", weighted=False):
+    return Stepper(CoefficientTable(spec, N), dt, scheme, which, weighted, 1)
 
 
 # ----------------------------------------------------------------- drift
@@ -34,14 +78,14 @@ def zero_slab(spec, N, dt):
 
 def test_zero_state_zero_drift(novikov, goy):
     for spec in (novikov, goy):
-        st0 = s.make_state(spec, 8, np.zeros((8, spec.d)))
-        assert np.all(s.drift_nonlinear(spec, st0) == 0.0)
-        assert np.all(s.drift_linear(spec, st0) == 0.0)
+        table = CoefficientTable(spec, 8)
+        x0 = np.zeros((8, spec.d))
+        assert np.all(drift(table, x0, "nonlinear") == 0.0)
+        assert np.all(drift(table, x0, "linear") == 0.0)
 
 
 def test_novikov_drift_hand_value(novikov):
-    state = s.make_state(novikov, 6, [1.0, 1.0])
-    d = s.drift_nonlinear(novikov, state)
+    d = drift(CoefficientTable(novikov, 6), start(6, [1.0, 1.0]), "nonlinear")
     assert d[0, 0] == pytest.approx(-2.0 - 0.5 * 4.0)
 
 
@@ -49,17 +93,17 @@ def test_bilinear_drift_cancellation(novikov, goy, sabra):
     # summed against the state, the transport term vanishes to roundoff
     for spec in (novikov, goy, sabra):
         N = 20
+        table = CoefficientTable(spec, N)
         pi_scale = spec.pi_n(N) / spec.sigma**2
         for seed in range(20):
-            state = random_state(spec, N, seed, sparse=True)
-            t = s.bilinear_drift(spec, state)
-            lhs = abs(float((state.x * t).sum()))
-            assert lhs <= 1e-10 * state.energy() * pi_scale
+            x = random_state(spec, N, seed, sparse=True)
+            t = transport(table, x)
+            lhs = abs(float((x * t).sum()))
+            assert lhs <= 1e-10 * energy(x) * pi_scale
 
 
 def test_drift_linear_single_shell(novikov):
-    state = s.make_state(novikov, 6, [0.0, 1.0])
-    d = s.drift_linear(novikov, state)
+    d = drift(CoefficientTable(novikov, 6), start(6, [0.0, 1.0]), "linear")
     assert d[1, 0] == pytest.approx(-0.5 * (4.0 + 16.0))
     assert np.all(d[[0, 2, 3, 4, 5]] == 0.0)
 
@@ -72,9 +116,10 @@ def test_drift_linear_is_linear(goy, seed):
     x = rng.standard_normal((N, 2))
     y = rng.standard_normal((N, 2))
     a, b = rng.standard_normal(2)
-    da = s.drift_linear(goy, s.TruncatedState(N=N, t=0.0, x=a * x + b * y))
-    dx = s.drift_linear(goy, s.TruncatedState(N=N, t=0.0, x=x))
-    dy = s.drift_linear(goy, s.TruncatedState(N=N, t=0.0, x=y))
+    table = CoefficientTable(goy, N)
+    da = drift(table, a * x + b * y, "linear")
+    dx = drift(table, x, "linear")
+    dy = drift(table, y, "linear")
     assert np.allclose(da, a * dx + b * dy, atol=1e-8)
 
 
@@ -83,27 +128,28 @@ def test_drift_agreement_on_gap_states(goy):
     # (offsets differ per interaction), so nonlinear and linear drift coincide
     x = np.zeros((8, 2))
     x[2] = (0.4, -0.7)
-    state = s.TruncatedState(N=8, t=0.0, x=x)
-    assert np.allclose(s.drift_nonlinear(goy, state), s.drift_linear(goy, state))
+    table = CoefficientTable(goy, 8)
+    assert np.allclose(drift(table, x, "nonlinear"), drift(table, x, "linear"))
 
 
 # ----------------------------------------------------------------- diffusion
 
 
 def test_zero_slab_zero_increment(goy):
-    state = random_state(goy, 8, 3)
-    assert np.all(s.diffusion_apply(goy, state, zero_slab(goy, 8, 1e-3)) == 0.0)
+    # a new stepper's slab is zero until it is filled
+    x = random_state(goy, 8, 3)
+    assert np.all(diffusion(one_path(goy, 8, 1e-3), x) == 0.0)
 
 
 def test_single_increment_locality(goy):
     # one nonzero channel increment touches exactly the shells that read it
     N = 10
-    state = random_state(goy, N, 4)
-    slab = zero_slab(goy, N, 1e-3)
+    x = random_state(goy, N, 4)
+    st = one_path(goy, N, 1e-3)
     m = 5
     row = 0  # representative channel "1"
-    slab.increments[0, row, m - slab.lo, :] = (0.3, -0.2)
-    inc = s.diffusion_apply(goy, state, slab)
+    st.dW[row, :, m - st.table.lo, 0] = (0.3, -0.2)
+    inc = diffusion(st, x)
     expected = set()
     for iid in goy.ids:
         it = goy.interaction(iid)
@@ -120,13 +166,14 @@ def test_single_increment_locality(goy):
 def test_diffusion_energy_balance_in_expectation(novikov):
     # E[2 <X, dX_noise> + |dX_noise|^2] cancels the quadratic correction
     N, dt = 10, 1e-3
-    state = s.make_state(novikov, N, [0.6, 0.5, 0.4, 0.3])
-    corr = float((state.x * s.drift_linear(novikov, state)).sum())
+    x = start(N, [0.6, 0.5, 0.4, 0.3])
+    st = one_path(novikov, N, dt)
+    corr = float((x * drift(st.table, x, "linear")).sum())
     vals = []
     for k in range(10_000):
-        slab = s.sample_slab(novikov, N, dt, (21, 0, k))
-        inc = s.diffusion_apply(novikov, state, slab)
-        vals.append(2.0 * float((state.x * inc).sum()) + float((inc * inc).sum()))
+        keyed_slab(st.table, dt, (21, 0, k)).load(st)
+        inc = diffusion(st, x)
+        vals.append(2.0 * float((x * inc).sum()) + float((inc * inc).sum()))
     vals = np.array(vals)
     resid = vals.mean() + 2.0 * corr * dt
     assert abs(resid) <= 3.0 * vals.std() / math.sqrt(len(vals))
@@ -136,26 +183,29 @@ def test_diffusion_energy_balance_in_expectation(novikov):
 
 
 def test_zero_state_fixed_point(novikov):
-    state = s.make_state(novikov, 6, np.zeros(6))
-    slab = s.sample_slab(novikov, 6, 1e-3, (5, 0, 0))
+    table = CoefficientTable(novikov, 6)
+    slab = keyed_slab(table, 1e-3, (5, 0, 0))
     for which in ("nonlinear", "linear"):
-        out = s.step_em(novikov, state, slab, which)
-        assert np.all(out.x == 0.0)
-        out = s.step_conservative(novikov, state, slab, which)
-        assert np.all(out.x == 0.0)
+        for scheme in ("em", "conservative"):
+            st = Stepper(table, 1e-3, scheme, which, False, 1)
+            slab.load(st)
+            out = st.step(np.zeros((1, 6, 1)), np.zeros(1))
+            assert np.all(out == 0.0)
 
 
 def test_em_one_step_energy_identity(novikov):
     # interior state: E[energy change] equals the dt^2 drift term exactly
     N, dt = 10, 1e-3
-    state = s.make_state(novikov, N, [0.6, 0.5, 0.4, 0.3])
-    drift = s.drift_linear(novikov, state)
-    predicted = dt * dt * float((drift * drift).sum())
+    x = start(N, [0.6, 0.5, 0.4, 0.3])
+    st = one_path(novikov, N, dt)
+    d = drift(st.table, x, "linear")
+    predicted = dt * dt * float((d * d).sum())
+    e0 = np.array([energy(x)])
     changes = []
     for k in range(10_000):
-        slab = s.sample_slab(novikov, N, dt, (31, 0, k))
-        out = s.step_em(novikov, state, slab, "linear")
-        changes.append(out.energy() - state.energy())
+        keyed_slab(st.table, dt, (31, 0, k)).load(st)
+        out = st.step(batch(x), e0)
+        changes.append(energy(out) - energy(x))
     changes = np.array(changes)
     se = changes.std() / math.sqrt(len(changes))
     assert abs(changes.mean() - predicted) <= 3.0 * se
@@ -163,24 +213,27 @@ def test_em_one_step_energy_identity(novikov):
 
 def test_conservative_projection_exact(novikov, goy):
     for spec in (novikov, goy):
-        state = random_state(spec, 8, 11)
-        e0 = state.energy()
+        st = one_path(spec, 8, 1e-3, "conservative", "nonlinear")
+        X = batch(random_state(spec, 8, 11))
+        e0 = energy(X)
         for k in range(200):
-            slab = s.sample_slab(spec, 8, 1e-3, (41, 0, k))
-            state = s.step_conservative(spec, state, slab, "nonlinear")
-            assert abs(state.energy() - e0) <= 1e-12 * e0
+            keyed_slab(st.table, 1e-3, (41, 0, k)).load(st)
+            X = st.step(X, np.array([e0]))
+            assert abs(energy(X) - e0) <= 1e-12 * e0
 
 
 def test_conservative_tracks_em_at_small_dt(novikov):
     # per-step energy deviation of the unprojected step shrinks with dt
-    state = s.make_state(novikov, 4, [0.7, 0.5, 0.3])
+    x = start(4, [0.7, 0.5, 0.3])
+    e0 = np.array([energy(x)])
     drifts = {}
     for dt in (1e-3, 5e-4):
+        st = one_path(novikov, 4, dt)
         devs = []
         for k in range(2000):
-            slab = s.sample_slab(novikov, 4, dt, (51, 0, k))
-            em = s.step_em(novikov, state, slab, "linear")
-            devs.append(abs(em.energy() - state.energy()))
+            keyed_slab(st.table, dt, (51, 0, k)).load(st)
+            em = st.step(batch(x), e0)
+            devs.append(abs(energy(em) - energy(x)))
         drifts[dt] = np.mean(devs)
     # between sqrt(2) (martingale part) and 2 (drift part) per halving
     ratio = drifts[1e-3] / drifts[5e-4]
@@ -189,31 +242,32 @@ def test_conservative_tracks_em_at_small_dt(novikov):
 
 def test_split_consistent_with_em_small_dt(novikov):
     # the two schemes differ by O(gamma * dt * noise) within one step
-    state = s.make_state(novikov, 6, [0.7, 0.5, 0.3])
+    x = start(6, [0.7, 0.5, 0.3])
+    e0 = np.array([energy(x)])
     dt = 1e-6
-    slab = s.sample_slab(novikov, 6, dt, (61, 0, 0))
-    a = s.step_em(novikov, state, slab, "linear")
-    b = s.step_split(novikov, state, slab, "linear")
-    assert np.allclose(a.x, b.x, atol=1e-5)
+    em, split = one_path(novikov, 6, dt, "em"), one_path(novikov, 6, dt, "split")
+    slab = keyed_slab(em.table, dt, (61, 0, 0))
+    slab.load(em)
+    slab.load(split)
+    a = em.step(batch(x), e0)
+    b = split.step(batch(x), e0)
+    assert np.allclose(a, b, atol=1e-5)
 
 
 def test_em_blowup_raises(novikov):
-    state = s.make_state(novikov, 14, [1.0])
+    # the stepper leaves a blown-up path non-finite; a one-path ensemble reports it
     with pytest.raises(NumericalBlowupError):
-        for k in range(4000):
-            slab = s.sample_slab(novikov, 14, 1e-3, (71, 0, k))
-            state = s.step_em(novikov, state, slab, "linear")
+        s.run_ensemble(novikov, [1.0], N=14, dt=1e-3, T=4.0, paths=1, which="linear", scheme="em", seed=71)
 
 
 # ----------------------------------------------------------------- weights
 
 
 def test_zero_path_unit_weight(novikov):
-    w = s.PathWeight()
-    state = s.make_state(novikov, 6, np.zeros(6))
-    slab = s.sample_slab(novikov, 6, 1e-3, (81, 0, 0))
-    w = s.accumulate_weight(w, novikov, state, slab, "QtoP")
-    assert w.z == 0.0 and w.qv == 0.0 and w.density() == 1.0
+    st = one_path(novikov, 6, 1e-3, weighted=True)
+    keyed_slab(st.table, 1e-3, (81, 0, 0)).load(st)
+    z, qv = (float(v[0]) for v in st.ledger(np.zeros((1, 6, 1))))
+    assert z == 0.0 and qv == 0.0 and math.exp(z - 0.5 * qv) == 1.0
 
 
 def test_qv_bound_on_conservative_paths(novikov):
@@ -221,24 +275,27 @@ def test_qv_bound_on_conservative_paths(novikov):
     N, dt, nsteps = 8, 1e-3, 300
     T = nsteps * dt
     bound = 1 * 1.0 * T / novikov.sigma**2
+    st = one_path(novikov, N, dt, "conservative", weighted=True)
     for p in range(10):
-        w = s.PathWeight()
-        state = s.make_state(novikov, N, [1.0])
+        qv = 0.0
+        X = batch(start(N, [1.0]))
+        e0 = np.array([energy(X)])
         for k in range(nsteps):
-            slab = s.sample_slab(novikov, N, dt, (90 + p, 0, k))
-            w = s.accumulate_weight(w, novikov, state, slab, "QtoP")
-            state = s.step_conservative(novikov, state, slab, "linear")
-        assert w.qv <= bound + 1e-9
-        assert w.qv > 0.0
+            keyed_slab(st.table, dt, (90 + p, 0, k)).load(st)
+            qv += float(st.ledger(X)[1][0])
+            X = st.step(X, e0)
+        assert qv <= bound + 1e-9
+        assert qv > 0.0
 
 
 def test_weight_direction_sign(novikov):
-    state = s.make_state(novikov, 6, [1.0, 0.5])
-    slab = s.sample_slab(novikov, 6, 1e-3, (95, 0, 0))
-    wq = s.accumulate_weight(s.PathWeight(), novikov, state, slab, "QtoP")
-    wp = s.accumulate_weight(s.PathWeight(), novikov, state, slab, "PtoQ")
-    assert wq.z == pytest.approx(-wp.z)
-    assert wq.qv == pytest.approx(wp.qv)
+    # one path, one step: the directions share qv and flip the log integrand z
+    run = dict(N=6, dt=1e-3, T=1e-3, paths=1, which="linear", scheme="em", seed=95)
+    wq = s.run_ensemble(novikov, [1.0, 0.5], weight_direction="QtoP", **run)
+    wp = s.run_ensemble(novikov, [1.0, 0.5], weight_direction="PtoQ", **run)
+    zq, zp = (math.log(w.weight_mean[0]) + 0.5 * w.qv_max[0] for w in (wq, wp))
+    assert zq == pytest.approx(-zp)
+    assert wq.qv_max[0] == pytest.approx(wp.qv_max[0])
 
 
 def test_density_martingale_small(novikov):
@@ -293,15 +350,14 @@ def test_run_ensemble_single_path_matches_manual(novikov):
         seed=5, record_times=[nsteps * dt],
     )
     # the one block's stream, drawn step by step into the cells the kernel reads
-    table = CoefficientTable(novikov, N)
+    st = one_path(novikov, N, dt)
     rng = slab_rng(5, 0)
-    dW = np.zeros((len(novikov.istar), novikov.d, table.window, 1))
-    state = s.make_state(novikov, N, [1.0])
+    X = batch(start(N, [1.0]))
+    e0 = np.array([energy(X)])
     for k in range(nsteps):
-        s.fill_slab(rng, dW, table.slab_cells(), math.sqrt(dt))
-        slab = NoiseSlab(spec=novikov, dt=dt, lo=table.lo, increments=dW.transpose(3, 0, 2, 1).copy())
-        state = s.step_em(novikov, state, slab, "linear")
-    assert np.allclose(es.mean_sq[0], (state.x**2).sum(axis=1), atol=1e-14)
+        st.fill(rng)
+        X = st.step(X, e0)
+    assert np.allclose(es.mean_sq[0], (path(X) ** 2).sum(axis=1), atol=1e-14)
 
 
 def test_run_ensemble_se_scaling(novikov):
@@ -329,12 +385,14 @@ def test_run_ensemble_threads_deterministic(novikov, goy):
 
 def test_run_ensemble_keys_one_stream_per_block_through_slab_rng(novikov, goy, monkeypatch):
     # the benchmark times and counts the noise by hooking sde.slab_rng and the
-    # standard_normal calls of the generators it returns
+    # standard_normal calls of the generators it returns; it also wraps
+    # sde.CoefficientTable, sde._step_batch and sde._weight_increment, so each
+    # must be looked up at call time
     cases = [
         (novikov, [1.0], dict(N=6, dt=1e-3, T=0.02, which="linear", scheme="split", weight_direction="QtoP")),
         (goy, [[1.0, 0.0]], dict(N=6, dt=1e-3, T=0.01, which="nonlinear", scheme="em")),
     ]
-    keys, drawn = [], [0]
+    keys, drawn = [], []  # list.append is atomic under threads=2; += on a counter is not
 
     class Counting:
         def __init__(self, gen):
@@ -342,24 +400,40 @@ def test_run_ensemble_keys_one_stream_per_block_through_slab_rng(novikov, goy, m
 
         def standard_normal(self, *args, **kwargs):
             out = self.gen.standard_normal(*args, **kwargs)
-            drawn[0] += out.size
+            drawn.append(out.size)
             return out
 
     def counting_rng(*args):
         keys.append(args)
         return Counting(slab_rng(*args))
 
+    calls = []
+
+    def counting(name, fn):
+        def wrapper(*args, **kwargs):
+            calls.append(name)
+            return fn(*args, **kwargs)
+
+        return wrapper
+
     for spec, x0, base in cases:
         paths, block_size, nsteps = 2500, 1000, int(round(base["T"] / base["dt"]))
         plain = s.run_ensemble(spec, x0, paths=paths, block_size=block_size, seed=13, **base)
         keys.clear()
-        drawn[0] = 0
+        calls.clear()
+        drawn.clear()
         monkeypatch.setattr(sde_module, "slab_rng", counting_rng)
+        for name in ("CoefficientTable", "_step_batch", "_weight_increment"):
+            monkeypatch.setattr(sde_module, name, counting(name, getattr(sde_module, name)))
         hooked = s.run_ensemble(spec, x0, paths=paths, block_size=block_size, seed=13, threads=2, **base)
         monkeypatch.undo()
         assert sorted(keys) == [(13, 0), (13, 1), (13, 2)]
-        cells = CoefficientTable(spec, base["N"]).slab_cells("weight_direction" in base)
-        assert drawn[0] == paths * nsteps * sum(stop - start for _, _, start, stop in cells)
+        weighted = "weight_direction" in base
+        cells = CoefficientTable(spec, base["N"]).slab_cells(weighted)
+        assert sum(drawn) == paths * nsteps * sum(stop - start for _, _, start, stop in cells)
+        assert calls.count("CoefficientTable") == 1
+        assert calls.count("_step_batch") == len(keys) * nsteps
+        assert calls.count("_weight_increment") == (len(keys) * nsteps if weighted else 0)
         for field in dataclasses.fields(plain):
             assert np.array_equal(getattr(plain, field.name), getattr(hooked, field.name)), field.name
 
@@ -367,6 +441,35 @@ def test_run_ensemble_keys_one_stream_per_block_through_slab_rng(novikov, goy, m
 def test_run_ensemble_rejects_too_many_shells(novikov):
     with pytest.raises(ValueError, match="window overflow"):
         s.run_ensemble(novikov, [1.0], N=MAX_SHELLS + 1, dt=1e-3, T=1e-3, paths=1)
+
+
+@pytest.mark.parametrize(
+    "bad",
+    [
+        dict(paths=0),
+        dict(paths=-3),
+        dict(block_size=0),
+        dict(threads=0),
+        dict(dt=0.0),
+        dict(dt=-1e-3),
+        dict(dt=math.nan),
+        dict(dt=math.inf),
+        dict(T=-0.01),
+        dict(T=math.nan),
+        dict(T=math.inf),
+    ],
+)
+def test_run_ensemble_rejects_bad_sizes(novikov, bad):
+    run = dict(N=4, dt=1e-3, T=0.01, paths=10, block_size=8, threads=1) | bad
+    with pytest.raises(ValueError, match=next(iter(bad))):
+        s.run_ensemble(novikov, [1.0], **run)
+
+
+@pytest.mark.parametrize("x0", [[[0.5], [0.4]], [[0.5, 0.1, 0.0]], [[0.5, math.nan]], [[math.inf, 0.0]]])
+def test_run_ensemble_rejects_bad_start_state(goy, x0):
+    # a one-column start must not be spread over both GOY components
+    with pytest.raises(ValueError, match="x0"):
+        s.run_ensemble(goy, x0, N=4, dt=1e-3, T=0.01, paths=10)
 
 
 def test_run_ensemble_all_aborted_raises(novikov):
@@ -407,24 +510,30 @@ def test_step_kernel_matches_einsum_oracle(model, request):
     rng = np.random.default_rng(23)
     X = rng.standard_normal((P, N, spec.d))
     e0 = rng.uniform(0.5, 2.0, P)
-    slab = s.sample_slab(spec, N, dt, (29, 0, 0), paths=P)
-    dW = slab.increments.transpose(1, 3, 2, 0)
+    slab = keyed_slab(table, dt, (29, 0, 0), paths=P)
     for scheme in SCHEMES:
         for which in SYSTEMS:
+            st = Stepper(table, dt, scheme, which, False, P)
+            slab.load(st)
             for energy0 in (e0, None) if scheme == "conservative" else (e0,):
-                got = _step_batch(table, X.transpose(2, 1, 0).copy(), dW, dt, which, scheme, energy0)
+                # None: the oracle projects back to the pre-step energy, which the stepper is given
+                target = e0 if energy0 is not None else (X * X).sum(axis=(1, 2))
+                got = st.step(X.transpose(2, 1, 0).copy(), target)
                 expected = oracle.step(table, X, slab.increments, slab.lo, dt, which, scheme, energy0)
                 _close(got.transpose(2, 1, 0), expected)
-    zinc, qvinc = _weight_increment(table, X.transpose(2, 1, 0).copy(), dW, dt)
+    zinc, qvinc = st.ledger(X.transpose(2, 1, 0).copy())
     z_ref, qv_ref = oracle.weight_increment(table, X, slab.increments, slab.lo, dt)
     _close(zinc, z_ref)
     _close(qvinc, qv_ref)
-    # the single-path adapters run the same kernel with P = 1
-    state = s.TruncatedState(N=N, t=0.0, x=X[0])
+    # a one-path stepper runs the same kernel with P = 1
+    st = Stepper(table, dt, "em", "linear", False, 1)
     one = NoiseSlab(spec=spec, dt=dt, lo=slab.lo, increments=slab.increments[:1])
-    _close(s.bilinear_drift(spec, state), oracle.transport(table, X[:1])[0])
-    _close(s.drift_linear(spec, state), oracle.correction(table, X[:1])[0])
-    _close(s.diffusion_apply(spec, state, one), oracle.diffusion(table, X[:1], one.increments, one.lo)[0])
+    one.load(st)
+    _close(transport(table, X[0]), oracle.transport(table, X[:1])[0])
+    _close(drift(table, X[0], "linear"), oracle.correction(table, X[:1])[0])
+    _close(diffusion(st, X[0]), oracle.diffusion(table, X[:1], one.increments, one.lo)[0])
+    got = st.step(batch(X[0]), e0[:1])
+    _close(path(got), oracle.step(table, X[:1], one.increments, one.lo, dt, "linear", "em")[0])
 
 
 @pytest.mark.parametrize("model", ["novikov", "goy", "sabra", "goy_scaled"])
@@ -436,20 +545,21 @@ def test_step_reads_no_undrawn_slab_cell(model, request):
     X = np.random.default_rng(31).standard_normal((spec.d, N, P))
     e0 = (X * X).sum(axis=(0, 1))
     for weighted in (False, True):
-        cells = table.slab_cells(weighted)
-        dW = np.zeros((len(spec.istar), spec.d, table.window, P))
-        s.fill_slab(slab_rng(37, 0), dW, cells, math.sqrt(dt))
-        poisoned = np.full_like(dW, np.nan)
-        for row, c, start, stop in cells:
-            poisoned[row, c, start:stop] = dW[row, c, start:stop]
         for scheme in SCHEMES:
             for which in SYSTEMS:
-                ref = _step_batch(table, X.copy(), dW, dt, which, scheme, e0)
-                got = _step_batch(table, X.copy(), poisoned, dt, which, scheme, e0)
+                st = Stepper(table, dt, scheme, which, weighted, P)
+                st.fill(slab_rng(37, 0))
+                drawn = st.dW.copy()
+                ref = st.step(X.copy(), e0)
+                ref_ledger = st.ledger(X)
+                st.dW.fill(np.nan)
+                for row, c, start, stop in st.cells:
+                    st.dW[row, c, start:stop] = drawn[row, c, start:stop]
+                got = st.step(X.copy(), e0)
                 assert np.isfinite(got).all() and np.array_equal(got, ref), (weighted, scheme, which)
-        if weighted:
-            for ref, got in zip(_weight_increment(table, X, dW, dt), _weight_increment(table, X, poisoned, dt)):
-                assert np.isfinite(got).all() and np.array_equal(got, ref)
+                if weighted:
+                    for ref, got in zip(ref_ledger, st.ledger(X)):
+                        assert np.isfinite(got).all() and np.array_equal(got, ref)
 
 
 # ----------------------------------------------------------------- conjugacy
@@ -460,13 +570,17 @@ def test_goy_complex_real_conjugacy_exact_reduced():
     N, dt = 6, 1e-5
     rng = np.random.default_rng(5)
     u = (rng.standard_normal(N) + 1j * rng.standard_normal(N)) * 0.3
-    state = s.TruncatedState(N=N, t=0.0, x=s.embed_complex(u))
+    st = one_path(goy, N, dt, "em", "nonlinear")
+    X = batch(s.embed_complex(u))
+    e0 = np.array([energy(X)])
     for k in range(300):
-        slab = s.sample_slab(goy, N, dt, (42, 0, k))
-        state = s.step_em(goy, state, slab, "nonlinear")
+        slab = keyed_slab(st.table, dt, (42, 0, k))
+        slab.load(st)
+        X = st.step(X, e0)
         u = goy_complex_em_step(u, goy, slab)
-        diff = np.abs(s.embed_complex(u) - state.x).max()
-        assert diff <= 1e-12 * (1.0 + np.abs(state.x).max())
+        x = path(X)
+        diff = np.abs(s.embed_complex(u) - x).max()
+        assert diff <= 1e-12 * (1.0 + np.abs(x).max())
 
 
 def test_goy_conjugacy_generic_bulk_shells(goy):
@@ -474,11 +588,13 @@ def test_goy_conjugacy_generic_bulk_shells(goy):
     # every interaction is active; the first two shells carry the filtered pair
     N, dt = 6, 1e-5
     rng = np.random.default_rng(8)
+    st = one_path(goy, N, dt, "em", "nonlinear")
     for k in range(50):
         u = (rng.standard_normal(N) + 1j * rng.standard_normal(N)) * 0.3
-        state = s.TruncatedState(N=N, t=0.0, x=s.embed_complex(u))
-        slab = s.sample_slab(goy, N, dt, (9, 0, k))
-        s1 = s.step_em(goy, state, slab, "nonlinear")
+        X = batch(s.embed_complex(u))
+        slab = keyed_slab(st.table, dt, (9, 0, k))
+        slab.load(st)
+        s1 = st.step(X, np.array([energy(X)]))
         u1 = goy_complex_em_step(u, goy, slab)
-        diff = np.abs(s.embed_complex(u1) - s1.x)
+        diff = np.abs(s.embed_complex(u1) - path(s1))
         assert diff[goy.n0 - 1 :].max() <= 1e-12
