@@ -13,20 +13,23 @@ level cap is reported alongside so the proxy error is accounted for.
 :func:`simulate_chain` walks one path.  :func:`survival_curve` and
 :func:`visit_statistics` walk many replicates in lockstep instead: the
 replicates run in batches of ``_BATCH``, and each step of a batch moves
-every live replicate by one jump with numpy masks (one holding-time draw
-and one target draw each), then drops the replicates that finished.
-Streams are keyed as in the single-path walk: replicate ``rep`` reads
-its own ``chain_rng(seed, rep)`` in the order :func:`simulate_chain`
-does, one start draw and then the draws of each jump, fetched
-``_CHUNK`` jumps at a time with ``Generator.random(out=...)``, which
-gives the same values as drawing them one by one.  Results therefore do
-not depend on ``_BATCH`` or ``_CHUNK``.  Both walks read their jump rows
-from one padded table (cumulative probabilities padded with +inf), so
-``searchsorted(cum, u, side="right")`` is ``(cum[row] <= u).sum(-1)``.
+every live replicate by one jump with numpy masks, then drops the
+replicates that finished.  Streams are keyed as in the single-path walk:
+replicate ``rep`` reads the stream of ``chain_rng(seed, rep)`` in the
+order :func:`simulate_chain` does, one start draw and then the draws of
+each jump.  No generator is built for it: ``_ReplicateStreams`` repeats
+numpy's seeding and PCG64 steps with array arithmetic over the live
+replicates, one draw of each per call, so results do not depend on
+``_BATCH`` and ``chain_rng`` stays the reference for every replicate.
+Both walks read their jump rows from one padded table (cumulative
+probabilities padded with +inf), so ``searchsorted(cum, u, side="right")``
+is ``(cum[row] <= u).sum(-1)``.
 """
 from __future__ import annotations
 
+import itertools
 import math
+import operator
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
@@ -49,8 +52,7 @@ __all__ = [
     "chain_rng",
 ]
 
-_BATCH = 512  # replicates walked together; bounds the live generators (~1 kB each)
-_CHUNK = 16  # jumps of uniforms fetched per generator call
+_BATCH = 65_536  # replicates walked together; bounds the memory of a batch's arrays
 
 
 def chain_rng(seed: int, replicate: int) -> np.random.Generator:
@@ -61,6 +63,12 @@ def chain_rng(seed: int, replicate: int) -> np.random.Generator:
 class ChainCaps:
     max_jumps: int = 100_000
     max_level: int = 60
+
+    def __post_init__(self):
+        if self.max_jumps < 1 or self.max_level < 1:
+            raise ValueError(
+                f"chain caps must be at least 1, got max_jumps={self.max_jumps}, max_level={self.max_level}"
+            )
 
 
 @dataclass(frozen=True, eq=False)
@@ -156,40 +164,131 @@ def _start_cdf(start_dist: Sequence[float]) -> np.ndarray:
     return cum / cum[-1]
 
 
+def _check_replicates(replicates: int) -> None:
+    if replicates < 1:
+        raise ValueError(f"replicates must be at least 1, got {replicates}")
+
+
 def _sample_start(cum: np.ndarray, u):
     return np.searchsorted(cum, u, side="right") + 1
 
 
-class _Streams:
-    """The uniforms of a batch of replicates, read in lockstep.
+# numpy's SeedSequence (a pool of 4 uint32 words) and PCG64 constants
+_INIT_A, _MULT_A = 0x43B0D7E5, 0x931E8875
+_INIT_B, _MULT_B = 0x8B51F9DD, 0x58F38DED
+_MIX_L, _MIX_R = np.uint32(0xCA01F9DD), np.uint32(0x4973F715)
+_POOL = 4
+_PCG_MULT_HI, _PCG_MULT_LO = np.uint64(2549297995355413924), np.uint64(4865540595714422341)
+_U16, _U32 = np.uint32(16), np.uint64(32)
+_LOW32 = np.uint64(0xFFFFFFFF)
+_ONE, _U11, _U58, _U63, _U64 = (np.uint64(v) for v in (1, 11, 58, 63, 64))
 
-    Replicate ``rep`` reads ``chain_rng(seed, rep)``: one start draw, then
-    ``per_jump`` draws for each jump.  Every live replicate has made the
-    same number of jumps, so they all read the same buffer columns.
+
+def _uint32_words(n: int) -> list[int]:
+    """``n`` as SeedSequence splits an integer: 32-bit words, least significant first."""
+    n = operator.index(n)
+    if n < 0:
+        raise ValueError("expected non-negative integer")
+    words = [n & 0xFFFFFFFF]
+    while n := n >> 32:
+        words.append(n & 0xFFFFFFFF)
+    return words
+
+
+def _hash(value: np.ndarray, const: int, mult: int) -> tuple[np.ndarray, int]:
+    """One hash round of SeedSequence on uint32 words; returns them and the next constant."""
+    value = value ^ np.uint32(const)
+    const = const * mult & 0xFFFFFFFF
+    value = value * np.uint32(const)
+    return value ^ (value >> _U16), const
+
+
+def _seed_words(entropy: list[np.ndarray]) -> list[np.ndarray]:
+    """``SeedSequence(entropy).generate_state(8, np.uint32)``, word by word, over broadcast lanes."""
+    const = _INIT_A
+    pool = []
+    for i in range(_POOL):
+        word, const = _hash(entropy[i] if i < len(entropy) else np.zeros(1, np.uint32), const, _MULT_A)
+        pool.append(word)
+
+    def mix_into(dst: int, value: np.ndarray) -> None:
+        nonlocal const
+        hashed, const = _hash(value, const, _MULT_A)
+        mixed = _MIX_L * pool[dst] - _MIX_R * hashed
+        pool[dst] = mixed ^ (mixed >> _U16)
+
+    # every pool word into every other, then any entropy past the pool into each
+    for src, dst in itertools.permutations(range(_POOL), 2):
+        mix_into(dst, pool[src])
+    for word in entropy[_POOL:]:
+        for dst in range(_POOL):
+            mix_into(dst, word)
+    const = _INIT_B
+    out = []
+    for i in range(8):
+        word, const = _hash(pool[i % _POOL], const, _MULT_B)
+        out.append(word)
+    return out
+
+
+class _ReplicateStreams:
+    """The uniforms of ``chain_rng(seed, rep)`` for a range of replicates, drawn in lockstep.
+
+    Each call of :meth:`random` gives every live replicate its next
+    ``Generator.random()`` value, bit for bit.  The keying is numpy's, done
+    with array arithmetic over the replicates: ``SeedSequence`` hashes the
+    entropy ``[seed, 0x6368, rep]`` into its pool and generates four 64-bit
+    words, which seed PCG64 as ``pcg64_srandom_r`` does (O'Neill, "PCG: a
+    family of simple fast space-efficient statistically good algorithms for
+    random number generation", 2014).  The 128-bit state and increment are
+    (hi, lo) pairs of ``uint64`` arrays.  Every operand is a typed numpy
+    scalar or array, so the dtypes do not depend on numpy's casting rules
+    for Python ints.
     """
 
-    def __init__(self, seed: int, reps: range, per_jump: int):
-        self.gens = [chain_rng(seed, rep) for rep in reps]
-        self.per_jump = per_jump
-        self.chunk = _CHUNK
-        self.buf = np.empty((len(reps), 1 + per_jump * self.chunk))
-        for gen, row in zip(self.gens, self.buf):
-            gen.random(out=row)
-        self.live = np.arange(len(reps))  # buffer rows of the live replicates
+    def __init__(self, seed: int, reps: range):
+        if reps.start < 0 or reps.stop > 2**32:
+            raise ValueError("replicate indices must lie in [0, 2**32)")
+        entropy = [np.array([w], dtype=np.uint32) for w in (*_uint32_words(seed), 0x6368)]
+        entropy.append(np.arange(reps.start, reps.stop, dtype=np.uint32))
+        words = [np.broadcast_to(w, (len(reps),)).astype(np.uint64) for w in _seed_words(entropy)]
+        # generate_state(4, np.uint64) joins word pairs little-endian; PCG64 reads the
+        # four results as (initstate hi, initstate lo, initseq hi, initseq lo)
+        init_hi, init_lo, seq_hi, seq_lo = (words[2 * k] | (words[2 * k + 1] << _U32) for k in range(4))
+        self.inc_hi = (seq_hi << _ONE) | (seq_lo >> _U63)
+        self.inc_lo = (seq_lo << _ONE) | _ONE
+        self.hi, self.lo = self.inc_hi, self.inc_lo  # the first step from state 0
+        self._add(init_hi, init_lo)
+        self._step()
 
-    def start(self) -> np.ndarray:
-        return self.buf[:, 0]
+    def _add(self, hi: np.ndarray, lo: np.ndarray) -> None:
+        lo = self.lo + lo
+        self.hi = self.hi + hi + (lo < self.lo)
+        self.lo = lo
 
-    def jump(self, step: int) -> np.ndarray:
-        """The draws of jump ``step`` (from 0) of the live replicates, shape (live, per_jump)."""
-        j = step % self.chunk
-        if j == 0 and step > 0:
-            for i in self.live.tolist():
-                self.gens[i].random(out=self.buf[i, 1:])
-        return self.buf[self.live, 1 + j * self.per_jump : 1 + (j + 1) * self.per_jump]
+    def _step(self) -> None:
+        """state = state * multiplier + inc, modulo 2**128, from 32-bit limbs of the low word."""
+        a0, a1 = self.lo & _LOW32, self.lo >> _U32
+        b0, b1 = _PCG_MULT_LO & _LOW32, _PCG_MULT_LO >> _U32
+        p00, p01, p10 = a0 * b0, a0 * b1, a1 * b0
+        mid = (p00 >> _U32) + (p01 & _LOW32) + (p10 & _LOW32)
+        high = a1 * b1 + (p01 >> _U32) + (p10 >> _U32) + (mid >> _U32)  # of lo * _PCG_MULT_LO
+        self.hi = high + self.lo * _PCG_MULT_HI + self.hi * _PCG_MULT_LO
+        self.lo = self.lo * _PCG_MULT_LO
+        self._add(self.inc_hi, self.inc_lo)
+
+    def random(self) -> np.ndarray:
+        """The next uniform in [0, 1) of every live replicate."""
+        self._step()
+        rot = self.hi >> _U58
+        x = self.hi ^ self.lo
+        out = (x >> rot) | (x << ((_U64 - rot) & _U63))  # XSL-RR
+        return (out >> _U11) * 2.0**-53
 
     def keep(self, live: np.ndarray) -> None:
-        self.live = self.live[live]
+        """Drop the replicates where ``live`` is False."""
+        self.hi, self.lo = self.hi[live], self.lo[live]
+        self.inc_hi, self.inc_lo = self.inc_hi[live], self.inc_lo[live]
 
 
 def simulate_chain(
@@ -273,7 +372,12 @@ def survival_curve(
     ``chain_rng(seed, rep)``, except that holding times use ``np.log``
     where it uses ``math.log``.  The two can differ in the last bit, which
     changes a count only when a jump lands within one ulp of a grid time.
+    The replicates' uniforms (the start draw, then a holding-time draw and
+    a target draw per jump) come from ``_ReplicateStreams``, which gives
+    the values of those generators without building them.  ``replicates``
+    must be at least 1.
     """
+    _check_replicates(replicates)
     t = np.asarray(tgrid, dtype=float)
     horizon = float(t.max())
     if t.min() < 0.0:
@@ -288,20 +392,20 @@ def survival_curve(
     changes = np.zeros((G + 1, levels), dtype=np.int64)
     level = absorbed = alive = capped = jumps = 0
     for first in range(0, replicates, _BATCH):
-        streams = _Streams(seed, range(first, min(first + _BATCH, replicates)), per_jump=2)
-        pos = _sample_start(start, streams.start())
+        streams = _ReplicateStreams(seed, range(first, min(first + _BATCH, replicates)))
+        pos = _sample_start(start, streams.random())
         clock = np.zeros(len(pos))
         lo = np.zeros(len(pos), dtype=np.int64)  # first grid index not yet recorded
-        for step in range(caps.max_jumps):
+        for _ in range(caps.max_jumps):
             if not len(pos):
                 break
             over = pos > levels
             row = np.minimum(pos, levels) - 1
             rate = table.pi[row]
             dead = ~over & (rate <= 0.0)
-            u = streams.jump(step)
+            hold, target_u = streams.random(), streams.random()
             with np.errstate(divide="ignore"):
-                arrive = clock + -np.log(u[:, 0]) / rate
+                arrive = clock + -np.log(hold) / rate
             cross = ~over & ~dead & (arrive > horizon)
             hi = np.searchsorted(grid, arrive)  # G when crossing or absorbed (arrive = inf)
             hi[over] = lo[over]
@@ -314,14 +418,13 @@ def survival_curve(
             absorbed += int(dead.sum())
             alive += int(cross.sum())
             jumps += int(live.sum())
-            row, target_u = row[live], u[live, 1]
+            row, target_u = row[live], target_u[live]
             streams.keep(live)
             pos = table.targets[row, (table.cum[row] <= target_u[:, None]).sum(-1)]
             clock, lo = arrive[live], hi[live]
         beyond = int((pos > levels).sum())
         level += beyond
         capped += len(pos) - beyond
-        del streams  # release this batch's generators before keying the next
     occ_counts = np.cumsum(changes, axis=0)[slot]
     alive_counts = occ_counts.sum(axis=1)
     p = alive_counts / replicates
@@ -366,10 +469,13 @@ def visit_statistics(
 
     Estimates E[V_n | V_n > 0] where V_n counts visits at jump index >= 1;
     the chain itself only needs the embedded transition law, no holding
-    times.  Each jump reads one uniform u of ``chain_rng(seed, rep)`` after
-    the start draw; the row's tail mass beyond N absorbs, i.e. u at or
-    above the row total.
+    times.  Each jump reads one uniform u of the stream of
+    ``chain_rng(seed, rep)`` after the start draw, drawn for all live
+    replicates at once by ``_ReplicateStreams``; the row's tail mass beyond
+    N absorbs, i.e. u at or above the row total.  ``replicates`` must be at
+    least 1.
     """
+    _check_replicates(replicates)
     P = embedded_matrix(spec, N)
     cum, targets, count = _padded_rows(P != 0.0, P, np.broadcast_to(np.arange(1, N + 1), P.shape))
     start = np.zeros(N)
@@ -381,13 +487,13 @@ def visit_statistics(
     counts = np.zeros((replicates, N), dtype=np.int64)
     for first in range(0, replicates, _BATCH):
         reps = range(first, min(first + _BATCH, replicates))
-        streams = _Streams(seed, reps, per_jump=1)
+        streams = _ReplicateStreams(seed, reps)
         rep = np.arange(reps.start, reps.stop)
-        row = _sample_start(start, streams.start()) - 1
-        for step in range(max_jumps):
+        row = _sample_start(start, streams.random()) - 1
+        for _ in range(max_jumps):
             if not len(rep):
                 break
-            u = streams.jump(step)[:, 0]
+            u = streams.random()
             k = (cum[row] <= u[:, None]).sum(-1)
             live = k < count[row]
             streams.keep(live)
@@ -396,7 +502,6 @@ def visit_statistics(
             counts[rep, row] += 1
         if len(rep):
             raise RuntimeError("embedded chain failed to absorb within the jump budget")
-        del streams  # release this batch's generators before keying the next
     visited = counts > 0
     nvis = visited.sum(axis=0)
     mean = np.full(N, np.nan)

@@ -11,6 +11,7 @@ Exit codes: 0 success, 1 check failure, 2 usage or parse error.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import sys
@@ -351,6 +352,8 @@ def cmd_triangulate(args) -> int:
 
 
 def cmd_dissipation(args) -> int:
+    if args.paths < 0:
+        raise ValueError(f"--paths must be >= 0 (0 disables the reweighted ensemble), got {args.paths}")
     spec = _load(args.model)
     Ns = [int(s) for s in args.shells_list.split(",")]
     Nmax = max(Ns)
@@ -455,7 +458,9 @@ def _add_common(p: argparse.ArgumentParser, out_required: bool = False):
     p.add_argument("--threads", type=int, default=1)
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The command-line parser; built once per process, since parsing leaves it unchanged."""
     ap = argparse.ArgumentParser(prog="shellsde", description=__doc__)
     sub = ap.add_subparsers(dest="command", required=True)
 

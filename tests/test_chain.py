@@ -272,15 +272,14 @@ def test_survival_curve_matches_per_replicate_oracle(case, seed, request):
         assert getattr(est, status) > 0, status
 
 
-@pytest.mark.parametrize("batch,chunk", [(1, 1), (10**6, 1000), (7, 3)])
-def test_lockstep_constants_do_not_change_results(batch, chunk, novikov, goy, monkeypatch):
+@pytest.mark.parametrize("batch", [1, 10**6, 7])
+def test_lockstep_constants_do_not_change_results(batch, novikov, goy, monkeypatch):
     start = _start(12, {1: 1.0, 2: 0.5})
     grid = [0.3, 0.0, 0.1]
     caps = ChainCaps(25, 12)
     survival = s.survival_curve(goy, start, grid, 200, caps, seed=3)
     visits = s.visit_statistics(novikov, 10, 200, seed=4)
     monkeypatch.setattr(chain, "_BATCH", batch)
-    monkeypatch.setattr(chain, "_CHUNK", chunk)
     patched = s.survival_curve(goy, start, grid, 200, caps, seed=3)
     for name in ESTIMATE_ARRAYS:
         assert np.array_equal(getattr(patched, name), getattr(survival, name)), name
@@ -288,6 +287,69 @@ def test_lockstep_constants_do_not_change_results(batch, chunk, novikov, goy, mo
     again = s.visit_statistics(novikov, 10, 200, seed=4)
     for name in ("mean_visits", "se", "p_visit"):
         assert np.array_equal(getattr(again, name), getattr(visits, name), equal_nan=True), name
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2**32 - 1, 2**32, 2**40 + 5, 2**64 - 1])
+def test_replicate_streams_are_numpys_streams(seed):
+    reps = (0, 1, 511, 512, 9_999)
+    streams = chain._ReplicateStreams(seed, range(10_000))
+    draws = np.array([streams.random() for _ in range(40)])
+    gens = {rep: chain_rng(seed, rep) for rep in reps}
+    for rep, gen in gens.items():
+        assert np.array_equal(draws[:, rep], gen.random(40)), rep
+    # drop every replicate but those checked, then keep drawing
+    live = np.zeros(10_000, dtype=bool)
+    live[list(reps)] = True
+    streams.keep(live)
+    streams.keep(np.array([True, False, True, True, True]))  # and then replicate 1
+    draws = np.array([streams.random() for _ in range(45)])
+    for col, rep in enumerate((0, 511, 512, 9_999)):
+        assert np.array_equal(draws[:, col], gens[rep].random(45)), rep
+    # a range that does not start at 0 reads the same streams
+    tail = chain._ReplicateStreams(seed, range(511, 513))
+    assert np.array_equal(np.array([tail.random() for _ in range(40)]).T, [chain_rng(seed, r).random(40) for r in (511, 512)])
+
+
+def test_replicate_streams_reject_what_chain_rng_cannot_key():
+    with pytest.raises(ValueError):
+        chain_rng(-1, 0)
+    with pytest.raises(ValueError):
+        chain._ReplicateStreams(-1, range(3))
+    with pytest.raises(ValueError, match="replicate"):
+        chain._ReplicateStreams(0, range(2**32 - 1, 2**32 + 1))
+
+
+def test_lockstep_estimators_build_no_generator(novikov, goy, monkeypatch):
+    def refuse(*args, **kwargs):
+        raise RuntimeError("the lockstep walk built a generator")
+
+    start = _start(20, {1: 1.0, 3: 0.5})
+    grid = [0.4, 0.0, 0.1]
+    caps = ChainCaps(2000, 20)
+    with monkeypatch.context() as patch:
+        patch.setattr(chain, "chain_rng", refuse)
+        patch.setattr(np.random, "default_rng", refuse)
+        patch.setattr(np.random, "SeedSequence", refuse)
+        est = s.survival_curve(goy, start, grid, 300, caps, seed=5)
+        vs = s.visit_statistics(novikov, 10, 300, seed=6)
+    _assert_same_survival(est, oracle.survival_curve(goy, start, grid, 300, caps, seed=5))
+    ref = oracle.visit_statistics(novikov, 10, 300, seed=6)
+    for got, want in zip((vs.mean_visits, vs.se, vs.p_visit), ref):
+        assert np.array_equal(got, want, equal_nan=True)
+
+
+@pytest.mark.parametrize("replicates", [0, -3])
+def test_chain_estimators_reject_empty_ensembles(replicates, novikov):
+    with pytest.raises(ValueError, match="replicates"):
+        s.survival_curve(novikov, _start(10, {1: 1.0}), [0.5], replicates, ChainCaps(1000, 10))
+    with pytest.raises(ValueError, match="replicates"):
+        s.visit_statistics(novikov, 10, replicates)
+
+
+@pytest.mark.parametrize("max_jumps,max_level", [(0, 10), (-1, 10), (1000, 0), (1000, -2)])
+def test_chain_caps_must_be_positive(max_jumps, max_level):
+    with pytest.raises(ValueError, match="caps"):
+        ChainCaps(max_jumps, max_level)
 
 
 @pytest.mark.parametrize(

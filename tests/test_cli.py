@@ -148,6 +148,11 @@ def test_start_shell_out_of_range_is_usage_error(argv, top, capsys):
         (["triangulate", "--paths", "0", "--replicates", "10"], "paths"),
         (["triangulate", "--dt", "0", "--paths", "10", "--replicates", "10"], "dt"),
         (["dissipation", "--paths", "10", "--dt", "0"], "dt"),
+        (["dissipation", "--paths", "-1"], "paths"),
+        (["chain", "--replicates", "0"], "replicates"),
+        (["chain", "--replicates", "-3"], "replicates"),
+        (["triangulate", "--replicates", "0", "--paths", "10"], "replicates"),
+        (["chain", "--max-jumps", "0"], "max_jumps"),
     ],
 )
 def test_bad_ensemble_size_is_usage_error(argv, name, capsys):
