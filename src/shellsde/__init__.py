@@ -20,10 +20,7 @@ from .algebra import (
     build_goy,
     build_novikov,
     build_sabra,
-    embed_complex,
-    ito_correction,
     jump_rates,
-    lift_real,
     validate_model,
 )
 from .chain import (
@@ -33,7 +30,6 @@ from .chain import (
     increment_distribution,
     simulate_chain,
     survival_curve,
-    visit_statistics,
 )
 from .modelio import load_model, save_model, spec_from_dict, spec_to_dict
 from .moments import (

@@ -13,15 +13,16 @@ This module defines the model container, validates the pairing algebra,
 provides the GOY, Sabra and Novikov constructions, and builds the one table
 of jump rates, :func:`jump_rates`: the effective coefficients and the rates
 sigma**2 * k_eff(i, n)**2, grouped by target n + r_i.  Every route reads
-it: the SDE engine's :class:`CoefficientTable` and quadratic (Ito)
-correction, the forward equation's rate matrix and embedded chain in
-:mod:`shellsde.moments`, and the jump chain in :mod:`shellsde.chain`.
+it: the SDE engine's :class:`CoefficientTable`, whose ``gamma`` is the
+quadratic (Ito) correction, the forward equation's rate matrix and
+embedded chain in :mod:`shellsde.moments`, and the jump chain in
+:mod:`shellsde.chain`.
 """
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Mapping, NamedTuple, Sequence
+from typing import Mapping, NamedTuple
 
 import numpy as np
 
@@ -41,9 +42,6 @@ __all__ = [
     "build_novikov",
     "JumpRates",
     "jump_rates",
-    "ito_correction",
-    "embed_complex",
-    "lift_real",
     "CoefficientTable",
 ]
 
@@ -94,9 +92,6 @@ class BilinearMap:
     @property
     def d(self) -> int:
         return self.entries.shape[0]
-
-    def apply(self, u: np.ndarray, v: np.ndarray) -> np.ndarray:
-        return np.einsum("abc,b,c->a", self.entries, np.asarray(u, float), np.asarray(v, float))
 
     def gram(self) -> np.ndarray:
         """B B^T with B read as a linear map from R^(d*d) to R^d."""
@@ -525,7 +520,7 @@ class JumpRates:
 
     Rows are interactions in model order, columns zero-based shells.
     ``keff`` is :meth:`ModelSpec.k_eff` (zero where inactive), ``rate =
-    (sigma**2 * keff) * keff`` the rate of the jump n -> n + r[j] and ``pi``
+    (sigma**2 * keff) * keff`` the rate of the jump n -> n + r_j and ``pi``
     the exit rate of each shell.  By target, ``grouped[i]`` sums the rates
     of the interactions with offset ``offsets[i]`` (ascending), also where
     the target lies past N.  Every sum adds interactions in model order.
@@ -533,7 +528,6 @@ class JumpRates:
 
     keff: np.ndarray
     rate: np.ndarray
-    r: np.ndarray
     pi: np.ndarray
     offsets: np.ndarray
     grouped: np.ndarray
@@ -572,37 +566,7 @@ def jump_rates(spec: ModelSpec, N: int) -> JumpRates:
         # cumsum adds the interactions in order; sum(axis=0) may pair them
         pi = rate.cumsum(axis=0)[-1]
         grouped = np.stack([rate[r == off].cumsum(axis=0)[-1] for off in offsets])
-    return JumpRates(keff, rate, r, pi, offsets, grouped)
-
-
-# ----------------------------------------------------------------------
-# Quadratic correction and complex embedding
-# ----------------------------------------------------------------------
-
-
-def ito_correction(spec: ModelSpec, n: int) -> np.ndarray:
-    """Drift matrix -(1/2) * sum_i rate(i, n) * gram(B_i) at shell ``n``.
-
-    The rates are sigma**2 * k_eff(i, n)**2 from :func:`jump_rates`.
-    Symmetric negative semidefinite; applied as matrix @ X_n.
-    """
-    if n < 1:
-        raise ValueError("shell index must be >= 1")
-    return -0.5 * np.einsum("j,jab->ab", jump_rates(spec, n).rate[:, -1], spec.grams())
-
-
-def embed_complex(u: Sequence[complex]) -> np.ndarray:
-    """Map a complex sequence to (len, 2) real pairs (re, im); norm preserving."""
-    arr = np.asarray(u, dtype=complex)
-    return np.stack([arr.real, arr.imag], axis=-1)
-
-
-def lift_real(x: np.ndarray) -> np.ndarray:
-    """Inverse of :func:`embed_complex`."""
-    arr = np.asarray(x, dtype=float)
-    if arr.shape[-1] != 2:
-        raise ValueError("expected trailing dimension 2")
-    return arr[..., 0] + 1j * arr[..., 1]
+    return JumpRates(keff, rate, pi, offsets, grouped)
 
 
 # ----------------------------------------------------------------------
@@ -652,15 +616,11 @@ class CoefficientTable:
         self.spec = spec
         self.N = N
         self.d = spec.d
-        inter = spec.interactions
-        self.r = rates.r
-        self.h = np.array([it.h for it in inter], dtype=int)
-        self.B = np.stack([it.B.entries for it in inter])
         star = spec.star_ids()
         row = {iid: j for j, iid in enumerate(star)}
         self.star_ids = star
         self.star_row = np.array(
-            [row[it.iid] if it.iid in spec.istar else row[spec.pairing[it.iid]] for it in inter],
+            [row[it.iid] if it.iid in spec.istar else row[spec.pairing[it.iid]] for it in spec.interactions],
             dtype=int,
         )
         self.keff = rates.keff
@@ -725,7 +685,3 @@ class CoefficientTable:
             else:
                 runs.append((row, c, start, stop))
         return tuple(runs)
-
-    @property
-    def n_interactions(self) -> int:
-        return len(self.r)

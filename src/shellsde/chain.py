@@ -10,20 +10,19 @@ exceeds a level cap or a jump-count cap, which is a conservative proxy
 that converges as the caps grow.  The expected remaining time above the
 level cap is reported alongside so the proxy error is accounted for.
 
-:func:`simulate_chain` walks one path.  :func:`survival_curve` and
-:func:`visit_statistics` walk many replicates in lockstep instead: the
-replicates run in batches of ``_BATCH``, and each step of a batch moves
-every live replicate by one jump with numpy masks, then drops the
-replicates that finished.  Streams are keyed as in the single-path walk:
-replicate ``rep`` reads the stream of ``chain_rng(seed, rep)`` in the
-order :func:`simulate_chain` does, one start draw and then the draws of
-each jump.  No generator is built for it: ``_ReplicateStreams`` repeats
-numpy's seeding and PCG64 steps with array arithmetic over the live
-replicates, one draw of each per call, so results do not depend on
-``_BATCH`` and ``chain_rng`` stays the reference for every replicate.
-Both walks read their jump rows from one padded table (cumulative
-probabilities padded with +inf), so ``searchsorted(cum, u, side="right")``
-is ``(cum[row] <= u).sum(-1)``.
+:func:`simulate_chain` walks one path.  :func:`survival_curve` walks many
+replicates in lockstep instead: the replicates run in batches of
+``_BATCH``, and each step of a batch moves every live replicate by one
+jump with numpy masks, then drops the replicates that finished.  Streams
+are keyed as in the single-path walk: replicate ``rep`` reads the stream
+of ``chain_rng(seed, rep)`` in the order :func:`simulate_chain` does, one
+start draw and then the draws of each jump.  No generator is built for
+it: ``_ReplicateStreams`` repeats numpy's seeding and PCG64 steps with
+array arithmetic over the live replicates, one draw of each per call, so
+results do not depend on ``_BATCH`` and ``chain_rng`` stays the reference
+for every replicate.  Both walks read their jump rows from one padded
+table (cumulative probabilities padded with +inf), so
+``searchsorted(cum, u, side="right")`` is ``(cum[row] <= u).sum(-1)``.
 """
 from __future__ import annotations
 
@@ -36,7 +35,6 @@ from typing import Optional, Sequence
 import numpy as np
 
 from .algebra import ModelSpec, jump_rates, require_identity_grams
-from .moments import embedded_matrix
 
 __all__ = [
     "ChainCaps",
@@ -46,8 +44,6 @@ __all__ = [
     "simulate_chain",
     "SurvivalEstimate",
     "survival_curve",
-    "VisitStats",
-    "visit_statistics",
     "explosion_tail_bound",
     "chain_rng",
 ]
@@ -89,43 +85,34 @@ class ChainTrajectory:
         return int(self.states[idx])
 
 
-def _padded_rows(
-    present: np.ndarray, values: np.ndarray, targets: np.ndarray
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Move the present entries of each row to its front, in column order.
-
-    Returns ``cum``, the running sums of the present values padded with
-    +inf, their ``targets`` padded with 0 and the number of present entries
-    per row.
-    """
-    count = present.sum(axis=1)
-    width = max(1, int(count.max()))
-    order = np.argsort(~present, axis=1, kind="stable")[:, :width]
-    pad = np.arange(width) >= count[:, None]
-    cum = np.cumsum(np.where(pad, 0.0, np.take_along_axis(values, order, axis=1)), axis=1)
-    cum[pad] = np.inf
-    return cum, np.where(pad, 0, np.take_along_axis(targets, order, axis=1)), count
-
-
 class _RateTable:
     """Holding rates and padded jump rows up to a level cap.
 
     Shell n jumps to ``targets[n-1, k]`` with ``k = (cum[n-1] <= u).sum()``.
-    The last real entry of each row is stored as +inf too, so a rounding
-    shortfall of the row total below 1 cannot send a uniform past the row.
+    Each row holds the targets with a positive rate, in offset order, and
+    the normalised running sums of their rates, padded with target 0 and
+    +inf.  The last real entry of each row is stored as +inf too, so a
+    rounding shortfall of the row total below 1 cannot send a uniform past
+    the row.
     """
 
     def __init__(self, spec: ModelSpec, max_level: int):
         require_identity_grams(spec)
-        self.max_level = max_level
         rates = jump_rates(spec, max_level)
         self.pi = rates.pi
-        shells = np.arange(1, max_level + 1)[:, None]
-        cum, self.targets, count = _padded_rows(rates.grouped.T > 0.0, rates.grouped.T, shells + rates.offsets)
+        values = rates.grouped.T
+        present = values > 0.0
+        count = present.sum(axis=1)
+        width = max(1, int(count.max()))
+        order = np.argsort(~present, axis=1, kind="stable")[:, :width]
+        pad = np.arange(width) >= count[:, None]
+        targets = np.arange(1, max_level + 1)[:, None] + rates.offsets
+        self.targets = np.where(pad, 0, np.take_along_axis(targets, order, axis=1))
+        cum = np.cumsum(np.take_along_axis(values, order, axis=1), axis=1)
         last = np.maximum(count - 1, 0)[:, None]
-        with np.errstate(invalid="ignore"):  # a row without targets is inf / inf
+        with np.errstate(invalid="ignore"):  # a row without targets is 0 / 0
             cum /= np.take_along_axis(cum, last, axis=1)
-        cum[np.arange(cum.shape[1]) >= last] = np.inf
+        cum[np.arange(width) >= last] = np.inf
         self.cum = cum
 
 
@@ -162,11 +149,6 @@ def _start_cdf(start_dist: Sequence[float]) -> np.ndarray:
     if not (cum.size and 0.0 < cum[-1] < math.inf):
         raise ValueError("start distribution must have a positive finite total")
     return cum / cum[-1]
-
-
-def _check_replicates(replicates: int) -> None:
-    if replicates < 1:
-        raise ValueError(f"replicates must be at least 1, got {replicates}")
 
 
 def _sample_start(cum: np.ndarray, u):
@@ -377,7 +359,8 @@ def survival_curve(
     the values of those generators without building them.  ``replicates``
     must be at least 1.
     """
-    _check_replicates(replicates)
+    if replicates < 1:
+        raise ValueError(f"replicates must be at least 1, got {replicates}")
     t = np.asarray(tgrid, dtype=float)
     horizon = float(t.max())
     if t.min() < 0.0:
@@ -445,78 +428,6 @@ def survival_curve(
         exploded_level=level,
         exploded_jumpcap=capped,
         jumps=jumps,
-    )
-
-
-@dataclass(frozen=True, eq=False)
-class VisitStats:
-    levels: np.ndarray
-    mean_visits: np.ndarray  # E[V_n | V_n > 0]
-    se: np.ndarray
-    p_visit: np.ndarray
-    replicates: int
-
-
-def visit_statistics(
-    spec: ModelSpec,
-    N: int,
-    replicates: int,
-    seed: int = 0,
-    start_dist: Optional[Sequence[float]] = None,
-    max_jumps: int = 100_000,
-) -> VisitStats:
-    """Monte Carlo visit counts of the embedded chain, absorbing beyond N.
-
-    Estimates E[V_n | V_n > 0] where V_n counts visits at jump index >= 1;
-    the chain itself only needs the embedded transition law, no holding
-    times.  Each jump reads one uniform u of the stream of
-    ``chain_rng(seed, rep)`` after the start draw, drawn for all live
-    replicates at once by ``_ReplicateStreams``; the row's tail mass beyond
-    N absorbs, i.e. u at or above the row total.  ``replicates`` must be at
-    least 1.
-    """
-    _check_replicates(replicates)
-    P = embedded_matrix(spec, N)
-    cum, targets, count = _padded_rows(P != 0.0, P, np.broadcast_to(np.arange(1, N + 1), P.shape))
-    start = np.zeros(N)
-    if start_dist is None:
-        start[0] = 1.0
-    else:
-        start[: len(start_dist)] = start_dist
-    start = _start_cdf(start)
-    counts = np.zeros((replicates, N), dtype=np.int64)
-    for first in range(0, replicates, _BATCH):
-        reps = range(first, min(first + _BATCH, replicates))
-        streams = _ReplicateStreams(seed, reps)
-        rep = np.arange(reps.start, reps.stop)
-        row = _sample_start(start, streams.random()) - 1
-        for _ in range(max_jumps):
-            if not len(rep):
-                break
-            u = streams.random()
-            k = (cum[row] <= u[:, None]).sum(-1)
-            live = k < count[row]
-            streams.keep(live)
-            rep = rep[live]
-            row = targets[row[live], k[live]] - 1
-            counts[rep, row] += 1
-        if len(rep):
-            raise RuntimeError("embedded chain failed to absorb within the jump budget")
-    visited = counts > 0
-    nvis = visited.sum(axis=0)
-    mean = np.full(N, np.nan)
-    se = np.full(N, np.nan)
-    for n in range(N):
-        if nvis[n] > 0:
-            vals = counts[visited[:, n], n].astype(float)
-            mean[n] = vals.mean()
-            se[n] = vals.std(ddof=1) / math.sqrt(len(vals)) if len(vals) > 1 else np.inf
-    return VisitStats(
-        levels=np.arange(1, N + 1),
-        mean_visits=mean,
-        se=se,
-        p_visit=nvis / replicates,
-        replicates=replicates,
     )
 
 

@@ -131,6 +131,10 @@ def cmd_simulate(args) -> int:
 
 
 def _time_grid(spec: algebra.ModelSpec, N: int, horizon: float, points: int, kind: str) -> np.ndarray:
+    """``points`` times from 0 to ``horizon``: evenly spaced, or 0 then a geometric run up from ~1/pi_N."""
+    least = 2 if kind == "linear" else 3
+    if points < least:
+        raise ValueError(f"--points must be at least {least} for a {kind} grid ending at the horizon, got {points}")
     if kind == "linear":
         return np.linspace(0.0, horizon, points)
     tmin = min(1.0 / (10.0 * spec.pi_n(N)), horizon / 10.0)
@@ -145,7 +149,7 @@ def cmd_moments(args) -> int:
     tgrid = _time_grid(spec, args.shells, args.horizon, args.points, args.grid)
     u0 = _start_vector(spec, args.shells, args.start_shell, args.energy)
     u0 = (u0 * u0).sum(axis=1)
-    sol = moments.solve_forward(Q, u0, tgrid, mode=args.mode)
+    sol = moments.solve_forward(Q, u0, tgrid)
     rows = []
     for ti, t in enumerate(sol.times):
         for n in range(1, args.shells + 1):
@@ -156,18 +160,12 @@ def cmd_moments(args) -> int:
 
 def cmd_chain(args) -> int:
     spec = _load(args.model)
+    caps = chain.ChainCaps(max_jumps=args.max_jumps, max_level=args.max_level)
     _check_start_shell(args.start_shell, args.max_level)
-    tgrid = np.linspace(0.0, args.horizon, args.points)
+    tgrid = _time_grid(spec, args.max_level, args.horizon, args.points, "linear")
     start = np.zeros(args.max_level)
     start[args.start_shell - 1] = 1.0
-    est = chain.survival_curve(
-        spec,
-        start,
-        tgrid,
-        replicates=args.replicates,
-        caps=chain.ChainCaps(max_jumps=args.max_jumps, max_level=args.max_level),
-        seed=args.seed,
-    )
+    est = chain.survival_curve(spec, start, tgrid, replicates=args.replicates, caps=caps, seed=args.seed)
     rows = []
     for ti, t in enumerate(est.times):
         for n in range(1, args.max_level + 1):
@@ -255,9 +253,8 @@ def sde_resolvable_shells(spec: algebra.ModelSpec, dt: float, nmax: int) -> int:
 
 def cmd_triangulate(args) -> int:
     spec = _load(args.model)
-    if not spec.has_identity_grams():
-        print("error: triangulation requires identity gram matrices", file=sys.stderr)
-        return 2
+    algebra.require_identity_grams(spec)
+    caps = chain.ChainCaps(max_jumps=args.max_jumps, max_level=args.max_level)
     times = [float(s) for s in args.times.split(",")]
     N = args.shells
     n_sde = args.sde_shells or sde_resolvable_shells(spec, args.dt, N)
@@ -284,14 +281,7 @@ def cmd_triangulate(args) -> int:
     sol = moments.solve_forward(Q, u0, times)
     start = np.zeros(args.max_level)
     start[args.start_shell - 1] = 1.0
-    surv = chain.survival_curve(
-        spec,
-        start,
-        times,
-        replicates=args.replicates,
-        caps=chain.ChainCaps(max_jumps=args.max_jumps, max_level=args.max_level),
-        seed=args.seed + 1,
-    )
+    surv = chain.survival_curve(spec, start, times, replicates=args.replicates, caps=caps, seed=args.seed + 1)
     floor = x_norm_sq * 4.0 / min(args.paths, args.replicates)  # MC resolution floor
     rows = []
     npass = 0
@@ -451,11 +441,14 @@ def cmd_dissipation(args) -> int:
 # ----------------------------------------------------------------------
 
 
-def _add_common(p: argparse.ArgumentParser, out_required: bool = False):
+def _add_common(p: argparse.ArgumentParser, seed: bool = False, threads: bool = False):
+    """``--model`` and ``--out``, plus ``--seed`` and ``--threads`` where the subcommand reads them."""
     p.add_argument("--model", required=True, help="model file path or preset expression")
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--out", default=None, required=out_required, help="output path (stdout when omitted)")
-    p.add_argument("--threads", type=int, default=1)
+    p.add_argument("--out", default=None, help="output path (stdout when omitted)")
+    if seed:
+        p.add_argument("--seed", type=int, default=0)
+    if threads:
+        p.add_argument("--threads", type=int, default=1)
 
 
 @functools.cache
@@ -469,7 +462,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_validate)
 
     p = sub.add_parser("simulate", help="Monte Carlo ensemble of the truncated SDE")
-    _add_common(p)
+    _add_common(p, seed=True, threads=True)
     p.add_argument("--system", choices=sde.SYSTEMS, default="linear")
     p.add_argument("--shells", type=int, default=10)
     p.add_argument("--dt", type=float, default=1e-4)
@@ -488,13 +481,12 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--horizon", type=float, default=3.0)
     p.add_argument("--grid", choices=["geometric", "linear"], default="geometric")
     p.add_argument("--points", type=int, default=60)
-    p.add_argument("--mode", choices=["expm", "implicit"], default="expm")
     p.add_argument("--start-shell", type=int, default=1)
     p.add_argument("--energy", type=float, default=1.0)
     p.set_defaults(func=cmd_moments)
 
     p = sub.add_parser("chain", help="simulate the jump chain and survival curve")
-    _add_common(p)
+    _add_common(p, seed=True)
     p.add_argument("--replicates", type=int, default=2000)
     p.add_argument("--horizon", type=float, default=2.0)
     p.add_argument("--points", type=int, default=9)
@@ -510,7 +502,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_constants)
 
     p = sub.add_parser("triangulate", help="compare SDE, forward-ODE and chain moments")
-    _add_common(p)
+    _add_common(p, seed=True, threads=True)
     p.add_argument("--shells", type=int, default=15)
     p.add_argument("--sde-shells", type=int, default=0, help="SDE truncation (0 = deepest resolvable at dt)")
     p.add_argument("--dt", type=float, default=1e-4)
@@ -526,7 +518,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_triangulate)
 
     p = sub.add_parser("dissipation", help="mass-loss evidence and decay-rate bound")
-    _add_common(p)
+    _add_common(p, seed=True, threads=True)
     p.add_argument("--shells-list", default="10,15,20")
     p.add_argument("--horizon", type=float, default=3.0)
     p.add_argument("--points", type=int, default=80)

@@ -81,18 +81,12 @@ class MomentSolution:
     escaped: np.ndarray  # (T,)
 
 
-def solve_forward(
-    Q: QMatrix,
-    u0: Sequence[float],
-    tgrid: Sequence[float],
-    mode: str = "expm",
-) -> MomentSolution:
+def solve_forward(Q: QMatrix, u0: Sequence[float], tgrid: Sequence[float]) -> MomentSolution:
     """Propagate u' = u Pi from a nonnegative initial condition.
 
-    ``expm`` evaluates the exact matrix exponential through the symmetric
+    Evaluates the exact matrix exponential through the symmetric
     eigendecomposition (the matrix is symmetric, so this is both exact and
-    stable at any stiffness).  ``implicit`` integrates with an L-stable
-    implicit solver instead and exists as an independent cross-check.
+    stable at any stiffness).
     """
     u0 = np.asarray(u0, dtype=float)
     if u0.shape != (Q.N,):
@@ -103,40 +97,10 @@ def solve_forward(
     if np.any(t < 0.0):
         raise ValueError("time grid must be nonnegative")
     mass0 = float(u0.sum())
-    if mode == "expm":
-        w, V = np.linalg.eigh(Q.matrix)
-        coeff = u0 @ V
-        with np.errstate(under="ignore"):
-            u = np.einsum("k,tk,nk->tn", coeff, np.exp(np.outer(t, w)), V)
-    elif mode == "implicit":
-        from scipy.integrate import solve_ivp
-
-        QT = Q.matrix.T.copy()
-
-        def rhs(_, y):
-            return QT @ y
-
-        order = np.argsort(t)
-        tsorted = t[order]
-        sol = solve_ivp(
-            rhs,
-            (0.0, float(tsorted[-1]) if len(tsorted) else 0.0),
-            u0,
-            method="Radau",
-            t_eval=tsorted,
-            jac=lambda *_: QT,
-            rtol=1e-10,
-            atol=1e-14 * max(mass0, 1.0),
-        )
-        if not sol.success:
-            raise RuntimeError(
-                "implicit forward solve failed to converge: "
-                f"{sol.message}; try a smaller truncation or mode='expm'"
-            )
-        u = np.empty((len(t), Q.N))
-        u[order] = sol.y.T
-    else:
-        raise ValueError("mode must be 'expm' or 'implicit'")
+    w, V = np.linalg.eigh(Q.matrix)
+    coeff = u0 @ V
+    with np.errstate(under="ignore"):
+        u = np.einsum("k,tk,nk->tn", coeff, np.exp(np.outer(t, w)), V)
     # roundoff can leave tiny negative entries
     floor = -1e-10 * max(mass0, 1.0)
     if u.min() < floor:

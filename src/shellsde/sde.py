@@ -247,11 +247,17 @@ class EnsembleStats:
     weighted: bool
 
 
+def _grid_steps(t: float, dt: float) -> Optional[int]:
+    """The step count k with k * dt = t to 1e-9 relative, or None when t is off the dt grid."""
+    k = int(round(t / dt))
+    return k if abs(k * dt - t) <= 1e-9 * max(1.0, abs(t)) else None
+
+
 def _record_steps(record_times: Sequence[float], dt: float, nsteps: int) -> list[int]:
     steps = []
     for t in record_times:
-        k = int(round(t / dt))
-        if abs(k * dt - t) > 1e-9 * max(1.0, abs(t)):
+        k = _grid_steps(t, dt)
+        if k is None:
             raise ValueError(f"record time {t} is not a multiple of dt={dt}")
         if not 0 <= k <= nsteps:
             raise ValueError(f"record time {t} outside horizon")
@@ -311,8 +317,8 @@ def run_ensemble(
         raise ValueError(f"horizon T must be nonnegative and finite, got {T}")
     if weight_direction not in (None, "PtoQ", "QtoP"):
         raise ValueError("weight_direction must be None, 'PtoQ' or 'QtoP'")
-    nsteps = int(round(T / dt))
-    if abs(nsteps * dt - T) > 1e-9 * max(1.0, T):
+    nsteps = _grid_steps(T, dt)
+    if nsteps is None:
         raise ValueError("horizon must be a multiple of dt")
     if record_times is None:
         record_times = [T]

@@ -1,12 +1,13 @@
-"""Per-replicate reference walks for the lockstep chain estimators.
+"""Per-replicate reference walks of the jump chain.
 
-These are the earlier bodies of :func:`shellsde.chain.survival_curve` and
-:func:`shellsde.chain.visit_statistics`: one Python loop per replicate on
-its own ``chain_rng(seed, rep)``.  The survival walk goes through
-:func:`shellsde.chain.simulate_chain`, and its status counts use the
-benchmark tracer's classification: an exploded path whose last state is
-above the level cap passed the level cap, any other exploded path hit the
-jump cap.
+:func:`survival_curve` is the earlier body of
+:func:`shellsde.chain.survival_curve`: one Python loop per replicate on its
+own ``chain_rng(seed, rep)``, through :func:`shellsde.chain.simulate_chain`.
+Its status counts use the benchmark tracer's classification: an exploded
+path whose last state is above the level cap passed the level cap, any
+other exploded path hit the jump cap.  :func:`visit_statistics` is a Monte
+Carlo estimate of the embedded chain's visit counts, checked against the
+fundamental matrix that :mod:`shellsde.moments` inverts exactly.
 """
 import math
 

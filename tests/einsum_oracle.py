@@ -1,9 +1,10 @@
 """Reference step formulas: the generic three-operand einsum over (P, N, d) batches.
 
 These are the engine's earlier kernels, kept as an oracle for the unrolled
-step kernel in :mod:`shellsde.sde`.  They read only the coefficient arrays
-of a :class:`CoefficientTable` (``keff``, ``B``, ``r``, ``h``, ``star_row``,
-``gamma``), never its kernel term lists.  Slabs keep the sampling layout
+step kernel in :mod:`shellsde.sde`.  They read the offsets and bilinear
+maps from the model's interactions and only the coefficient arrays of a
+:class:`CoefficientTable` (``keff``, ``star_row``, ``gamma``), never its
+kernel term lists.  Slabs keep the sampling layout
 (P, n_star, window, d), with window cell 0 at shell index ``lo``.
 """
 import numpy as np
@@ -17,8 +18,8 @@ def damping_rates(table):
 def transport(table, X):
     P, N, d = X.shape
     out = np.zeros_like(X)
-    for j in range(table.n_interactions):
-        r, h = int(table.r[j]), int(table.h[j])
+    for j, it in enumerate(table.spec.interactions):
+        r, h = it.r, it.h
         nlo = max(1, 1 - r, 1 - h)
         nhi = min(N, N - r, N - h)
         if nlo > nhi:
@@ -26,7 +27,7 @@ def transport(table, X):
         sl = slice(nlo - 1, nhi)
         Xr = X[:, nlo - 1 + r : nhi + r]
         Xh = X[:, nlo - 1 + h : nhi + h]
-        term = np.einsum("abc,pnb,pnc->pna", table.B[j], Xr, Xh)
+        term = np.einsum("abc,pnb,pnc->pna", it.B.entries, Xr, Xh)
         out[:, sl] += table.keff[j, sl][None, :, None] * term
     return out
 
@@ -42,8 +43,8 @@ def diffusion(table, X, dW, lo):
     P, N, d = X.shape
     sigma = table.spec.sigma
     out = np.zeros_like(X)
-    for j in range(table.n_interactions):
-        r, h = int(table.r[j]), int(table.h[j])
+    for j, it in enumerate(table.spec.interactions):
+        r, h = it.r, it.h
         nlo = max(1, 1 - r)
         nhi = min(N, N - r)
         if nlo > nhi:
@@ -51,7 +52,7 @@ def diffusion(table, X, dW, lo):
         sl = slice(nlo - 1, nhi)
         Xr = X[:, nlo - 1 + r : nhi + r]
         Wj = dW[:, table.star_row[j], nlo + h - lo : nhi + h - lo + 1]
-        term = np.einsum("abc,pnb,pnc->pna", table.B[j], Xr, Wj)
+        term = np.einsum("abc,pnb,pnc->pna", it.B.entries, Xr, Wj)
         out[:, sl] += sigma * table.keff[j, sl][None, :, None] * term
     return out
 

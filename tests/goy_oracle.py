@@ -9,15 +9,36 @@ against it under the complex-to-real embedding.
 Both sides read the same whole-window slab: :func:`keyed_slab` draws every
 cell of it from one key, in the sampling layout (paths, n_star, window, d)
 that :class:`NoiseSlab` looks channels up in, and :meth:`NoiseSlab.load`
-copies it into a stepper's own slab.
+copies it into a stepper's own slab.  :func:`embed_complex` and
+:func:`lift_real` map between complex shells and the real form's (re, im)
+pairs, and :func:`bilinear_apply` evaluates one bilinear map on vectors.
 """
 import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from shellsde.algebra import CoefficientTable, ModelSpec
+from shellsde.algebra import BilinearMap, CoefficientTable, ModelSpec
 from shellsde.noise import slab_rng
+
+
+def embed_complex(u) -> np.ndarray:
+    """Map a complex sequence to (len, 2) real pairs (re, im); norm preserving."""
+    arr = np.asarray(u, dtype=complex)
+    return np.stack([arr.real, arr.imag], axis=-1)
+
+
+def lift_real(x: np.ndarray) -> np.ndarray:
+    """Inverse of :func:`embed_complex`."""
+    arr = np.asarray(x, dtype=float)
+    if arr.shape[-1] != 2:
+        raise ValueError("expected trailing dimension 2")
+    return arr[..., 0] + 1j * arr[..., 1]
+
+
+def bilinear_apply(B: BilinearMap, u, v) -> np.ndarray:
+    """B(u, v)_a = sum_bc B[a, b, c] u_b v_c."""
+    return np.einsum("abc,b,c->a", B.entries, np.asarray(u, float), np.asarray(v, float))
 
 
 @dataclass(frozen=True, eq=False)

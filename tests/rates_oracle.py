@@ -4,11 +4,13 @@ These are the earlier bodies of the package's rate code: one Python loop
 over (shell, interaction) calling :meth:`ModelSpec.k_eff`, in each of
 ``ModelSpec.pi_n``, :func:`shellsde.moments.build_qmatrix`,
 :func:`shellsde.moments.embedded_matrix` and the rows of
-``shellsde.chain._RateTable``, plus the single-jump embedded step and a
-dense ``expm`` propagation.  The package now reads all of these from
+``shellsde.chain._RateTable``, plus the single-jump embedded step and two
+independent propagations of the forward equation: a dense ``expm`` and an
+implicit Radau integration.  The package now reads all of these from
 :func:`shellsde.algebra.jump_rates`; the tests hold it to these loops.
 """
 import numpy as np
+import scipy.integrate
 import scipy.linalg
 
 
@@ -113,3 +115,25 @@ def expm_oracle(Q, u0, t):
     """Independent dense propagation via scipy's scaling-and-squaring expm."""
     u0 = np.asarray(u0, dtype=float)
     return u0 @ scipy.linalg.expm(Q.matrix * t)
+
+
+def radau_oracle(Q, u0, t):
+    """(len(t), N) solution of u' = u Q at the times ``t`` by scipy's L-stable implicit Radau solver."""
+    u0 = np.asarray(u0, dtype=float)
+    t = np.asarray(t, dtype=float)
+    order = np.argsort(t)
+    QT = Q.matrix.T.copy()
+    sol = scipy.integrate.solve_ivp(
+        lambda _, y: QT @ y,
+        (0.0, float(t[order[-1]])),
+        u0,
+        method="Radau",
+        t_eval=t[order],
+        jac=lambda *_: QT,
+        rtol=1e-10,
+        atol=1e-14 * max(float(u0.sum()), 1.0),
+    )
+    assert sol.success, sol.message
+    u = np.empty((len(t), Q.N))
+    u[order] = sol.y.T
+    return u

@@ -12,7 +12,7 @@ import numpy as np
 import pytest
 
 import shellsde as s
-from goy_oracle import goy_complex_em_step, keyed_slab
+from goy_oracle import embed_complex, goy_complex_em_step, keyed_slab
 from shellsde.algebra import CoefficientTable
 from shellsde.chain import ChainCaps, chain_rng
 from shellsde.moments import embedded_matrix
@@ -306,7 +306,7 @@ def test_acceptance_9_goy_conjugacy():
     rng = np.random.default_rng(5150)
     u = (rng.standard_normal(N) + 1j * rng.standard_normal(N)) * 0.3
     stepper = s.Stepper(CoefficientTable(goy, N), dt, "em", "nonlinear", False, 1)
-    X = s.embed_complex(u).T[:, :, None].copy()
+    X = embed_complex(u).T[:, :, None].copy()
     e0 = np.array([float((X * X).sum())])
     worst = 0.0
     for k in range(nsteps):
@@ -315,7 +315,7 @@ def test_acceptance_9_goy_conjugacy():
         X = stepper.step(X, e0)
         x = X[:, :, 0].T
         u = goy_complex_em_step(u, goy, slab)
-        diff = np.abs(s.embed_complex(u) - x).max()
+        diff = np.abs(embed_complex(u) - x).max()
         worst = max(worst, diff / (1.0 + np.abs(x).max()))
     report(9, worst <= 1e-12, f"complex/real step agreement over {nsteps} steps: {worst:.2e}")
 

@@ -147,15 +147,15 @@ def test_absorbed_status_for_dead_model():
 
 def test_visit_statistics_match_fundamental_matrix(novikov):
     N = 10
-    vs = s.visit_statistics(novikov, N, replicates=4000, seed=13)
+    mean_visits, se, p_visit = oracle.visit_statistics(novikov, N, replicates=4000, seed=13)
     M = np.linalg.inv(np.eye(N) - embedded_matrix(novikov, N))
     for n in range(1, 7):
-        assert abs(vs.mean_visits[n - 1] - M[n - 1, n - 1]) <= 3.5 * vs.se[n - 1]
+        assert abs(mean_visits[n - 1] - M[n - 1, n - 1]) <= 3.5 * se[n - 1]
     # shells above the start are on the escape route, so they are hit a.s.;
     # the start itself is only revisited with the return probability
-    assert np.all(vs.p_visit[1:6] >= 0.95)
-    assert vs.p_visit[0] == pytest.approx(0.25, abs=0.03)
-    bulk = vs.mean_visits[2:7]
+    assert np.all(p_visit[1:6] >= 0.95)
+    assert p_visit[0] == pytest.approx(0.25, abs=0.03)
+    bulk = mean_visits[2:7]
     assert bulk.max() - bulk.min() <= 0.3 * bulk.mean()
 
 
@@ -273,20 +273,16 @@ def test_survival_curve_matches_per_replicate_oracle(case, seed, request):
 
 
 @pytest.mark.parametrize("batch", [1, 10**6, 7])
-def test_lockstep_constants_do_not_change_results(batch, novikov, goy, monkeypatch):
+def test_lockstep_constants_do_not_change_results(batch, goy, monkeypatch):
     start = _start(12, {1: 1.0, 2: 0.5})
     grid = [0.3, 0.0, 0.1]
     caps = ChainCaps(25, 12)
     survival = s.survival_curve(goy, start, grid, 200, caps, seed=3)
-    visits = s.visit_statistics(novikov, 10, 200, seed=4)
     monkeypatch.setattr(chain, "_BATCH", batch)
     patched = s.survival_curve(goy, start, grid, 200, caps, seed=3)
     for name in ESTIMATE_ARRAYS:
         assert np.array_equal(getattr(patched, name), getattr(survival, name)), name
     assert patched.status_counts() == survival.status_counts()
-    again = s.visit_statistics(novikov, 10, 200, seed=4)
-    for name in ("mean_visits", "se", "p_visit"):
-        assert np.array_equal(getattr(again, name), getattr(visits, name), equal_nan=True), name
 
 
 @pytest.mark.parametrize("seed", [0, 1, 2**32 - 1, 2**32, 2**40 + 5, 2**64 - 1])
@@ -319,7 +315,7 @@ def test_replicate_streams_reject_what_chain_rng_cannot_key():
         chain._ReplicateStreams(0, range(2**32 - 1, 2**32 + 1))
 
 
-def test_lockstep_estimators_build_no_generator(novikov, goy, monkeypatch):
+def test_lockstep_estimators_build_no_generator(goy, monkeypatch):
     def refuse(*args, **kwargs):
         raise RuntimeError("the lockstep walk built a generator")
 
@@ -331,42 +327,19 @@ def test_lockstep_estimators_build_no_generator(novikov, goy, monkeypatch):
         patch.setattr(np.random, "default_rng", refuse)
         patch.setattr(np.random, "SeedSequence", refuse)
         est = s.survival_curve(goy, start, grid, 300, caps, seed=5)
-        vs = s.visit_statistics(novikov, 10, 300, seed=6)
     _assert_same_survival(est, oracle.survival_curve(goy, start, grid, 300, caps, seed=5))
-    ref = oracle.visit_statistics(novikov, 10, 300, seed=6)
-    for got, want in zip((vs.mean_visits, vs.se, vs.p_visit), ref):
-        assert np.array_equal(got, want, equal_nan=True)
 
 
 @pytest.mark.parametrize("replicates", [0, -3])
 def test_chain_estimators_reject_empty_ensembles(replicates, novikov):
     with pytest.raises(ValueError, match="replicates"):
         s.survival_curve(novikov, _start(10, {1: 1.0}), [0.5], replicates, ChainCaps(1000, 10))
-    with pytest.raises(ValueError, match="replicates"):
-        s.visit_statistics(novikov, 10, replicates)
 
 
 @pytest.mark.parametrize("max_jumps,max_level", [(0, 10), (-1, 10), (1000, 0), (1000, -2)])
 def test_chain_caps_must_be_positive(max_jumps, max_level):
     with pytest.raises(ValueError, match="caps"):
         ChainCaps(max_jumps, max_level)
-
-
-@pytest.mark.parametrize(
-    "model,N,start_dist,seed",
-    [("novikov", 10, None, 13), ("novikov", 8, [0.0, 1.0, 0.0, 2.0], 2), ("goy", 12, None, 5), ("goy", 9, [1.0, 1.0], 21)],
-)
-def test_visit_statistics_matches_per_replicate_oracle(model, N, start_dist, seed, request):
-    spec = request.getfixturevalue(model)
-    vs = s.visit_statistics(spec, N, 600, seed=seed, start_dist=start_dist)
-    ref = oracle.visit_statistics(spec, N, 600, seed=seed, start_dist=start_dist)
-    for got, want in zip((vs.mean_visits, vs.se, vs.p_visit), ref):
-        assert np.array_equal(got, want, equal_nan=True)
-
-
-def test_visit_statistics_jump_budget_error(novikov):
-    with pytest.raises(RuntimeError, match="failed to absorb"):
-        s.visit_statistics(novikov, 10, 50, seed=1, max_jumps=3)
 
 
 @pytest.mark.parametrize(
@@ -380,8 +353,6 @@ def test_start_distribution_is_validated(start_dist, novikov):
         s.survival_curve(novikov, start_dist, [0.5], 10, caps)
     with pytest.raises(ValueError, match="start distribution"):
         s.simulate_chain(novikov, start_dist, 0.5, caps, chain_rng(0, 0))
-    with pytest.raises(ValueError, match="start distribution"):
-        s.visit_statistics(novikov, 10, 10, start_dist=start_dist)
 
 
 def test_survival_rejects_negative_grid_times(novikov):

@@ -1,7 +1,9 @@
+import dataclasses
 import json
 
 import pytest
 
+from shellsde.algebra import BilinearMap
 from shellsde.cli import main
 from shellsde.modelio import load_model, save_model
 
@@ -153,6 +155,15 @@ def test_start_shell_out_of_range_is_usage_error(argv, top, capsys):
         (["chain", "--replicates", "-3"], "replicates"),
         (["triangulate", "--replicates", "0", "--paths", "10"], "replicates"),
         (["chain", "--max-jumps", "0"], "max_jumps"),
+        (["chain", "--max-level", "0"], "max_level"),
+        (["triangulate", "--max-level", "0"], "max_level"),
+        # every time grid ends at the horizon, so the dissipation tail fit has a point
+        (["chain", "--points", "0"], "--points"),
+        (["chain", "--points", "1"], "--points"),
+        (["moments", "--points", "1"], "--points"),
+        (["moments", "--points", "2"], "--points"),
+        (["dissipation", "--points", "1"], "--points"),
+        (["dissipation", "--points", "2"], "--points"),
     ],
 )
 def test_bad_ensemble_size_is_usage_error(argv, name, capsys):
@@ -160,6 +171,20 @@ def test_bad_ensemble_size_is_usage_error(argv, name, capsys):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err.startswith("error: ") and name in captured.err
+
+
+def test_triangulate_rejects_non_identity_grams(tmp_path, capsys):
+    spec = load_model("goy")
+    scaled = dataclasses.replace(
+        spec,
+        interactions=tuple(dataclasses.replace(it, B=BilinearMap(1.1 * it.B.entries)) for it in spec.interactions),
+    )
+    path = tmp_path / "goy_scaled.json"
+    save_model(scaled, str(path))
+    assert main(["triangulate", "--model", str(path), "--paths", "10", "--replicates", "10"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: ") and "B B^T" in captured.err
 
 
 def test_constants_json(capsys):

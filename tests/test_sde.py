@@ -7,7 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import einsum_oracle as oracle
-from goy_oracle import NoiseSlab, goy_complex_em_step, keyed_slab
+from goy_oracle import NoiseSlab, embed_complex, goy_complex_em_step, keyed_slab
 import shellsde as s
 from shellsde.algebra import BilinearMap, CoefficientTable
 from shellsde import sde as sde_module
@@ -571,7 +571,7 @@ def test_goy_complex_real_conjugacy_exact_reduced():
     rng = np.random.default_rng(5)
     u = (rng.standard_normal(N) + 1j * rng.standard_normal(N)) * 0.3
     st = one_path(goy, N, dt, "em", "nonlinear")
-    X = batch(s.embed_complex(u))
+    X = batch(embed_complex(u))
     e0 = np.array([energy(X)])
     for k in range(300):
         slab = keyed_slab(st.table, dt, (42, 0, k))
@@ -579,7 +579,7 @@ def test_goy_complex_real_conjugacy_exact_reduced():
         X = st.step(X, e0)
         u = goy_complex_em_step(u, goy, slab)
         x = path(X)
-        diff = np.abs(s.embed_complex(u) - x).max()
+        diff = np.abs(embed_complex(u) - x).max()
         assert diff <= 1e-12 * (1.0 + np.abs(x).max())
 
 
@@ -591,10 +591,10 @@ def test_goy_conjugacy_generic_bulk_shells(goy):
     st = one_path(goy, N, dt, "em", "nonlinear")
     for k in range(50):
         u = (rng.standard_normal(N) + 1j * rng.standard_normal(N)) * 0.3
-        X = batch(s.embed_complex(u))
+        X = batch(embed_complex(u))
         slab = keyed_slab(st.table, dt, (9, 0, k))
         slab.load(st)
         s1 = st.step(X, np.array([energy(X)]))
         u1 = goy_complex_em_step(u, goy, slab)
-        diff = np.abs(s.embed_complex(u1) - path(s1))
+        diff = np.abs(embed_complex(u1) - path(s1))
         assert diff[goy.n0 - 1 :].max() <= 1e-12

@@ -50,3 +50,19 @@ def test_no_private_name_crosses_modules(name):
         and node.attr.startswith("_")
     ]
     assert not used
+
+
+def test_benchmark_hooks_resolve():
+    """Every ``hooks.wrap(<module>, "<attr>", ...)`` of the benchmark's tracer names a package attribute."""
+    source = Path(__file__).resolve().parents[1] / "benchmarks" / "tracing.py"
+    wrapped = [
+        (node.args[0].id, node.args[1].value)
+        for node in ast.walk(ast.parse(source.read_text()))
+        if isinstance(node, ast.Call)
+        and isinstance(node.func, ast.Attribute)
+        and isinstance(node.func.value, ast.Name)
+        and (node.func.value.id, node.func.attr) == ("hooks", "wrap")
+    ]
+    assert wrapped
+    missing = [f"{mod}.{attr}" for mod, attr in wrapped if not hasattr(importlib.import_module(f"shellsde.{mod}"), attr)]
+    assert not missing
