@@ -26,6 +26,8 @@ from typing import Mapping, NamedTuple
 
 import numpy as np
 
+from .noise import MAX_SHELLS
+
 __all__ = [
     "REL_TOL",
     "MalformedModelError",
@@ -132,6 +134,11 @@ class ModelSpec:
     (the channel of interaction i and of pairing[i] are the same Brownian
     motion).  Instances are immutable after construction and safe to share
     across parallel workers.
+
+    Each instance stores one table of :func:`jump_rates`, built on first use
+    at the deepest level any route reads, and the result of
+    :meth:`has_identity_grams` for each tolerance asked; both depend on the
+    fields alone, and ``dataclasses.replace`` builds a spec without them.
     """
 
     d: int
@@ -162,6 +169,8 @@ class ModelSpec:
         if not self.istar <= known:
             raise MalformedModelError("istar references unknown ids")
         object.__setattr__(self, "_by_id", {it.iid: it for it in self.interactions})
+        object.__setattr__(self, "_rates", None)  # the stored jump_rates table
+        object.__setattr__(self, "_identity", {})  # has_identity_grams by tol
 
     # -- basic lookups -------------------------------------------------
 
@@ -221,8 +230,12 @@ class ModelSpec:
         return np.stack([it.B.gram() for it in self.interactions])
 
     def has_identity_grams(self, tol: float = REL_TOL) -> bool:
-        eye = np.eye(self.d)
-        return all(np.max(np.abs(g - eye)) <= tol * max(1.0, np.max(np.abs(g))) for g in self.grams())
+        if tol not in self._identity:
+            eye = np.eye(self.d)
+            self._identity[tol] = all(
+                np.max(np.abs(g - eye)) <= tol * max(1.0, np.max(np.abs(g))) for g in self.grams()
+            )
+        return self._identity[tol]
 
     def star_ids(self) -> tuple[str, ...]:
         return tuple(sorted(self.istar))
@@ -551,9 +564,24 @@ def _power(lam: float, n: int) -> float:
 
 
 def jump_rates(spec: ModelSpec, N: int) -> JumpRates:
-    """The one table of effective coefficients and jump rates on shells 1..N."""
+    """The one table of effective coefficients and jump rates on shells 1..N.
+
+    Each spec stores one table, built at the deepest level any route reads
+    (``MAX_SHELLS + 5``, the decay constants' convergence probe, or N when
+    deeper), and every call returns a read-only prefix of it.  Each column
+    depends on its own shell alone, so the prefix equals the table built at
+    N bit for bit.
+    """
     if N < 1:
         raise ValueError("truncation level must be >= 1")
+    table = spec._rates
+    if table is None or len(table.pi) < N:
+        table = _build_rates(spec, max(N, MAX_SHELLS + 5))
+        object.__setattr__(spec, "_rates", table)
+    return JumpRates(table.keff[:, :N], table.rate[:, :N], table.pi[:N], table.offsets, table.grouped[:, :N])
+
+
+def _build_rates(spec: ModelSpec, N: int) -> JumpRates:
     r = np.array([it.r for it in spec.interactions])
     lowest = np.array([[min(it.r, it.h)] for it in spec.interactions])
     k = np.array([[it.k] for it in spec.interactions], dtype=float)
@@ -566,6 +594,8 @@ def jump_rates(spec: ModelSpec, N: int) -> JumpRates:
         # cumsum adds the interactions in order; sum(axis=0) may pair them
         pi = rate.cumsum(axis=0)[-1]
         grouped = np.stack([rate[r == off].cumsum(axis=0)[-1] for off in offsets])
+    for arr in (keff, rate, pi, offsets, grouped):
+        arr.setflags(write=False)
     return JumpRates(keff, rate, pi, offsets, grouped)
 
 

@@ -94,8 +94,9 @@ def cmd_validate(args) -> int:
 def cmd_simulate(args) -> int:
     spec = _load(args.model)
     _check_start_shell(args.start_shell, args.shells)
-    nrec = max(2, args.record)
-    times = [round(k * args.horizon / (nrec - 1), 12) for k in range(nrec)]
+    if args.record < 2:
+        raise ValueError(f"--record must be at least 2 (t = 0 and the horizon), got {args.record}")
+    times = [round(k * args.horizon / (args.record - 1), 12) for k in range(args.record)]
     times = sorted(set(_on_dt_grid(times, args.dt)))
     stats = sde.run_ensemble(
         spec,
@@ -357,10 +358,6 @@ def cmd_dissipation(args) -> int:
         curves[N] = moments.solve_forward(Q, u0, tgrid)
     dc = moments.decay_constants(spec, args.energy, Nmax)
     solmax = curves[Nmax]
-    # tail rate from the last decade of the grid where mass is positive
-    mask = (tgrid >= args.horizon / 3.0) & (solmax.mass > 0.0)
-    slope = float(np.polyfit(tgrid[mask], np.log(solmax.mass[mask]), 1)[0])
-    fitted_rate = -slope
     rate_bound = spec.sigma**2 / dc.mu
     threshold = _threshold_for(spec)
     warnings = []
@@ -369,6 +366,13 @@ def cmd_dissipation(args) -> int:
             f"rho = {dc.rho:.3g} >= 1: the exponential decay statement under the "
             "original measure is outside the proven regime for this initial energy"
         )
+    # tail rate from the last decade of the grid where mass is positive
+    mask = (tgrid >= args.horizon / 3.0) & (solmax.mass > 0.0)
+    fitted_rate = None
+    if mask.any():
+        fitted_rate = -float(np.polyfit(tgrid[mask], np.log(solmax.mass[mask]), 1)[0])
+    else:
+        warnings.append(f"no tail rate fitted: the mass at N={Nmax} is 0 at every grid time t >= horizon/3")
     mono_ok = True
     Ns_sorted = sorted(Ns)
     for small, big in zip(Ns_sorted, Ns_sorted[1:]):
@@ -416,7 +420,7 @@ def cmd_dissipation(args) -> int:
         "constants": dc.as_dict(),
         "fitted_tail_rate": fitted_rate,
         "rate_bound_sigma2_over_mu": rate_bound,
-        "rate_ratio": fitted_rate / rate_bound,
+        "rate_ratio": None if fitted_rate is None else fitted_rate / rate_bound,
         "threshold": threshold,
         "mass_monotone_in_N": mono_ok,
         "mass_final": {str(N): float(curves[N].mass[-1]) for N in Ns},
@@ -439,6 +443,17 @@ def cmd_dissipation(args) -> int:
 # ----------------------------------------------------------------------
 # Parser
 # ----------------------------------------------------------------------
+
+
+def _finite_float(text: str) -> float:
+    """argparse type of every float flag: NaN and +-inf are usage errors."""
+    try:
+        value = float(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid float value: {text!r}") from None
+    if not math.isfinite(value):
+        raise argparse.ArgumentTypeError(f"expected a finite number, got {text!r}")
+    return value
 
 
 def _add_common(p: argparse.ArgumentParser, seed: bool = False, threads: bool = False):
@@ -465,30 +480,30 @@ def build_parser() -> argparse.ArgumentParser:
     _add_common(p, seed=True, threads=True)
     p.add_argument("--system", choices=sde.SYSTEMS, default="linear")
     p.add_argument("--shells", type=int, default=10)
-    p.add_argument("--dt", type=float, default=1e-4)
-    p.add_argument("--horizon", type=float, default=1.0)
+    p.add_argument("--dt", type=_finite_float, default=1e-4)
+    p.add_argument("--horizon", type=_finite_float, default=1.0)
     p.add_argument("--paths", type=int, default=1000)
     p.add_argument("--scheme", choices=sde.SCHEMES, default="em")
     p.add_argument("--record", type=int, default=11, help="number of record times")
     p.add_argument("--weights", choices=["PtoQ", "QtoP"], default=None)
     p.add_argument("--start-shell", type=int, default=1)
-    p.add_argument("--energy", type=float, default=1.0)
+    p.add_argument("--energy", type=_finite_float, default=1.0)
     p.set_defaults(func=cmd_simulate)
 
     p = sub.add_parser("moments", help="solve the second-moment forward equation")
     _add_common(p)
     p.add_argument("--shells", type=int, default=20)
-    p.add_argument("--horizon", type=float, default=3.0)
+    p.add_argument("--horizon", type=_finite_float, default=3.0)
     p.add_argument("--grid", choices=["geometric", "linear"], default="geometric")
     p.add_argument("--points", type=int, default=60)
     p.add_argument("--start-shell", type=int, default=1)
-    p.add_argument("--energy", type=float, default=1.0)
+    p.add_argument("--energy", type=_finite_float, default=1.0)
     p.set_defaults(func=cmd_moments)
 
     p = sub.add_parser("chain", help="simulate the jump chain and survival curve")
     _add_common(p, seed=True)
     p.add_argument("--replicates", type=int, default=2000)
-    p.add_argument("--horizon", type=float, default=2.0)
+    p.add_argument("--horizon", type=_finite_float, default=2.0)
     p.add_argument("--points", type=int, default=9)
     p.add_argument("--max-level", type=int, default=60)
     p.add_argument("--max-jumps", type=int, default=100_000)
@@ -498,14 +513,14 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("constants", help="exponential-decay constants")
     _add_common(p)
     p.add_argument("--shells", type=int, default=30)
-    p.add_argument("--energy", type=float, default=1.0, help="initial squared norm")
+    p.add_argument("--energy", type=_finite_float, default=1.0, help="initial squared norm")
     p.set_defaults(func=cmd_constants)
 
     p = sub.add_parser("triangulate", help="compare SDE, forward-ODE and chain moments")
     _add_common(p, seed=True, threads=True)
     p.add_argument("--shells", type=int, default=15)
     p.add_argument("--sde-shells", type=int, default=0, help="SDE truncation (0 = deepest resolvable at dt)")
-    p.add_argument("--dt", type=float, default=1e-4)
+    p.add_argument("--dt", type=_finite_float, default=1e-4)
     p.add_argument("--paths", type=int, default=10_000)
     p.add_argument("--replicates", type=int, default=10_000)
     p.add_argument("--times", default="0.25,0.5,1.0")
@@ -514,20 +529,20 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--max-level", type=int, default=40)
     p.add_argument("--max-jumps", type=int, default=200_000)
     p.add_argument("--start-shell", type=int, default=1)
-    p.add_argument("--energy", type=float, default=1.0)
+    p.add_argument("--energy", type=_finite_float, default=1.0)
     p.set_defaults(func=cmd_triangulate)
 
     p = sub.add_parser("dissipation", help="mass-loss evidence and decay-rate bound")
     _add_common(p, seed=True, threads=True)
     p.add_argument("--shells-list", default="10,15,20")
-    p.add_argument("--horizon", type=float, default=3.0)
+    p.add_argument("--horizon", type=_finite_float, default=3.0)
     p.add_argument("--points", type=int, default=80)
     p.add_argument("--start-shell", type=int, default=1)
-    p.add_argument("--energy", type=float, default=1.0)
+    p.add_argument("--energy", type=_finite_float, default=1.0)
     p.add_argument("--paths", type=int, default=0, help="reweighted SDE paths (0 disables)")
     p.add_argument("--sde-shells", type=int, default=8)
-    p.add_argument("--dt", type=float, default=1e-4)
-    p.add_argument("--reweight-horizon", type=float, default=0.6)
+    p.add_argument("--dt", type=_finite_float, default=1e-4)
+    p.add_argument("--reweight-horizon", type=_finite_float, default=0.6)
     p.add_argument("--curves-out", default=None)
     p.set_defaults(func=cmd_dissipation)
 
