@@ -164,6 +164,8 @@ def test_start_shell_out_of_range_is_usage_error(argv, top, capsys):
         (["moments", "--points", "2"], "--points"),
         (["dissipation", "--points", "1"], "--points"),
         (["dissipation", "--points", "2"], "--points"),
+        (["simulate", "--record", "0", "--paths", "10"], "--record"),
+        (["simulate", "--record", "1", "--paths", "10"], "--record"),
     ],
 )
 def test_bad_ensemble_size_is_usage_error(argv, name, capsys):
@@ -171,6 +173,29 @@ def test_bad_ensemble_size_is_usage_error(argv, name, capsys):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err.startswith("error: ") and name in captured.err
+
+
+# the float flags of each subcommand, after arguments that keep a run short
+FLOAT_FLAGS = {
+    "simulate": (["--paths", "10", "--horizon", "0.01"], ("--dt", "--horizon", "--energy")),
+    "moments": ([], ("--horizon", "--energy")),
+    "chain": (["--replicates", "10"], ("--horizon",)),
+    "constants": ([], ("--energy",)),
+    "triangulate": (["--paths", "10", "--replicates", "10"], ("--dt", "--energy")),
+    "dissipation": ([], ("--dt", "--horizon", "--energy", "--reweight-horizon")),
+}
+
+
+@pytest.mark.parametrize("value", ["nan", "inf"])
+@pytest.mark.parametrize(
+    "command,flag", [(command, flag) for command, (_, flags) in FLOAT_FLAGS.items() for flag in flags]
+)
+def test_non_finite_float_flag_is_usage_error(command, flag, value, capsys):
+    argv = [command, "--model", "novikov", *FLOAT_FLAGS[command][0], flag, value]
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert f"error: argument {flag}: expected a finite number, got '{value}'" in captured.err
 
 
 def test_triangulate_rejects_non_identity_grams(tmp_path, capsys):
@@ -231,6 +256,18 @@ def test_dissipation_json(capsys):
     assert doc["mass_monotone_in_N"] is True
     assert doc["fitted_tail_rate"] >= 0.5 * doc["rate_bound_sigma2_over_mu"]
     assert doc["mass_final"]["12"] < 1.0
+
+
+def test_dissipation_without_tail_mass_fits_no_rate(capsys):
+    # every mass at t >= horizon/3 has underflowed to 0, so no point is left to fit
+    code = main(["dissipation", "--model", "novikov", "--horizon", "1000", "--paths", "0"])
+    assert code == 0
+    captured = capsys.readouterr()
+    doc = json.loads(captured.out)
+    assert doc["fitted_tail_rate"] is None and doc["rate_ratio"] is None
+    assert doc["rate_bound_sigma2_over_mu"] > 0.0
+    assert [w for w in doc["warnings"] if w.startswith("no tail rate fitted")]
+    assert "warning: no tail rate fitted" in captured.err
 
 
 def test_dissipation_at_sixty_shells(capsys):

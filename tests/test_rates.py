@@ -4,9 +4,12 @@ Every route reads :func:`shellsde.algebra.jump_rates`: the rate matrix Q
 and the embedded chain of :mod:`shellsde.moments`, the chain's rate rows
 and the SDE engine's coefficient table.  Q and the chain rows must equal
 the loops of ``rates_oracle`` bit for bit; the exit rates ``pi`` of every
-route must now be one and the same array.
+route must now be one and the same array.  Each spec stores one table and
+hands out read-only prefixes of it, so these hold in any call order.
 """
 import dataclasses
+import json
+import warnings
 
 import numpy as np
 import pytest
@@ -14,7 +17,8 @@ import pytest
 import rates_oracle as oracle
 import shellsde as s
 from shellsde import chain
-from shellsde.algebra import CoefficientTable, jump_rates
+from shellsde.algebra import CoefficientTable, JumpRates, jump_rates
+from shellsde.cli import main
 from shellsde.moments import build_qmatrix, embedded_matrix
 
 LAMS = (2.0, 1.5, 2.37, 3.0)
@@ -90,3 +94,69 @@ def test_jump_rates_keeps_targets_past_the_truncation(goy):
     # shell 5 reaches shell 6 although the table stops at 5
     assert rates.grouped[1, 4] > 0.0
     assert np.array_equal(rates.inside()[4], [0.0, 0.0, 0.0, rates.grouped[0, 4], 0.0])
+
+
+@pytest.mark.parametrize("name", ["novikov", "goy", "sabra"])
+@pytest.mark.parametrize("lam", [1.5, 2.0, 3.0])
+def test_stored_table_prefixes_match_loops_in_any_order(name, lam):
+    spec = _model(name, lam)
+    # the first call stores the table at 69 shells; 70 rebuilds it deeper
+    levels = np.random.default_rng(7).permutation(np.arange(1, 71)).tolist()
+    assert levels.index(70) not in (0, 69)
+    for N in levels:
+        rates = jump_rates(spec, N)
+        keff = [[spec.k_eff(iid, n) for n in range(1, N + 1)] for iid in spec.ids]
+        assert np.array_equal(rates.keff, keff), N
+        matrix, pi, _ = oracle.qmatrix(spec, N)
+        Q = rates.inside()
+        np.fill_diagonal(Q, -rates.pi)
+        assert np.array_equal(Q, matrix), N
+        assert np.array_equal(rates.pi, pi), N
+        cum, targets = oracle.chain_rows(spec, N)
+        table = chain._RateTable(spec, N)
+        assert np.array_equal(table.cum, cum), N
+        assert np.array_equal(table.targets, targets), N
+
+
+@pytest.mark.parametrize("N", [1, 30, 69, 80])
+def test_every_array_of_a_table_is_read_only(goy, N):
+    rates = jump_rates(goy, N)
+    for f in dataclasses.fields(JumpRates):
+        arr = getattr(rates, f.name)
+        with pytest.raises(ValueError, match="read-only"):
+            arr[...] = 0
+
+
+def test_replaced_spec_builds_its_own_table():
+    spec = _model("goy", 2.0)
+    base = jump_rates(spec, 30).rate.copy()
+    doubled = dataclasses.replace(spec, sigma=2.0 * spec.sigma)
+    assert np.array_equal(jump_rates(doubled, 30).rate, 4.0 * base)
+    assert np.array_equal(jump_rates(spec, 30).rate, base)
+
+
+def test_deep_table_adds_no_overflow_warning():
+    # lambda**n overflows before shell 69, far past the truncation read here
+    spec = s.build_novikov(1e5, 1.0)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        rates = jump_rates(spec, 10)
+        assert np.isfinite(rates.keff).all()
+        assert CoefficientTable(spec, 10).pi[-1] == rates.pi[-1]
+        assert not np.isfinite(jump_rates(spec, 69).keff).all()
+
+
+def test_constants_rerun_in_one_process_is_byte_identical(capsys):
+    outs = []
+    for _ in range(2):
+        assert main(["constants", "--model", "goy", "--shells", "30"]) == 0
+        outs.append(capsys.readouterr().out)
+    assert outs[0] == outs[1]
+
+
+def test_dissipation_mass_does_not_depend_on_shell_order(capsys):
+    docs = []
+    for shells in ("10,20,30,40,60", "60,40,30,20,10"):
+        assert main(["dissipation", "--model", "novikov", "--shells-list", shells, "--paths", "0"]) == 0
+        docs.append(json.loads(capsys.readouterr().out))
+    assert docs[0]["mass_final"] == docs[1]["mass_final"]
