@@ -17,6 +17,11 @@ it: the SDE engine's :class:`CoefficientTable`, whose ``gamma`` is the
 quadratic (Ito) correction, the forward equation's rate matrix and
 embedded chain in :mod:`shellsde.moments`, and the jump chain in
 :mod:`shellsde.chain`.
+
+Tolerances: an identity (``k_cancellation``, ``bilinear_alias``, identity
+grams, the GOY/Sabra a + b + c = 0) holds when its difference is at most
+``REL_TOL`` times the largest magnitude among its operands, or 1; Sabra's
+amplitude ratio uses ``SABRA_RATIO_TOL`` the same way.
 """
 from __future__ import annotations
 
@@ -50,6 +55,16 @@ __all__ = [
 # Relative tolerance for coefficient identities.  All checked relations are
 # products and powers of user inputs, so near machine precision is expected.
 REL_TOL = 1e-12
+# Sabra's two amplitudes are typed in by hand, often as short decimals, so
+# their ratio meets lambda * a / c only to about ten significant digits.
+SABRA_RATIO_TOL = 1e-9
+TINY = 1e-300  # floor of a denominator that may be 0
+
+
+def _negligible(diff, *operands) -> bool:
+    """Whether ``diff`` counts as zero: at most ``REL_TOL`` times the largest magnitude among ``operands``, or 1."""
+    scale = max([1.0] + [float(np.max(np.abs(x))) for x in operands])
+    return float(np.max(np.abs(diff))) <= REL_TOL * scale
 
 
 class MalformedModelError(ValueError):
@@ -137,8 +152,8 @@ class ModelSpec:
 
     Each instance stores one table of :func:`jump_rates`, built on first use
     at the deepest level any route reads, and the result of
-    :meth:`has_identity_grams` for each tolerance asked; both depend on the
-    fields alone, and ``dataclasses.replace`` builds a spec without them.
+    :meth:`has_identity_grams`; both depend on the fields alone, and
+    ``dataclasses.replace`` builds a spec without them.
     """
 
     d: int
@@ -170,7 +185,7 @@ class ModelSpec:
             raise MalformedModelError("istar references unknown ids")
         object.__setattr__(self, "_by_id", {it.iid: it for it in self.interactions})
         object.__setattr__(self, "_rates", None)  # the stored jump_rates table
-        object.__setattr__(self, "_identity", {})  # has_identity_grams by tol
+        object.__setattr__(self, "_identity", None)  # the stored has_identity_grams
 
     # -- basic lookups -------------------------------------------------
 
@@ -229,13 +244,11 @@ class ModelSpec:
         """(J, d, d) stack of the gram matrices, in interaction order."""
         return np.stack([it.B.gram() for it in self.interactions])
 
-    def has_identity_grams(self, tol: float = REL_TOL) -> bool:
-        if tol not in self._identity:
+    def has_identity_grams(self) -> bool:
+        if self._identity is None:
             eye = np.eye(self.d)
-            self._identity[tol] = all(
-                np.max(np.abs(g - eye)) <= tol * max(1.0, np.max(np.abs(g))) for g in self.grams()
-            )
-        return self._identity[tol]
+            object.__setattr__(self, "_identity", all(_negligible(g - eye, g) for g in self.grams()))
+        return self._identity
 
     def star_ids(self) -> tuple[str, ...]:
         return tuple(sorted(self.istar))
@@ -264,11 +277,6 @@ class ValidationReport:
             "accepted": self.accepted,
             "checks": [{"name": c.name, "passed": c.passed, "detail": c.detail} for c in self.checks],
         }
-
-
-def _rel_close(a: float, b: float, tol: float = REL_TOL) -> bool:
-    scale = max(abs(a), abs(b), 1.0)
-    return abs(a - b) <= tol * scale
 
 
 def validate_model(spec: ModelSpec) -> ValidationReport:
@@ -335,15 +343,14 @@ def validate_model(spec: ModelSpec) -> ValidationReport:
     if involution:
         for it in spec.interactions:
             other = spec.interaction(tau[it.iid])
-            if not _rel_close(other.k, -it.k * spec.lam ** (-it.r)):
+            target = -it.k * spec.lam ** (-it.r)
+            if not _negligible(other.k - target, other.k, target):
                 bad_k.append(it.iid)
             if other.r != -it.r:
                 bad_r2.append(it.iid)
             if other.h != it.h - it.r:
                 bad_h.append(it.iid)
-            diff = np.max(np.abs(other.B.entries - it.B.swap_first_two()))
-            scale = max(1.0, float(np.max(np.abs(it.B.entries))))
-            if diff > REL_TOL * scale:
+            if not _negligible(other.B.entries - it.B.swap_first_two(), other.B.entries, it.B.entries):
                 bad_b.append(it.iid)
     relations = (
         ("k_cancellation", bad_k, "k[tau(i)] = -k[i] * lambda**(-r[i])"),
@@ -409,28 +416,33 @@ _GOY_PAIRING = {"1": "3", "3": "1", "2": "4", "4": "2"}
 _GOY_ISTAR = frozenset({"1", "2"})
 
 
+def _goy_sabra_coefficients(name: str, a: float, b: float, c: float, lam: float) -> dict[str, float]:
+    """The k of each GOY/Sabra interaction, once a + b + c = 0 and lambda > 1 are checked."""
+    if not _negligible(a + b + c, a, b, c):
+        raise ValueError(f"{name} requires a + b + c = 0, got {a + b + c!r}")
+    if lam <= 1.0:
+        raise ValueError("lambda must exceed 1")
+    return {
+        "1": _SQRT2 * a,
+        "2": _SQRT2 * c / lam**2,
+        "3": -_SQRT2 * a / lam,
+        "4": -_SQRT2 * c / lam,
+    }
+
+
 def build_goy(a: float, b: float, c: float, lam: float, sigma_tilde: float) -> ModelSpec:
     """Two-dimensional real form of the stochastic GOY model.
 
     Requires a + b + c = 0, lambda > 1, sigma_tilde > 0 and (a, c) != (0, 0);
     the noise normalisation divides by sqrt(a**2 + c**2 / lambda**2).
     """
-    if abs(a + b + c) > 1e-12 * max(1.0, abs(a), abs(b), abs(c)):
-        raise ValueError(f"GOY requires a + b + c = 0, got {a + b + c!r}")
-    if lam <= 1.0:
-        raise ValueError("lambda must exceed 1")
+    ks = _goy_sabra_coefficients("GOY", a, b, c, lam)
     if sigma_tilde <= 0.0:
         raise ValueError("sigma_tilde must be positive")
     norm = math.hypot(a, c / lam)
     if norm == 0.0:
         raise ValueError("degenerate noise normalisation: need (a, c) != (0, 0)")
     B = _goy_bilinear()
-    ks = {
-        "1": _SQRT2 * a,
-        "2": _SQRT2 * c / lam**2,
-        "3": -_SQRT2 * a / lam,
-        "4": -_SQRT2 * c / lam,
-    }
     inters = tuple(Interaction(iid, r, h, ks[iid], B) for iid, r, h in _GOY_TABLE)
     return ModelSpec(
         d=2,
@@ -456,17 +468,14 @@ def build_sabra(
     The two channel amplitudes must satisfy sigma1/sigma2 = lambda * a / c;
     the common noise scale is sigma = sigma1/a = sigma2/(c/lambda).
     """
-    if abs(a + b + c) > 1e-12 * max(1.0, abs(a), abs(b), abs(c)):
-        raise ValueError(f"Sabra requires a + b + c = 0, got {a + b + c!r}")
-    if lam <= 1.0:
-        raise ValueError("lambda must exceed 1")
+    ks = _goy_sabra_coefficients("Sabra", a, b, c, lam)
     if a == 0.0 or c == 0.0:
         raise ValueError("Sabra construction needs a != 0 and c != 0")
     if sigma1_tilde <= 0.0 or sigma2_tilde <= 0.0:
         raise ValueError("noise amplitudes must be positive")
     required = lam * a / c
     ratio = sigma1_tilde / sigma2_tilde
-    if abs(ratio - required) > 1e-9 * max(1.0, abs(required)):
+    if abs(ratio - required) > SABRA_RATIO_TOL * max(1.0, abs(ratio), abs(required)):
         raise ValueError(
             f"sigma1/sigma2 must equal lambda*a/c = {required!r}, got {ratio!r}"
         )
@@ -475,12 +484,6 @@ def build_sabra(
         raise ValueError("resulting sigma must be positive (need a > 0)")
     B13, B2, B4 = _sabra_bilinears()
     bmap = {"1": B13, "3": B13, "2": B2, "4": B4}
-    ks = {
-        "1": _SQRT2 * a,
-        "2": _SQRT2 * c / lam**2,
-        "3": -_SQRT2 * a / lam,
-        "4": -_SQRT2 * c / lam,
-    }
     inters = tuple(Interaction(iid, r, h, ks[iid], bmap[iid]) for iid, r, h in _GOY_TABLE)
     return ModelSpec(
         d=2,

@@ -8,7 +8,8 @@ past the level cap.  Because the rates grow geometrically the chain runs
 away to infinity in finite time; a path is declared exploded once it
 exceeds a level cap or a jump-count cap, which is a conservative proxy
 that converges as the caps grow.  The expected remaining time above the
-level cap is reported alongside so the proxy error is accounted for.
+level cap is reported alongside so the proxy error is accounted for; its
+series stops at a term of at most ``SERIES_TOL`` times the partial sum.
 
 :func:`simulate_chain` walks one path.  :func:`survival_curve` walks many
 replicates in lockstep instead: the replicates run in batches of
@@ -34,7 +35,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .algebra import ModelSpec, jump_rates, require_identity_grams
+from .algebra import TINY, ModelSpec, jump_rates, require_identity_grams
 
 __all__ = [
     "ChainCaps",
@@ -49,6 +50,7 @@ __all__ = [
 ]
 
 _BATCH = 65_536  # replicates walked together; bounds the memory of a batch's arrays
+SERIES_TOL = 1e-12
 
 
 def chain_rng(seed: int, replicate: int) -> np.random.Generator:
@@ -431,12 +433,12 @@ def survival_curve(
     )
 
 
-def explosion_tail_bound(spec: ModelSpec, level: int, tol: float = 1e-12) -> float:
+def explosion_tail_bound(spec: ModelSpec, level: int) -> float:
     """Upper bound on the expected time spent above ``level``.
 
     Sums E[V_n | V_n > 0] / pi_n beyond the cap using the bulk visit count
     1 / drift of the increment walk; the terms decay like lambda**(-2n), so
-    the series is summed to ``tol`` relative accuracy.
+    the series is summed to ``SERIES_TOL`` relative accuracy.
     """
     inc = increment_distribution(spec)
     if inc.drift <= 0.0:  # also a model without active interactions: no bound
@@ -448,7 +450,7 @@ def explosion_tail_bound(spec: ModelSpec, level: int, tol: float = 1e-12) -> flo
         hi = min(hi + 64, last)
         terms = visits / jump_rates(spec, hi).pi[level:]
         total = np.cumsum(terms)
-        stop = terms <= tol * np.maximum(total, 1e-300)
+        stop = terms <= SERIES_TOL * np.maximum(total, TINY)
         stop[-1] |= hi == last
         if stop.any():
             return float(total[stop.argmax()])

@@ -6,7 +6,10 @@ from, so a run is reproducible from the file alone; no timestamps are
 written and rerunning a command with the same arguments yields
 byte-identical output.
 
-Exit codes: 0 success, 1 check failure, 2 usage or parse error.
+Exit codes: 0 success, 1 check failure, 2 usage or parse error; a route
+subcommand refuses a model file that :func:`algebra.validate_model` rejects.
+Record times are whole steps of ``--dt``, and two that ``sde.GRID_TOL``
+cannot tell apart are a usage error.
 """
 from __future__ import annotations
 
@@ -50,7 +53,13 @@ def _emit(path: Optional[str], text: str) -> None:
 
 
 def _load(ref: str) -> algebra.ModelSpec:
-    return modelio.load_model(ref)
+    """The model of ``ref``; a model file must pass :func:`algebra.validate_model`, as every preset does."""
+    spec = modelio.load_model(ref)
+    if ref.partition(":")[0] not in modelio.PRESETS:
+        failed = algebra.validate_model(spec).failed()
+        if failed:
+            raise ValueError(f"model {ref!r} fails validation: {', '.join(c.name for c in failed)}")
+    return spec
 
 
 def _check_start_shell(shell: int, *levels: int) -> None:
@@ -66,11 +75,15 @@ def _start_vector(spec: algebra.ModelSpec, N: int, shell: int, energy: float) ->
     return x0
 
 
-def _on_dt_grid(times: Sequence[float], dt: float) -> list[float]:
-    """Record times moved to the nearest multiple of the SDE step ``dt``."""
+def _record_times(horizon: float, fractions: Sequence[float], dt: float, flag: str) -> list[float]:
+    """Times k * dt, k the step count nearest each fraction of ``horizon``; merged ones are an error naming ``flag``."""
     if not dt > 0.0:
         raise ValueError(f"--dt must be positive, got {dt}")
-    return [round(round(t / dt) * dt, 12) for t in times]
+    times = [round(f * horizon / dt) * dt for f in fractions]
+    for t0, t1 in zip(times, times[1:]):
+        if abs(t1 - t0) <= sde.GRID_TOL * max(1.0, abs(t0), abs(t1)):
+            raise ValueError(f"{flag} merges two record points at --dt {dt!r}: {t0!r} and {t1!r} are one grid time")
+    return times
 
 
 # ----------------------------------------------------------------------
@@ -80,7 +93,7 @@ def _on_dt_grid(times: Sequence[float], dt: float) -> list[float]:
 
 def cmd_validate(args) -> int:
     try:
-        spec = _load(args.model)
+        spec = modelio.load_model(args.model)
     except modelio.ModelRejectedError as exc:
         # parameters parsed but violate a construction precondition
         _write_json(args.out, {"config": _config_of(args), "report": {"accepted": False, "reason": str(exc)}})
@@ -96,8 +109,7 @@ def cmd_simulate(args) -> int:
     _check_start_shell(args.start_shell, args.shells)
     if args.record < 2:
         raise ValueError(f"--record must be at least 2 (t = 0 and the horizon), got {args.record}")
-    times = [round(k * args.horizon / (args.record - 1), 12) for k in range(args.record)]
-    times = sorted(set(_on_dt_grid(times, args.dt)))
+    times = _record_times(args.horizon, [k / (args.record - 1) for k in range(args.record)], args.dt, "--record")
     stats = sde.run_ensemble(
         spec,
         _start_vector(spec, args.shells, args.start_shell, args.energy),
@@ -220,16 +232,11 @@ def cmd_constants(args) -> int:
         "converged": dc.converged,
         "tail_rel_change": dc.tail_rel_change,
     }
-    warnings = []
     if not dc.converged:
-        warnings.append(
-            f"occupation times not converged at N={args.shells} "
-            f"(rel change {dc.tail_rel_change:.2e} when N -> N+5)"
-        )
-    if warnings:
-        doc["warnings"] = warnings
-        for w in warnings:
-            print("warning: " + w, file=sys.stderr)
+        doc["warnings"] = [
+            f"occupation times not converged at N={args.shells} (rel change {dc.tail_rel_change:.2e} when N -> N+5)"
+        ]
+        print("warning: " + doc["warnings"][0], file=sys.stderr)
     _write_json(args.out, doc)
     return 0
 
@@ -376,12 +383,11 @@ def cmd_dissipation(args) -> int:
     mono_ok = True
     Ns_sorted = sorted(Ns)
     for small, big in zip(Ns_sorted, Ns_sorted[1:]):
-        if np.any(curves[big].mass + 1e-10 < curves[small].mass):
+        if np.any(curves[big].mass + moments.MASS_TOL * args.energy < curves[small].mass):
             mono_ok = False
     reweight = None
     if args.paths > 0:
-        rec = [round(k * args.reweight_horizon / 4, 12) for k in range(1, 5)]
-        rec = _on_dt_grid(rec, args.dt)
+        rec = _record_times(args.reweight_horizon, [0.25, 0.5, 0.75, 1.0], args.dt, "--reweight-horizon")
         stats = sde.run_ensemble(
             spec,
             _start_vector(spec, args.sde_shells, args.start_shell, args.energy),
@@ -557,10 +563,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         return int(exc.code or 0)
     try:
         return args.func(args)
-    except modelio.ModelFileError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except (ValueError, algebra.MalformedModelError, algebra.IdentityGramError) as exc:
+    except (ValueError, sde.NumericalBlowupError) as exc:  # model and usage errors are ValueErrors
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -15,6 +15,10 @@ and the outward flux is tracked as escaped mass.  The untruncated chain
 loses mass to infinity in finite time, and absorption approximates that
 minimal solution monotonically from below (a reflecting border would
 instead trap the mass and destroy the effect being measured).
+
+Tolerances: the equation is linear, so ``MASS_TOL`` times the initial mass
+bounds the roundoff of any mass; the decay constants converge when their
+occupation-time sums move by at most ``TAIL_TOL`` relatively at N + 5.
 """
 from __future__ import annotations
 
@@ -24,7 +28,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .algebra import ModelSpec, jump_rates, require_identity_grams
+from .algebra import TINY, ModelSpec, jump_rates, require_identity_grams
 from .noise import check_shells
 
 __all__ = [
@@ -37,6 +41,9 @@ __all__ = [
     "smallness_threshold_goy_sabra",
     "embedded_matrix",
 ]
+
+MASS_TOL = 1e-10  # relative to the initial mass
+TAIL_TOL = 1e-3
 
 
 @dataclass(frozen=True, eq=False)
@@ -101,9 +108,7 @@ def solve_forward(Q: QMatrix, u0: Sequence[float], tgrid: Sequence[float]) -> Mo
     coeff = u0 @ V
     with np.errstate(under="ignore"):
         u = np.einsum("k,tk,nk->tn", coeff, np.exp(np.outer(t, w)), V)
-    # roundoff can leave tiny negative entries
-    floor = -1e-10 * max(mass0, 1.0)
-    if u.min() < floor:
+    if u.min() < -MASS_TOL * mass0:
         raise RuntimeError(f"forward solution went negative beyond roundoff: min={u.min():.3e}")
     u = np.maximum(u, 0.0)
     mass = u.sum(axis=1)
@@ -161,12 +166,12 @@ def _nu_vector(spec: ModelSpec, N: int) -> np.ndarray:
     return np.diag(M) / jump_rates(spec, N).pi
 
 
-def decay_constants(spec: ModelSpec, x_norm_sq: float, N: int, tail_tol: float = 1e-3) -> DecayConstants:
+def decay_constants(spec: ModelSpec, x_norm_sq: float, N: int) -> DecayConstants:
     """Assemble the exponential-decay constants at truncation level N.
 
     Convergence of the occupation times is probed by recomputing at N + 5;
-    ``converged`` is False when any shared nu_n still moves by more than
-    ``tail_tol`` relatively.
+    ``converged`` is False when the sums of nu_n or of -nu_n log nu_n still
+    move by more than ``TAIL_TOL`` relatively.
     """
     if x_norm_sq <= 0.0:
         raise ValueError("x_norm_sq must be positive")
@@ -179,7 +184,7 @@ def decay_constants(spec: ModelSpec, x_norm_sq: float, N: int, tail_tol: float =
     # shells near the border always shift individually; what must settle are
     # the occupation-time sums the constants are built from
     tail_rel_change = float(
-        max(abs(nu2 - nu) / abs(nu2), abs(Lambda2 - Lambda) / max(abs(Lambda2), 1e-300))
+        max(abs(nu2 - nu) / abs(nu2), abs(Lambda2 - Lambda) / max(abs(Lambda2), TINY))
     )
     mu = spec.sigma**2 * nu
     C = x_norm_sq * nu * math.exp(Lambda / nu)
@@ -196,7 +201,7 @@ def decay_constants(spec: ModelSpec, x_norm_sq: float, N: int, tail_tol: float =
         rho=rho,
         theta_max=theta_max,
         tail_rel_change=tail_rel_change,
-        converged=tail_rel_change <= tail_tol,
+        converged=tail_rel_change <= TAIL_TOL,
     )
 
 

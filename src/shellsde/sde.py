@@ -42,6 +42,9 @@ ledger reduces the same layout over components and shells.  A
 batch size: it owns the slab, the scratch buffers and the damping factors,
 and is the only way in, for an ensemble block and a single path (P = 1)
 alike.
+
+Tolerances: the horizon and every record time t must be a step count k of
+dt, with |k dt - t| at most ``GRID_TOL`` times max(1, |t|).
 """
 from __future__ import annotations
 
@@ -63,6 +66,7 @@ __all__ = [
 
 SCHEMES = ("em", "split", "conservative")
 SYSTEMS = ("nonlinear", "linear")
+GRID_TOL = 1e-9
 
 
 class NumericalBlowupError(RuntimeError):
@@ -248,9 +252,9 @@ class EnsembleStats:
 
 
 def _grid_steps(t: float, dt: float) -> Optional[int]:
-    """The step count k with k * dt = t to 1e-9 relative, or None when t is off the dt grid."""
+    """The step count k with k * dt = t to ``GRID_TOL`` relative, or None when t is off the dt grid."""
     k = int(round(t / dt))
-    return k if abs(k * dt - t) <= 1e-9 * max(1.0, abs(t)) else None
+    return k if abs(k * dt - t) <= GRID_TOL * max(1.0, abs(t)) else None
 
 
 def _record_steps(record_times: Sequence[float], dt: float, nsteps: int) -> list[int]:

@@ -133,6 +133,23 @@ def test_build_goy_rejections():
         s.build_goy(0.0, 0.0, 0.0, 2.0, 1.0)  # degenerate normalisation
 
 
+@pytest.mark.parametrize("a,c", [(1.0, 0.5), (1e3, 250.0)])
+@pytest.mark.parametrize("eps,accepted", [(0.5e-12, True), (2e-12, False)])
+def test_sum_constraint_scales_with_the_coefficients(a, c, eps, accepted):
+    # a + b + c is zero when it is at most REL_TOL = 1e-12 times max(1, |a|, |b|, |c|)
+    b = -(a + c) + eps * max(1.0, a, a + c, c)
+    builders = [
+        lambda: s.build_goy(a, b, c, 2.0, 1.0),
+        lambda: s.build_sabra(a, b, c, 2.0, 1.0, 1.0 / (2.0 * a / c)),
+    ]
+    for build in builders:
+        if accepted:
+            assert s.validate_model(build()).accepted
+        else:
+            with pytest.raises(ValueError, match=r"a \+ b \+ c = 0"):
+                build()
+
+
 def test_goy_gram_is_identity(goy):
     for it in goy.interactions:
         assert np.allclose(it.B.gram(), np.eye(2), atol=1e-15)

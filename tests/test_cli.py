@@ -166,6 +166,10 @@ def test_start_shell_out_of_range_is_usage_error(argv, top, capsys):
         (["dissipation", "--points", "2"], "--points"),
         (["simulate", "--record", "0", "--paths", "10"], "--record"),
         (["simulate", "--record", "1", "--paths", "10"], "--record"),
+        # two record points on one step of --dt, or closer than the time grid resolves
+        (["dissipation", "--paths", "10", "--reweight-horizon", "1e-4", "--dt", "1e-4", "--sde-shells", "4"],
+         "--reweight-horizon"),
+        (["simulate", "--horizon", "1e-12", "--dt", "1e-13", "--record", "11"], "--record"),
     ],
 )
 def test_bad_ensemble_size_is_usage_error(argv, name, capsys):
@@ -196,6 +200,35 @@ def test_non_finite_float_flag_is_usage_error(command, flag, value, capsys):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert f"error: argument {flag}: expected a finite number, got '{value}'" in captured.err
+
+
+# short runs of each route subcommand, after --model
+ROUTE_ARGS = {
+    "simulate": ["--paths", "10", "--horizon", "0.01"],
+    "moments": [],
+    "chain": ["--replicates", "10"],
+    "constants": [],
+    "triangulate": ["--paths", "10", "--replicates", "10"],
+    "dissipation": [],
+}
+
+
+@pytest.mark.parametrize("command", ROUTE_ARGS)
+def test_route_rejects_model_file_failing_validation(command, tmp_path, capsys):
+    path = tmp_path / "silent.json"
+    save_model(dataclasses.replace(load_model("novikov"), sigma=0.0), str(path))
+    assert main([command, "--model", str(path), *ROUTE_ARGS[command]]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: ") and "noise_amplitude" in captured.err
+
+
+def test_simulate_blowup_is_an_error_line(capsys):
+    # N = 10 under em at dt = 1e-4 aborts every path
+    assert main(["simulate", "--model", "novikov", "--record", "3", "--paths", "200", "--horizon", "0.1"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: ") and "split" in captured.err
 
 
 def test_triangulate_rejects_non_identity_grams(tmp_path, capsys):
@@ -256,6 +289,23 @@ def test_dissipation_json(capsys):
     assert doc["mass_monotone_in_N"] is True
     assert doc["fitted_tail_rate"] >= 0.5 * doc["rate_bound_sigma2_over_mu"]
     assert doc["mass_final"]["12"] < 1.0
+
+
+def test_dissipation_is_linear_in_the_energy(capsys):
+    # the forward equation is linear, so its flags may not depend on the units of energy
+    docs = {}
+    for energy in (1e-8, 1.0, 1e8):
+        argv = ["dissipation", "--model", "novikov", "--shells-list", "10,15,20", "--paths", "0"]
+        assert main(argv + ["--energy", repr(energy)]) == 0
+        docs[energy] = json.loads(capsys.readouterr().out)
+    ref = docs[1.0]
+    assert ref["mass_monotone_in_N"] is True
+    for energy, doc in docs.items():
+        assert doc["mass_monotone_in_N"] is ref["mass_monotone_in_N"]
+        assert doc["constants"]["converged"] is ref["constants"]["converged"]
+        assert doc["fitted_tail_rate"] == pytest.approx(ref["fitted_tail_rate"], rel=1e-12)
+        for N, mass in ref["mass_final"].items():
+            assert doc["mass_final"][N] == pytest.approx(energy * mass, rel=1e-12)
 
 
 def test_dissipation_without_tail_mass_fits_no_rate(capsys):

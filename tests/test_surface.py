@@ -66,3 +66,28 @@ def test_benchmark_hooks_resolve():
     assert wrapped
     missing = [f"{mod}.{attr}" for mod, attr in wrapped if not hasattr(importlib.import_module(f"shellsde.{mod}"), attr)]
     assert not missing
+
+
+def _named_constants(tree):
+    """Nodes inside module-level assignments to UPPER_CASE names."""
+    inside = set()
+    for node in tree.body:
+        if isinstance(node, ast.Assign) and all(isinstance(t, ast.Name) and t.id.isupper() for t in node.targets):
+            inside.update(id(n) for n in ast.walk(node))
+    return inside
+
+
+@pytest.mark.parametrize("name", ["__init__", "__main__", *MODULES])
+def test_tolerances_are_named_constants(name):
+    """A nonzero float literal below 1e-6 is a tolerance, so it must be a module-level UPPER_CASE constant."""
+    tree = _tree(name)
+    named = _named_constants(tree)
+    loose = [
+        (node.lineno, node.value)
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Constant)
+        and isinstance(node.value, float)
+        and 0.0 < abs(node.value) < 1e-6
+        and id(node) not in named
+    ]
+    assert not loose
