@@ -6,10 +6,8 @@ from, so a run is reproducible from the file alone; no timestamps are
 written and rerunning a command with the same arguments yields
 byte-identical output.
 
-Exit codes: 0 success, 1 check failure, 2 usage or parse error; a route
-subcommand refuses a model file that :func:`algebra.validate_model` rejects.
-Record times are whole steps of ``--dt``, and two that ``sde.GRID_TOL``
-cannot tell apart are a usage error.
+Exit codes: 0 success, 1 check failure, 2 usage or parse error (also for a
+model file that :func:`algebra.validate_model` rejects).
 """
 from __future__ import annotations
 

@@ -136,13 +136,9 @@ def test_build_goy_rejections():
 @pytest.mark.parametrize("a,c", [(1.0, 0.5), (1e3, 250.0)])
 @pytest.mark.parametrize("eps,accepted", [(0.5e-12, True), (2e-12, False)])
 def test_sum_constraint_scales_with_the_coefficients(a, c, eps, accepted):
-    # a + b + c is zero when it is at most REL_TOL = 1e-12 times max(1, |a|, |b|, |c|)
-    b = -(a + c) + eps * max(1.0, a, a + c, c)
-    builders = [
-        lambda: s.build_goy(a, b, c, 2.0, 1.0),
-        lambda: s.build_sabra(a, b, c, 2.0, 1.0, 1.0 / (2.0 * a / c)),
-    ]
-    for build in builders:
+    # a + b + c counts as zero up to REL_TOL = 1e-12 times max(1, |a|, |b|, |c|), here |b| = a + c
+    b = -(a + c) * (1.0 - eps)
+    for build in (lambda: s.build_goy(a, b, c, 2.0, 1.0), lambda: s.build_sabra(a, b, c, 2.0, 1.0, c / (2.0 * a))):
         if accepted:
             assert s.validate_model(build()).accepted
         else:
