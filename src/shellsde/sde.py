@@ -251,21 +251,12 @@ class EnsembleStats:
     weighted: bool
 
 
-def _grid_steps(t: float, dt: float) -> Optional[int]:
-    """The step count k with k * dt = t to ``GRID_TOL`` relative, or None when t is off the dt grid."""
-    k = int(round(t / dt))
-    return k if abs(k * dt - t) <= GRID_TOL * max(1.0, abs(t)) else None
-
-
-def _record_steps(record_times: Sequence[float], dt: float, nsteps: int) -> list[int]:
-    steps = []
-    for t in record_times:
-        k = _grid_steps(t, dt)
-        if k is None:
-            raise ValueError(f"record time {t} is not a multiple of dt={dt}")
-        if not 0 <= k <= nsteps:
-            raise ValueError(f"record time {t} outside horizon")
-        steps.append(k)
+def _grid_steps(times: Sequence[float], dt: float) -> list[int]:
+    """The step count k of each time t, with k * dt = t to ``GRID_TOL`` relative; a time off the grid is an error."""
+    steps = [int(round(t / dt)) for t in times]
+    for t, k in zip(times, steps):
+        if not abs(k * dt - t) <= GRID_TOL * max(1.0, abs(t)):
+            raise ValueError(f"time {t} is not a multiple of dt={dt}; the horizon and every record time must be")
     return steps
 
 
@@ -321,12 +312,11 @@ def run_ensemble(
         raise ValueError(f"horizon T must be nonnegative and finite, got {T}")
     if weight_direction not in (None, "PtoQ", "QtoP"):
         raise ValueError("weight_direction must be None, 'PtoQ' or 'QtoP'")
-    nsteps = _grid_steps(T, dt)
-    if nsteps is None:
-        raise ValueError("horizon must be a multiple of dt")
     if record_times is None:
         record_times = [T]
-    rec_steps = _record_steps(record_times, dt, nsteps)
+    nsteps, *rec_steps = _grid_steps([T, *record_times], dt)
+    if not all(0 <= k <= nsteps for k in rec_steps):
+        raise ValueError(f"record times must lie in [0, T] = [0, {T}]")
     rec_index = {}
     for idx, k in enumerate(rec_steps):
         rec_index.setdefault(k, []).append(idx)
