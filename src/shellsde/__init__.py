@@ -26,12 +26,10 @@ from .algebra import (
 from .chain import (
     ChainCaps,
     ChainTrajectory,
-    IncrementDistribution,
-    increment_distribution,
     simulate_chain,
     survival_curve,
 )
-from .modelio import load_model, save_model, spec_from_dict, spec_to_dict
+from .modelio import load_model, spec_from_dict
 from .moments import (
     DecayConstants,
     QMatrix,

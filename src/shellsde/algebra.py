@@ -138,6 +138,7 @@ class Interaction:
         object.__setattr__(self, "h", int(self.h))
         if not math.isfinite(self.k):
             raise MalformedModelError(f"coefficient k of interaction {self.iid!r} must be finite")
+        object.__setattr__(self, "k", float(self.k))
 
 
 @dataclass(frozen=True, eq=False)
@@ -165,6 +166,9 @@ class ModelSpec:
     meta: Mapping[str, object] = field(default_factory=dict)
 
     def __post_init__(self):
+        # floats, so that lam**n is a float power and never a Python int past int64
+        object.__setattr__(self, "lam", float(self.lam))
+        object.__setattr__(self, "sigma", float(self.sigma))
         object.__setattr__(self, "interactions", tuple(self.interactions))
         object.__setattr__(self, "pairing", dict(self.pairing))
         object.__setattr__(self, "istar", frozenset(self.istar))
@@ -196,9 +200,6 @@ class ModelSpec:
     def interaction(self, iid: str) -> Interaction:
         return self._by_id[iid]
 
-    def partner(self, iid: str) -> str:
-        return self.pairing[iid]
-
     @property
     def size(self) -> int:
         return len(self.interactions)
@@ -210,31 +211,6 @@ class ModelSpec:
     @property
     def h_max_abs(self) -> int:
         return max(abs(it.h) for it in self.interactions)
-
-    @property
-    def r_max_abs(self) -> int:
-        return max(abs(it.r) for it in self.interactions)
-
-    @property
-    def n0(self) -> int:
-        """Shell index from which every interaction is active."""
-        lo = min(min(it.r for it in self.interactions), min(it.h for it in self.interactions), 0)
-        return 1 - lo
-
-    # -- effective coefficients ----------------------------------------
-
-    def is_active(self, iid: str, n: int) -> bool:
-        it = self._by_id[iid]
-        return n >= 1 and n + it.r >= 1 and n + it.h >= 1
-
-    def active_ids(self, n: int) -> tuple[str, ...]:
-        return tuple(iid for iid in self.ids if self.is_active(iid, n))
-
-    def k_eff(self, iid: str, n: int) -> float:
-        """Coefficient of interaction ``iid`` at shell ``n`` (zero when inactive)."""
-        if not self.is_active(iid, n):
-            return 0.0
-        return self._by_id[iid].k * self.lam**n
 
     def pi_n(self, n: int) -> float:
         """Total jump rate out of shell ``n``, read from :func:`jump_rates`."""
@@ -535,11 +511,13 @@ class JumpRates:
     """Effective coefficients and jump rates of a model on shells 1..N.
 
     Rows are interactions in model order, columns zero-based shells.
-    ``keff`` is :meth:`ModelSpec.k_eff` (zero where inactive), ``rate =
-    (sigma**2 * keff) * keff`` the rate of the jump n -> n + r_j and ``pi``
-    the exit rate of each shell.  By target, ``grouped[i]`` sums the rates
-    of the interactions with offset ``offsets[i]`` (ascending), also where
-    the target lies past N.  Every sum adds interactions in model order.
+    ``keff[j, n-1]`` is ``k_j * lam**n`` where interaction j is active at
+    shell n (shells n, n + r_j and n + h_j all exist) and zero elsewhere,
+    ``rate = (sigma**2 * keff) * keff`` the rate of the jump n -> n + r_j
+    and ``pi`` the exit rate of each shell.  By target, ``grouped[i]`` sums
+    the rates of the interactions with offset ``offsets[i]`` (ascending),
+    also where the target lies past N.  Every sum adds interactions in
+    model order.
     """
 
     keff: np.ndarray
@@ -559,7 +537,7 @@ class JumpRates:
 
 
 def _power(lam: float, n: int) -> float:
-    """Python's scalar ``lam**n``, as :meth:`ModelSpec.k_eff` takes it; inf past the float range."""
+    """Python's scalar float ``lam**n``, the power in k_eff = k * lam**n; inf past the float range."""
     try:
         return lam**n
     except OverflowError:

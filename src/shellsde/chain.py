@@ -7,23 +7,21 @@ pi_n, then a jump drawn from the normalised row, whose targets may lie
 past the level cap.  Because the rates grow geometrically the chain runs
 away to infinity in finite time; a path is declared exploded once it
 exceeds a level cap or a jump-count cap, which is a conservative proxy
-that converges as the caps grow.  The expected remaining time above the
-level cap is reported alongside so the proxy error is accounted for; its
-series stops at a term of at most ``SERIES_TOL`` times the partial sum.
+that converges as the caps grow.
 
-:func:`simulate_chain` walks one path.  :func:`survival_curve` walks many
-replicates in lockstep instead: the replicates run in batches of
-``_BATCH``, and each step of a batch moves every live replicate by one
-jump with numpy masks, then drops the replicates that finished.  Streams
-are keyed as in the single-path walk: replicate ``rep`` reads the stream
-of ``chain_rng(seed, rep)`` in the order :func:`simulate_chain` does, one
-start draw and then the draws of each jump.  No generator is built for
-it: ``_ReplicateStreams`` repeats numpy's seeding and PCG64 steps with
-array arithmetic over the live replicates, one draw of each per call, so
-results do not depend on ``_BATCH`` and ``chain_rng`` stays the reference
-for every replicate.  Both walks read their jump rows from one padded
-table (cumulative probabilities padded with +inf), so
-``searchsorted(cum, u, side="right")`` is ``(cum[row] <= u).sum(-1)``.
+:func:`simulate_chain` walks one path on a given generator.
+:func:`survival_curve` walks many replicates in lockstep instead: the
+replicates run in batches of ``_BATCH``, and each step of a batch moves
+every live replicate by one jump with numpy masks, then drops the
+replicates that finished.  Replicate ``rep`` reads the stream that
+``_ReplicateStreams`` defines for it, in the order :func:`simulate_chain`
+reads its generator: one start draw and then the draws of each jump.  No
+generator is built: ``_ReplicateStreams`` repeats numpy's seeding and
+PCG64 steps with array arithmetic over the live replicates, one draw of
+each per call, so results do not depend on ``_BATCH``.  Both walks read
+their jump rows from one padded table (cumulative probabilities padded
+with +inf), so ``searchsorted(cum, u, side="right")`` is
+``(cum[row] <= u).sum(-1)``.
 """
 from __future__ import annotations
 
@@ -35,26 +33,17 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .algebra import TINY, ModelSpec, jump_rates, require_identity_grams
+from .algebra import ModelSpec, jump_rates, require_identity_grams
 
 __all__ = [
     "ChainCaps",
     "ChainTrajectory",
-    "IncrementDistribution",
-    "increment_distribution",
     "simulate_chain",
     "SurvivalEstimate",
     "survival_curve",
-    "explosion_tail_bound",
-    "chain_rng",
 ]
 
 _BATCH = 65_536  # replicates walked together; bounds the memory of a batch's arrays
-SERIES_TOL = 1e-12
-
-
-def chain_rng(seed: int, replicate: int) -> np.random.Generator:
-    return np.random.default_rng(np.random.SeedSequence(entropy=[seed, 0x6368, replicate]))
 
 
 @dataclass(frozen=True)
@@ -116,30 +105,6 @@ class _RateTable:
             cum /= np.take_along_axis(cum, last, axis=1)
         cum[np.arange(width) >= last] = np.inf
         self.cum = cum
-
-
-@dataclass(frozen=True, eq=False)
-class IncrementDistribution:
-    offsets: np.ndarray
-    probs: np.ndarray
-    drift: float
-
-
-def increment_distribution(spec: ModelSpec) -> IncrementDistribution:
-    """Bulk jump-increment law q_r = sum_{r_i = r} k_i**2 / sum k_j**2.
-
-    Valid from the stabilisation shell upward, where every interaction is
-    active.  The pairing forces q_{-r} = q_r * lambda**(-2r), so the drift
-    sum(r * q_r) is positive.
-    """
-    weights: dict[int, float] = {}
-    total = 0.0
-    for it in spec.interactions:
-        weights[it.r] = weights.get(it.r, 0.0) + it.k**2
-        total += it.k**2
-    offsets = np.array(sorted(weights))
-    probs = np.array([weights[r] for r in offsets]) / (total or 1.0)  # all zero when no interaction is active
-    return IncrementDistribution(offsets=offsets, probs=probs, drift=float((offsets * probs).sum()))
 
 
 def _start_cdf(start_dist: Sequence[float]) -> np.ndarray:
@@ -216,18 +181,20 @@ def _seed_words(entropy: list[np.ndarray]) -> list[np.ndarray]:
 
 
 class _ReplicateStreams:
-    """The uniforms of ``chain_rng(seed, rep)`` for a range of replicates, drawn in lockstep.
+    """The uniforms of replicates ``reps`` under ``seed``, drawn in lockstep.
 
-    Each call of :meth:`random` gives every live replicate its next
-    ``Generator.random()`` value, bit for bit.  The keying is numpy's, done
-    with array arithmetic over the replicates: ``SeedSequence`` hashes the
-    entropy ``[seed, 0x6368, rep]`` into its pool and generates four 64-bit
-    words, which seed PCG64 as ``pcg64_srandom_r`` does (O'Neill, "PCG: a
-    family of simple fast space-efficient statistically good algorithms for
-    random number generation", 2014).  The 128-bit state and increment are
-    (hi, lo) pairs of ``uint64`` arrays.  Every operand is a typed numpy
-    scalar or array, so the dtypes do not depend on numpy's casting rules
-    for Python ints.
+    Replicate ``rep`` reads the stream of
+    ``np.random.default_rng(np.random.SeedSequence(entropy=[seed, 0x6368,
+    rep]))``: each call of :meth:`random` gives every live replicate that
+    generator's next ``Generator.random()`` value, bit for bit.  The keying
+    is numpy's, done with array arithmetic over the replicates:
+    ``SeedSequence`` hashes the entropy into its pool and generates four
+    64-bit words, which seed PCG64 as ``pcg64_srandom_r`` does (O'Neill,
+    "PCG: a family of simple fast space-efficient statistically good
+    algorithms for random number generation", 2014).  The 128-bit state
+    and increment are (hi, lo) pairs of ``uint64`` arrays.  Every operand
+    is a typed numpy scalar or array, so the dtypes do not depend on
+    numpy's casting rules for Python ints.
     """
 
     def __init__(self, seed: int, reps: range):
@@ -324,7 +291,6 @@ class SurvivalEstimate:
     occupancy: np.ndarray  # (T, levels) estimated P(position = n, alive)
     occupancy_se: np.ndarray
     replicates: int
-    tail_time_bound: float
     # replicate status at the horizon; the four counts sum to ``replicates``
     alive: int  # still below the level cap
     absorbed: int  # stopped at a shell with no outgoing rate
@@ -352,13 +318,14 @@ def survival_curve(
     standard errors.  The monotone copy is the running minimum, for
     reporting; survival events are nested so the true curve cannot rise.
 
-    Replicate ``rep`` is the path ``simulate_chain`` draws from
-    ``chain_rng(seed, rep)``, except that holding times use ``np.log``
-    where it uses ``math.log``.  The two can differ in the last bit, which
-    changes a count only when a jump lands within one ulp of a grid time.
-    The replicates' uniforms (the start draw, then a holding-time draw and
-    a target draw per jump) come from ``_ReplicateStreams``, which gives
-    the values of those generators without building them.  ``replicates``
+    Replicate ``rep`` is the path ``simulate_chain`` draws from that
+    replicate's generator (keyed as ``_ReplicateStreams`` states), except
+    that holding times use ``np.log`` where it uses ``math.log``.  The two
+    can differ in the last bit, which changes a count only when a jump
+    lands within one ulp of a grid time.  The replicates' uniforms (the
+    start draw, then a holding-time draw and a target draw per jump) come
+    from ``_ReplicateStreams``, which gives the values of those generators
+    without building them.  ``replicates``
     must be at least 1.
     """
     if replicates < 1:
@@ -424,33 +391,9 @@ def survival_curve(
         occupancy=occ,
         occupancy_se=occ_se,
         replicates=replicates,
-        tail_time_bound=explosion_tail_bound(spec, caps.max_level),
         alive=alive,
         absorbed=absorbed,
         exploded_level=level,
         exploded_jumpcap=capped,
         jumps=jumps,
     )
-
-
-def explosion_tail_bound(spec: ModelSpec, level: int) -> float:
-    """Upper bound on the expected time spent above ``level``.
-
-    Sums E[V_n | V_n > 0] / pi_n beyond the cap using the bulk visit count
-    1 / drift of the increment walk; the terms decay like lambda**(-2n), so
-    the series is summed to ``SERIES_TOL`` relative accuracy.
-    """
-    inc = increment_distribution(spec)
-    if inc.drift <= 0.0:  # also a model without active interactions: no bound
-        return math.inf
-    visits = 1.0 / inc.drift
-    last = level + 10_001  # the last shell summed
-    hi = level
-    while True:  # 64 more shells at a time until a term is negligible
-        hi = min(hi + 64, last)
-        terms = visits / jump_rates(spec, hi).pi[level:]
-        total = np.cumsum(terms)
-        stop = terms <= SERIES_TOL * np.maximum(total, TINY)
-        stop[-1] |= hi == last
-        if stop.any():
-            return float(total[stop.argmax()])

@@ -39,7 +39,7 @@ from .algebra import (
     build_sabra,
 )
 
-__all__ = ["ModelFileError", "spec_to_dict", "spec_from_dict", "save_model", "load_model", "PRESETS"]
+__all__ = ["ModelFileError", "spec_from_dict", "load_model", "PRESETS"]
 
 
 class ModelFileError(ValueError):
@@ -48,21 +48,6 @@ class ModelFileError(ValueError):
 
 class ModelRejectedError(ModelFileError):
     """Reference parsed fine but the model parameters violate a precondition."""
-
-
-def spec_to_dict(spec: ModelSpec) -> dict:
-    return {
-        "d": spec.d,
-        "lambda": spec.lam,
-        "sigma": spec.sigma,
-        "interactions": [
-            {"id": it.iid, "r": it.r, "h": it.h, "k": it.k, "B": it.B.entries.tolist()}
-            for it in spec.interactions
-        ],
-        "pairing": dict(sorted(spec.pairing.items())),
-        "istar": sorted(spec.istar),
-        "meta": dict(spec.meta),
-    }
 
 
 def spec_from_dict(doc: Mapping) -> ModelSpec:
@@ -90,12 +75,6 @@ def spec_from_dict(doc: Mapping) -> ModelSpec:
         raise
     except (KeyError, TypeError, ValueError) as exc:
         raise ModelFileError(f"model document is missing or mistypes a field: {exc}") from exc
-
-
-def save_model(spec: ModelSpec, path: str) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(spec_to_dict(spec), fh, indent=2, sort_keys=True)
-        fh.write("\n")
 
 
 _PRESET_DEFAULTS = {

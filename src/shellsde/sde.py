@@ -44,7 +44,7 @@ and is the only way in, for an ensemble block and a single path (P = 1)
 alike.
 
 Tolerances: the horizon and every record time t must be a step count k of
-dt, with |k dt - t| at most ``GRID_TOL`` times max(1, |t|).
+dt, judged in step units: |t / dt - k| at most ``GRID_TOL`` times max(1, k).
 """
 from __future__ import annotations
 
@@ -252,11 +252,13 @@ class EnsembleStats:
 
 
 def _grid_steps(times: Sequence[float], dt: float) -> list[int]:
-    """The step count k of each time t, with k * dt = t to ``GRID_TOL`` relative; a time off the grid is an error."""
-    steps = [int(round(t / dt)) for t in times]
-    for t, k in zip(times, steps):
-        if not abs(k * dt - t) <= GRID_TOL * max(1.0, abs(t)):
+    """The step count k of each time t, with t / dt = k to ``GRID_TOL`` relative; a time off the grid is an error."""
+    steps = []
+    for t in times:
+        k = int(round(t / dt))
+        if not abs(t / dt - k) <= GRID_TOL * max(1, k):
             raise ValueError(f"time {t} is not a multiple of dt={dt}; the horizon and every record time must be")
+        steps.append(k)
     return steps
 
 

@@ -1,7 +1,10 @@
 """Reference rate loops and propagation for the second-moment routes.
 
-These are the earlier bodies of the package's rate code: one Python loop
-over (shell, interaction) calling :meth:`ModelSpec.k_eff`, in each of
+:func:`k_eff` is the scalar definition of an effective coefficient, and
+:func:`active_ids`, :func:`n0` and :func:`r_max_abs` describe where the
+interactions act.  The rest are the earlier bodies of the package's rate
+code: one Python loop over (shell, interaction) calling :func:`k_eff`, in
+each of
 ``ModelSpec.pi_n``, :func:`shellsde.moments.build_qmatrix`,
 :func:`shellsde.moments.embedded_matrix` and the rows of
 ``shellsde.chain._RateTable``, plus the single-jump embedded step and two
@@ -14,9 +17,36 @@ import scipy.integrate
 import scipy.linalg
 
 
+def is_active(spec, iid, n):
+    """Whether interaction ``iid`` acts at shell ``n``: shells n, n + r and n + h all exist."""
+    it = spec.interaction(iid)
+    return n >= 1 and n + it.r >= 1 and n + it.h >= 1
+
+
+def active_ids(spec, n):
+    return tuple(iid for iid in spec.ids if is_active(spec, iid, n))
+
+
+def n0(spec):
+    """Shell index from which every interaction is active."""
+    lo = min(min(it.r for it in spec.interactions), min(it.h for it in spec.interactions), 0)
+    return 1 - lo
+
+
+def r_max_abs(spec):
+    return max(abs(it.r) for it in spec.interactions)
+
+
+def k_eff(spec, iid, n):
+    """Coefficient of interaction ``iid`` at shell ``n``: k * lam**n, zero when inactive."""
+    if not is_active(spec, iid, n):
+        return 0.0
+    return spec.interaction(iid).k * spec.lam**n
+
+
 def pi_n(spec, n):
     """Total quadratic rate sigma**2 * sum_i k_eff(i, n)**2 at shell ``n``."""
-    return spec.sigma**2 * sum(spec.k_eff(iid, n) ** 2 for iid in spec.ids)
+    return spec.sigma**2 * sum(k_eff(spec, iid, n) ** 2 for iid in spec.ids)
 
 
 def qmatrix(spec, N):
@@ -25,7 +55,7 @@ def qmatrix(spec, N):
     pi = np.zeros(N)
     for n in range(1, N + 1):
         for iid in spec.ids:
-            k = spec.k_eff(iid, n)
+            k = k_eff(spec, iid, n)
             if k == 0.0:
                 continue
             rate = spec.sigma**2 * k * k
@@ -45,7 +75,7 @@ def embedded_matrix(spec, N):
         total = 0.0
         rates = {}
         for iid in spec.ids:
-            k = spec.k_eff(iid, n)
+            k = k_eff(spec, iid, n)
             if k == 0.0:
                 continue
             total += k * k
@@ -69,7 +99,7 @@ def chain_rows(spec, max_level):
     for n in range(1, max_level + 1):
         rates = {}
         for iid in spec.ids:
-            k = spec.k_eff(iid, n)
+            k = k_eff(spec, iid, n)
             if k == 0.0:
                 continue
             m = n + spec.interaction(iid).r
@@ -98,7 +128,7 @@ def embedded_step(spec, n, rng):
         raise ValueError("position must be >= 1")
     rates = {}
     for iid in spec.ids:
-        k = spec.k_eff(iid, n)
+        k = k_eff(spec, iid, n)
         if k == 0.0:
             continue
         m = n + spec.interaction(iid).r

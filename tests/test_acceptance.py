@@ -12,9 +12,11 @@ import numpy as np
 import pytest
 
 import shellsde as s
+from chain_oracle import chain_rng, increment_distribution
 from goy_oracle import embed_complex, goy_complex_em_step, keyed_slab
+from rates_oracle import k_eff, n0, r_max_abs
 from shellsde.algebra import CoefficientTable
-from shellsde.chain import ChainCaps, chain_rng
+from shellsde.chain import ChainCaps
 from shellsde.moments import embedded_matrix
 from shellsde.sde import _add_terms
 
@@ -121,7 +123,7 @@ def test_acceptance_3_energy_isometry_and_em_order(novikov2):
         transfer = []
         for n in range(1, N + 1):
             for iid in spec.ids:
-                k = spec.k_eff(iid, n)
+                k = k_eff(spec, iid, n)
                 m = n + spec.interaction(iid).r
                 if k != 0.0 and 1 <= m <= N:
                     transfer.append((n - 1, m - 1, spec.sigma**2 * k * k))
@@ -165,9 +167,9 @@ def test_acceptance_4_qmatrix(novikov2):
         sym = np.max(np.abs(Q.matrix - Q.matrix.T))
         ok &= sym == 0.0
         rows = Q.matrix.sum(axis=1)
-        interior = N - spec.r_max_abs
+        interior = N - r_max_abs(spec)
         ok &= bool(np.all(np.abs(rows[:interior]) <= 1e-12 * Q.pi[:interior]))
-        ns = np.arange(spec.n0, N + 1)
+        ns = np.arange(n0(spec), N + 1)
         slope = np.polyfit(ns, np.log(Q.pi[ns - 1]), 1)[0]
         target = 2.0 * math.log(spec.lam)
         ok &= abs(slope - target) <= 0.02 * target
@@ -252,7 +254,7 @@ def test_acceptance_6_dissipation_evidence(novikov2):
 
 def test_acceptance_7_embedded_drift():
     goy = s.build_goy(1.0, -1.5, 0.5, 2.0, 1.0)
-    inc = s.increment_distribution(goy)
+    inc = increment_distribution(goy)
     exact_ok = abs(inc.drift - 0.6) <= 1e-12
     # one hundred thousand embedded steps from a bulk shell, where the jump
     # law equals the stationary increment distribution

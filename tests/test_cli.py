@@ -3,9 +3,10 @@ import json
 
 import pytest
 
+from conftest import save_model
 from shellsde.algebra import BilinearMap
 from shellsde.cli import main
-from shellsde.modelio import load_model, save_model
+from shellsde.modelio import load_model
 
 
 def read_out(path):

@@ -2,7 +2,8 @@ import numpy as np
 import pytest
 
 import shellsde as s
-from shellsde.modelio import ModelFileError, load_model, save_model, spec_from_dict, spec_to_dict
+from conftest import save_model, spec_to_dict
+from shellsde.modelio import ModelFileError, load_model, spec_from_dict
 
 
 def test_roundtrip_preserves_model(goy, tmp_path):

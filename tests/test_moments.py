@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 import shellsde as s
-from rates_oracle import expm_oracle, radau_oracle
+from rates_oracle import expm_oracle, n0, r_max_abs, radau_oracle
 from shellsde.algebra import BilinearMap, IdentityGramError
 from shellsde.moments import embedded_matrix
 from shellsde.noise import MAX_SHELLS
@@ -38,7 +38,7 @@ def test_row_sums_and_escape(novikov, goy):
         N = 18
         Q = s.build_qmatrix(spec, N)
         rows = Q.matrix.sum(axis=1)
-        interior = N - spec.r_max_abs
+        interior = N - r_max_abs(spec)
         for n in range(1, N + 1):
             if n <= interior:
                 assert abs(rows[n - 1]) <= 1e-12 * Q.pi[n - 1]
@@ -62,7 +62,7 @@ def test_zero_sigma_like_rates():
 def test_pi_growth_exponent(novikov, goy):
     for spec in (novikov, goy):
         N = 25
-        ns = np.arange(spec.n0, N + 1)
+        ns = np.arange(n0(spec), N + 1)
         logpi = np.log([spec.pi_n(int(n)) for n in ns])
         slope = np.polyfit(ns, logpi, 1)[0]
         assert abs(slope - 2.0 * math.log(spec.lam)) <= 1e-9
@@ -160,7 +160,7 @@ def test_mu_sigma_invariant():
 
 def test_nu_tail_exponent(novikov):
     dc = s.decay_constants(novikov, 1.0, 25)
-    ns = np.arange(novikov.n0 + 2, 20)
+    ns = np.arange(n0(novikov) + 2, 20)
     slope = -np.polyfit(ns, np.log(dc.nu_n[ns - 1]), 1)[0]
     assert 1.9 * math.log(2.0) <= slope <= 2.1 * math.log(2.0)
 

@@ -13,13 +13,17 @@ import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import rates_oracle as oracle
 import shellsde as s
 from shellsde import chain
 from shellsde.algebra import CoefficientTable, JumpRates, jump_rates
 from shellsde.cli import main
+from shellsde.chain import ChainCaps
 from shellsde.moments import build_qmatrix, embedded_matrix
+from shellsde.noise import MAX_SHELLS
 
 LAMS = (2.0, 1.5, 2.37, 3.0)
 SHELLS = (1, 2, 10, 30, 64)
@@ -66,7 +70,7 @@ def test_keff_is_the_scalar_definition(name, lam):
     for N in SHELLS:
         keff = jump_rates(spec, N).keff
         for j, iid in enumerate(spec.ids):
-            assert all(keff[j, n - 1] == spec.k_eff(iid, n) for n in range(1, N + 1)), (N, iid)
+            assert all(keff[j, n - 1] == oracle.k_eff(spec, iid, n) for n in range(1, N + 1)), (N, iid)
 
 
 @pytest.mark.parametrize("name,lam", CASES)
@@ -105,7 +109,7 @@ def test_stored_table_prefixes_match_loops_in_any_order(name, lam):
     assert levels.index(70) not in (0, 69)
     for N in levels:
         rates = jump_rates(spec, N)
-        keff = [[spec.k_eff(iid, n) for n in range(1, N + 1)] for iid in spec.ids]
+        keff = [[oracle.k_eff(spec, iid, n) for n in range(1, N + 1)] for iid in spec.ids]
         assert np.array_equal(rates.keff, keff), N
         matrix, pi, _ = oracle.qmatrix(spec, N)
         Q = rates.inside()
@@ -133,6 +137,60 @@ def test_replaced_spec_builds_its_own_table():
     doubled = dataclasses.replace(spec, sigma=2.0 * spec.sigma)
     assert np.array_equal(jump_rates(doubled, 30).rate, 4.0 * base)
     assert np.array_equal(jump_rates(spec, 30).rate, base)
+
+
+BUILDERS = {"novikov": s.build_novikov, "goy": s.build_goy, "sabra": s.build_sabra}
+RATE_FIELDS = ("keff", "rate", "pi", "offsets", "grouped")
+
+
+@st.composite
+def integer_parameters(draw):
+    """A preset and integer parameters it accepts: lambda in {2, 3}, a + b + c = 0."""
+    name = draw(st.sampled_from(sorted(BUILDERS)))
+    lam = draw(st.integers(min_value=2, max_value=3))
+    sigma = draw(st.integers(min_value=1, max_value=5))
+    if name == "novikov":
+        return name, (lam, sigma)
+    a = draw(st.integers(min_value=1, max_value=4))
+    c = draw(st.integers(min_value=1 if name == "sabra" else -4, max_value=4))
+    if name == "goy":
+        return name, (a, -(a + c), c, lam, sigma)
+    return name, (a, -(a + c), c, lam, sigma, sigma * c / (lam * a))  # the ratio Sabra requires
+
+
+@given(integer_parameters())
+@settings(derandomize=True, max_examples=30)
+def test_integer_parameters_give_the_float_tables(model):
+    name, params = model
+    ints = BUILDERS[name](*params)
+    floats = BUILDERS[name](*(float(p) for p in params))
+    for N in range(1, MAX_SHELLS + 1):
+        a, b = jump_rates(ints, N), jump_rates(floats, N)
+        for field in RATE_FIELDS:
+            assert np.array_equal(getattr(a, field), getattr(b, field)), (N, field)
+    assert type(ints.lam) is type(ints.sigma) is float
+
+
+INTEGER_LAMBDA = {
+    "novikov": ((2, 1), (2.0, 1.0)),
+    "goy": ((1, -1.5, 0.5, 2, 1), (1.0, -1.5, 0.5, 2.0, 1.0)),
+    "sabra": ((1, -1.25, 0.25, 2, 1, 0.125), (1.0, -1.25, 0.25, 2.0, 1.0, 0.125)),
+}
+
+
+@pytest.mark.parametrize("name", sorted(INTEGER_LAMBDA))
+def test_every_route_runs_on_an_integer_lambda(name):
+    ints, floats = (BUILDERS[name](*params) for params in INTEGER_LAMBDA[name])
+    N, times = 12, [0.1, 0.4]
+    masses = [s.solve_forward(s.build_qmatrix(spec, N), np.eye(N)[0], times).mass for spec in (ints, floats)]
+    assert np.array_equal(*masses)
+    start = np.eye(20)[0]
+    survival = [s.survival_curve(spec, start, times, 50, ChainCaps(1000, 20), seed=1).survival for spec in (ints, floats)]
+    assert np.array_equal(*survival)
+    x0 = np.ones((1, ints.d))
+    run = dict(N=4, dt=1e-3, T=0.01, paths=8, scheme="split", seed=2)
+    moments = [s.run_ensemble(spec, x0, **run).mean_sq for spec in (ints, floats)]
+    assert np.array_equal(*moments)
 
 
 def test_deep_table_adds_no_overflow_warning():

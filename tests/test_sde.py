@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 import einsum_oracle as oracle
 from goy_oracle import NoiseSlab, embed_complex, goy_complex_em_step, keyed_slab
 import shellsde as s
+from rates_oracle import k_eff, n0
 from shellsde.algebra import BilinearMap, CoefficientTable
 from shellsde import sde as sde_module
 from shellsde.noise import MAX_SHELLS, slab_rng
@@ -157,7 +158,7 @@ def test_single_increment_locality(goy):
         if alias != "1":
             continue
         n = m - it.h
-        if 1 <= n <= N and goy.k_eff(iid, n) != 0.0 and 1 <= n + it.r <= N:
+        if 1 <= n <= N and k_eff(goy, iid, n) != 0.0 and 1 <= n + it.r <= N:
             expected.add(n)
     touched = {n + 1 for n in range(N) if np.any(inc[n] != 0.0)}
     assert touched == expected
@@ -465,6 +466,21 @@ def test_run_ensemble_rejects_bad_sizes(novikov, bad):
         s.run_ensemble(novikov, [1.0], **run)
 
 
+def test_run_ensemble_rejects_a_horizon_between_tiny_steps():
+    # 1.55e-12 is 15.5 steps of 1e-13; an absolute test would round it to 16
+    with pytest.raises(ValueError, match="multiple of dt"):
+        s.run_ensemble(s.build_novikov(2.0, 1.0), [1.0], N=3, dt=1e-13, T=1.55e-12, paths=4)
+
+
+@given(st.floats(min_value=-15.0, max_value=0.0), st.integers(min_value=0, max_value=10**6))
+@settings(derandomize=True, max_examples=200)
+def test_grid_steps_judge_times_in_step_units(exponent, k):
+    dt = 10.0**exponent
+    assert sde_module._grid_steps([k * dt], dt) == [k]
+    with pytest.raises(ValueError, match="multiple of dt"):
+        sde_module._grid_steps([(k + 0.5) * dt], dt)
+
+
 @pytest.mark.parametrize("x0", [[[0.5], [0.4]], [[0.5, 0.1, 0.0]], [[0.5, math.nan]], [[math.inf, 0.0]]])
 def test_run_ensemble_rejects_bad_start_state(goy, x0):
     # a one-column start must not be spread over both GOY components
@@ -597,4 +613,4 @@ def test_goy_conjugacy_generic_bulk_shells(goy):
         s1 = st.step(X, np.array([energy(X)]))
         u1 = goy_complex_em_step(u, goy, slab)
         diff = np.abs(embed_complex(u1) - path(s1))
-        assert diff[goy.n0 - 1 :].max() <= 1e-12
+        assert diff[n0(goy) - 1 :].max() <= 1e-12

@@ -1,6 +1,9 @@
-"""The public surface: what each module exports resolves, and modules share no private names."""
+"""The public surface: what each module exports resolves and is used, and modules share no private names."""
 import ast
 import importlib
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -8,6 +11,7 @@ import pytest
 import shellsde
 
 PACKAGE = Path(shellsde.__file__).parent
+ROOT = Path(__file__).resolve().parents[1]
 MODULES = sorted(p.stem for p in PACKAGE.glob("*.py") if not p.stem.startswith("__"))
 
 
@@ -54,7 +58,7 @@ def test_no_private_name_crosses_modules(name):
 
 def test_benchmark_hooks_resolve():
     """Every ``hooks.wrap(<module>, "<attr>", ...)`` of the benchmark's tracer names a package attribute."""
-    source = Path(__file__).resolve().parents[1] / "benchmarks" / "tracing.py"
+    source = ROOT / "benchmarks" / "tracing.py"
     wrapped = [
         (node.args[0].id, node.args[1].value)
         for node in ast.walk(ast.parse(source.read_text()))
@@ -91,3 +95,78 @@ def test_tolerances_are_named_constants(name):
         and id(node) not in named
     ]
     assert not loose
+
+
+def _reads(tree):
+    """Every name a file reads: loaded names and attributes, imported names and string constants.
+
+    The module's ``__all__`` list is skipped, so a name does not count as
+    read because it is exported.
+    """
+    skip = set()
+    for node in tree.body:
+        if isinstance(node, ast.Assign) and any(isinstance(t, ast.Name) and t.id == "__all__" for t in node.targets):
+            skip.update(id(n) for n in ast.walk(node))
+    reads = set()
+    for node in ast.walk(tree):
+        if id(node) in skip:
+            continue
+        if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+            reads.add(node.id)
+        elif isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
+            reads.add(node.attr)
+        elif isinstance(node, ast.alias):
+            reads.add(node.name)
+        elif isinstance(node, ast.Constant) and isinstance(node.value, str):
+            reads.add(node.value)
+    return reads
+
+
+def test_every_exported_name_is_read_outside_the_tests():
+    """A name in a module's ``__all__`` is read by the package, a script or the benchmark, not by tests alone."""
+    sources = [p for p in PACKAGE.glob("*.py") if p.name != "__init__.py"]
+    sources += [*(ROOT / "scripts").glob("*.py"), *(ROOT / "benchmarks").glob("*.py")]
+    reads = set().union(*(_reads(ast.parse(p.read_text())) for p in sources))
+    unread = [
+        f"{name}.{attr}"
+        for name in MODULES
+        for attr in getattr(importlib.import_module(f"shellsde.{name}"), "__all__", ())
+        if attr not in reads
+    ]
+    assert not unread
+
+
+# a small run of every subcommand
+SUBCOMMAND_RUNS = (
+    ["validate", "--model", "goy"],
+    ["simulate", "--model", "novikov", "--shells", "4", "--paths", "10", "--horizon", "0.01"],
+    ["moments", "--model", "novikov"],
+    ["chain", "--model", "novikov", "--replicates", "10"],
+    ["constants", "--model", "sabra"],
+    ["triangulate", "--model", "novikov", "--paths", "10", "--replicates", "10"],
+    ["dissipation", "--model", "goy", "--shells-list", "10,20", "--paths", "0"],
+)
+
+_RUN_AND_LIST_SCIPY = """
+import contextlib, io, sys
+from shellsde.cli import main
+for argv in {runs!r}:
+    with contextlib.redirect_stdout(io.StringIO()):
+        assert main(list(argv)) == 0, argv
+print(sorted(m for m in sys.modules if m.startswith("scipy")))
+"""
+
+
+def test_no_subcommand_imports_scipy(tmp_path):
+    """scipy is a test dependency only; a fresh interpreter keeps it unloaded through every subcommand."""
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [str(PACKAGE.parent), os.environ.get("PYTHONPATH")])))
+    done = subprocess.run(
+        [sys.executable, "-c", _RUN_AND_LIST_SCIPY.format(runs=SUBCOMMAND_RUNS)],
+        cwd=tmp_path,
+        env=env,
+        capture_output=True,
+        text=True,
+        timeout=300,
+    )
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.strip() == "[]"
