@@ -38,7 +38,6 @@ from .moments import (
     smallness_threshold_goy_sabra,
     solve_forward,
 )
-from .noise import fill_slab
 from .sde import EnsembleStats, Stepper, run_ensemble
 
 __version__ = "0.1.0"

@@ -74,14 +74,14 @@ def _start_vector(spec: algebra.ModelSpec, N: int, shell: int, energy: float) ->
 
 
 def _record_times(horizon: float, fractions: Sequence[float], dt: float, flag: str) -> list[float]:
-    """Times k * dt, k the step count nearest each fraction of ``horizon``; merged ones are an error naming ``flag``."""
+    """Times k * dt, k the step count nearest each fraction of ``horizon``; two equal counts are an error naming ``flag``."""
     if not dt > 0.0:
         raise ValueError(f"--dt must be positive, got {dt}")
-    times = [round(f * horizon / dt) * dt for f in fractions]
-    for t0, t1 in zip(times, times[1:]):
-        if abs(t1 - t0) <= sde.GRID_TOL * max(1.0, abs(t0), abs(t1)):
-            raise ValueError(f"{flag} merges two record points at --dt {dt!r}: {t0!r} and {t1!r} are one grid time")
-    return times
+    steps = [round(f * horizon / dt) for f in fractions]
+    for k0, k1 in zip(steps, steps[1:]):
+        if k0 == k1:
+            raise ValueError(f"{flag} merges two record points at --dt {dt!r}: both are step {k0}, time {k0 * dt!r}")
+    return [k * dt for k in steps]
 
 
 # ----------------------------------------------------------------------

@@ -8,13 +8,23 @@ conservative.
 
 Generators are keyed by (seed, stream, step) through ``numpy``'s
 SeedSequence.  An ensemble keys one generator per block of paths, once, as
-(seed, block, 0), and draws that block's slabs from it in step order with
-:func:`fill_slab`, which writes only the cells the step kernel reads.  So
-ensembles are reproducible for a fixed block size and can be split across
-workers without shared state.  Increments, not path values, are the
-primitive: integrators only ever consume increments.
+(seed, block, 0), and reads that block's slabs from a :class:`SlabStream`:
+the step kernel reads only some runs of slab cells, and the stream draws
+exactly those, step after step and run after run, in flat chunks of whole
+runs, then copies each step's runs into the slab.  numpy's normal stream
+is sequential, so a slab does not depend on how the runs are cut into
+chunks, nor on which thread drew them: a helper thread draws the next
+chunk while the step kernel reads the last one when ``run_ensemble`` has
+a CPU to spare for it, and the stream draws inline otherwise.  So
+ensembles are a pure function of (seed, block size) and can be split
+across workers without shared state.  Increments, not path values, are
+the primitive: integrators only ever consume increments.
 """
 from __future__ import annotations
+
+import math
+import threading
+from collections import deque
 
 import numpy as np
 
@@ -22,11 +32,15 @@ __all__ = [
     "MAX_SHELLS",
     "check_shells",
     "slab_rng",
-    "fill_slab",
+    "SlabStream",
 ]
 
 # Guard against overflow of lambda**(2N) scales downstream.
 MAX_SHELLS = 64
+
+# Normals in one chunk of a SlabStream, unless one run holds more (then the
+# chunk is that run): 512 kB per buffer.
+CHUNK_NORMALS = 1 << 16
 
 
 def check_shells(N: int) -> None:
@@ -42,16 +56,114 @@ def slab_rng(seed: int, stream: int = 0, step: int = 0) -> np.random.Generator:
     return np.random.default_rng(np.random.SeedSequence(entropy=[seed, stream, step]))
 
 
-def fill_slab(rng: np.random.Generator, out: np.ndarray, cells, sqrt_dt: float) -> None:
-    """Draw one step's increments into the read cells of ``out``, in place.
+def _chunk_sizes(lengths, steps: int):
+    """Sizes of the chunks that cut ``steps`` repeats of the runs ``lengths`` into whole runs.
+
+    A chunk takes runs while they fit in :data:`CHUNK_NORMALS`; a run larger
+    than that is a chunk of its own.
+    """
+    n = 0
+    for _ in range(steps):
+        for m in lengths:
+            if n and n + m > CHUNK_NORMALS:
+                yield n
+                n = 0
+            n += m
+    if n:
+        yield n
+
+
+class SlabStream:
+    """The increments of ``steps`` steps, drawn from ``rng`` in chunks and read one step at a time.
 
     ``out`` is a slab in the step kernel's (n_star, d, window, P) layout and
     ``cells`` its (row, component, start, stop) runs, as given by
-    ``CoefficientTable.slab_cells``.  Each run takes one ``standard_normal``
-    call, in the order given, scaled to variance dt; cells outside the runs
-    are left as they are.
+    ``CoefficientTable.slab_cells``.  Step after step, run after run, each
+    run takes the next (stop - start) * P normals of ``rng``, scaled to
+    variance dt; cells outside the runs are left as they are.  The normals
+    are drawn into two alternating chunk buffers, one ``standard_normal``
+    call per chunk, and :meth:`fill` copies the next step's runs out of
+    them.
+
+    With ``helper`` a daemon thread draws the chunks ahead of :meth:`fill`,
+    handing buffers over through two semaphores; ``standard_normal``
+    releases the GIL, so the draw runs beside the step kernel.  Without it
+    :meth:`fill` draws the same chunks itself when it needs them.  Either
+    way the slabs are the same, bit for bit.  Use the stream as a context
+    manager: leaving it stops and joins the helper, and an exception raised
+    in the helper is raised again by :meth:`fill`.
     """
-    for row, c, start, stop in cells:
-        view = out[row, c, start:stop]
-        rng.standard_normal(out=view)
-        view *= sqrt_dt
+
+    def __init__(self, rng, out: np.ndarray, cells, dt: float, steps: int, helper: bool):
+        self._rng = rng
+        self._scale = math.sqrt(dt)
+        self._runs = [out[row, c, start:stop].reshape(-1) for row, c, start, stop in cells]
+        lengths = [run.size for run in self._runs]
+        self._sizes = _chunk_sizes(lengths, steps)
+        size = max([CHUNK_NORMALS, *lengths])
+        self._buffers = (np.empty(size), np.empty(size))
+        self._drawn = 0  # chunks drawn, by the helper or inline
+        self._taken = 0  # chunks handed to fill
+        self._chunk = self._buffers[0][:0]
+        self._pos = 0
+        self._helper = None
+        if helper:
+            self._ready: deque = deque()  # chunks drawn and not yet read, oldest first
+            self._free = threading.Semaphore(2)
+            self._full = threading.Semaphore(0)
+            self._error = None
+            self._stop = False
+            self._helper = threading.Thread(target=self._produce, name="slab-stream", daemon=True)
+
+    def __enter__(self) -> SlabStream:
+        if self._helper is not None:
+            self._helper.start()
+        return self
+
+    def __exit__(self, *exc) -> None:
+        if self._helper is not None and self._helper.is_alive():
+            self._stop = True
+            self._free.release()
+            self._helper.join()
+
+    def _draw(self, n: int) -> np.ndarray:
+        """The next chunk of n normals, scaled, in the buffer the chunk before last used."""
+        chunk = self._buffers[self._drawn % 2][:n]
+        self._drawn += 1
+        self._rng.standard_normal(out=chunk)
+        chunk *= self._scale
+        return chunk
+
+    def _produce(self) -> None:
+        try:
+            for n in self._sizes:
+                self._free.acquire()
+                if self._stop:
+                    return
+                self._ready.append(self._draw(n))
+                self._full.release()
+        except BaseException as exc:  # raised again in fill, on the reading thread
+            self._error = exc
+            self._full.release()
+
+    def _next_chunk(self) -> np.ndarray:
+        if self._helper is None:
+            return self._draw(next(self._sizes))
+        if self._taken:
+            self._free.release()  # fill is done with the last chunk; its buffer may be drawn again
+        self._full.acquire()
+        if self._error is not None:
+            raise self._error
+        self._taken += 1
+        return self._ready.popleft()
+
+    def fill(self) -> None:
+        """Copy the next step's increments into the read cells of ``out``."""
+        chunk, pos = self._chunk, self._pos
+        for run in self._runs:
+            if pos == chunk.size:  # chunks end between runs
+                chunk, pos = self._next_chunk(), 0
+            end = pos + run.size
+            run[:] = chunk[pos:end]
+            pos = end
+        self._chunk, self._pos = chunk, pos

@@ -30,9 +30,14 @@ for every adapted scheme.
 Step kernel.  A batch of P paths is stored component-major, as a contiguous
 (d, N, P) array, so that every (component, shell range) slice is a block of
 whole rows over the paths.  A step's noise slab is laid out (n_star, d,
-window, P); :meth:`Stepper.fill` draws it there directly, in contiguous runs of
-cells per (row, component), and only the cells the kernel reads
-(:meth:`CoefficientTable.slab_cells`; the others stay zero).
+window, P); an ensemble block's :class:`~shellsde.noise.SlabStream` copies
+each step's increments there, in contiguous runs of cells per (row,
+component), and only the cells the kernel reads
+(:meth:`CoefficientTable.slab_cells`; the others stay zero).  The stream
+draws on a helper thread, beside the step kernel, when
+``min(threads, blocks)`` is below the number of CPUs the process may run
+on, and inline otherwise; the slabs are the same either way, so results
+depend only on (seed, block_size).
 Transport and diffusion are then sums of unrolled terms, one per non-zero
 ``B[j, a, b, c]``, precomputed by :class:`CoefficientTable`: each term
 multiplies two row blocks, scales by its folded coefficient vector and adds
@@ -49,13 +54,14 @@ dt, judged in step units: |t / dt - k| at most ``GRID_TOL`` times max(1, k).
 from __future__ import annotations
 
 import math
+import os
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
 import numpy as np
 
 from .algebra import CoefficientTable, ModelSpec
-from .noise import check_shells, fill_slab, slab_rng
+from .noise import SlabStream, check_shells, slab_rng
 
 __all__ = [
     "NumericalBlowupError",
@@ -179,12 +185,13 @@ class Stepper:
     """One time step of a truncated system, bound to a table and a batch of P paths.
 
     Paths are stored (d, N, P).  The stepper owns the step's noise slab
-    ``dW`` (n_star, d, window, P), zeroed once: :meth:`fill` draws the cells
-    the step reads (``cells``, from ``table.slab_cells(weighted)``) and the
-    others stay zero, so a caller may also write a slab of its own into
-    ``dW``.  :meth:`step` advances paths in place and :meth:`ledger` returns
-    the Girsanov increments of the pre-step paths; both read the current
-    slab, so an ensemble step is ``fill``, ``ledger``, ``step``.  They run
+    ``dW`` (n_star, d, window, P), zeroed once: an ensemble's noise stream
+    writes the cells the step reads (``cells``, from
+    ``table.slab_cells(weighted)``) and the others stay zero, so a caller
+    may also write a slab of its own into ``dW``.  :meth:`step` advances
+    paths in place and :meth:`ledger` returns the Girsanov increments of
+    the pre-step paths; both read the current slab, so an ensemble step is
+    a fill of ``dW``, then ``ledger``, then ``step``.  They run
     the module's ``_step_batch`` and ``_weight_increment``, looked up at
     call time, so that a wrapper installed on either (as the benchmark's
     tracer does) sees every step.
@@ -202,16 +209,11 @@ class Stepper:
         self.scheme = scheme
         self.system = system
         self.cells = table.slab_cells(weighted)
-        self.sqrt_dt = math.sqrt(dt)
         self.half_fac = _half_damp_factors(table, dt) if scheme == "split" else None
         self.dW = np.zeros((len(table.star_ids), table.d, table.window, paths))
         self.incr = np.empty((table.d, table.N, paths))
         self.alt = np.empty((table.d, table.N, paths))
         self.tmp = np.empty((table.N, paths))
-
-    def fill(self, rng: np.random.Generator) -> None:
-        """Draw the next step's increments from ``rng`` into the read cells of ``dW``."""
-        fill_slab(rng, self.dW, self.cells, self.sqrt_dt)
 
     def step(self, X: np.ndarray, energy0: np.ndarray) -> np.ndarray:
         """Advance ``X`` (d, N, P) by one step in place and return it."""
@@ -262,6 +264,14 @@ def _grid_steps(times: Sequence[float], dt: float) -> list[int]:
     return steps
 
 
+def _usable_cpus() -> int:
+    """The number of CPUs this process may run on."""
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:  # no affinity on this platform
+        return os.cpu_count() or 1
+
+
 def _start_state(x0, N: int, d: int) -> np.ndarray:
     """The start state as an (N, d) array; shells past the given ones start at zero.
 
@@ -302,8 +312,13 @@ def run_ensemble(
     Paths are organised in blocks.  Block b draws its slabs, in step order,
     from its own generator ``slab_rng(seed, b)``, keyed once, and fills only
     the cells the step reads; so results are a pure function of (seed,
-    block_size), independent of scheduling and of ``threads``.  Failed paths
-    are frozen, excluded from the statistics and reported in ``aborted``.
+    block_size), independent of scheduling and of ``threads``.  A block's
+    draw runs on a helper thread while the block steps when a CPU is left
+    for it (``min(threads, blocks)`` below the CPUs this process may use),
+    and inline otherwise, with the same numbers.  Failed paths (a
+    non-finite state after a step, or an energy whose square overflows at
+    a record time) are frozen, excluded from that record time on and
+    reported in ``aborted``.
     """
     for name, value in (("paths", paths), ("block_size", block_size), ("threads", threads)):
         if value < 1:
@@ -347,12 +362,13 @@ def run_ensemble(
         (b, min(block_size, paths - b * block_size))
         for b in range((paths + block_size - 1) // block_size)
     ]
+    helper = min(threads, len(blocks)) < _usable_cpus()
 
     def run_block(b: int, P: int):
         X = np.empty((spec.d, N, P))
         X[...] = x0arr.T[:, :, None]
         stepper = Stepper(table, dt, scheme, which, weighted, P)
-        rng = slab_rng(seed, b)
+        stream = SlabStream(slab_rng(seed, b), stepper.dW, stepper.cells, dt, nsteps, helper)
         alive = np.ones(P, dtype=bool)
         z = np.zeros(P)
         qv = np.zeros(P)
@@ -362,6 +378,13 @@ def run_ensemble(
         def record(idx_list):
             vals = (X * X).sum(axis=0)  # (N, P)
             energy = vals.sum(axis=0)
+            # every square the sums below take is at most energy**2
+            lost = ~np.isfinite(energy * energy)
+            if lost.any():
+                alive[lost] = False
+                X[:, :, lost] = 0.0
+                vals[:, lost] = 0.0
+                energy[lost] = 0.0
             if weighted:
                 with np.errstate(over="ignore"):
                     w = np.where(alive, np.exp(z - 0.5 * qv), 0.0)
@@ -381,11 +404,11 @@ def run_ensemble(
                 partial["ET2"][idx] += w2 @ (energy * energy)
                 partial["QVMAX"][idx] = max(partial["QVMAX"][idx], qv_alive)
 
-        if 0 in rec_index:
-            record(rec_index[0])
-        with np.errstate(over="ignore", invalid="ignore"):
+        with stream, np.errstate(over="ignore", invalid="ignore"):
+            if 0 in rec_index:
+                record(rec_index[0])
             for k in range(nsteps):
-                stepper.fill(rng)
+                stream.fill()
                 if weighted:
                     zinc, qvinc = stepper.ledger(X)
                     z += sign * zinc

@@ -1,11 +1,15 @@
 import dataclasses
 import json
+import math
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import save_model
+from shellsde import sde
 from shellsde.algebra import BilinearMap
-from shellsde.cli import main
+from shellsde.cli import _record_times, main
 from shellsde.modelio import load_model
 
 
@@ -170,7 +174,7 @@ def test_start_shell_out_of_range_is_usage_error(argv, top, capsys):
         # two record points on one step of --dt, or closer than the time grid resolves
         (["dissipation", "--paths", "10", "--reweight-horizon", "1e-4", "--dt", "1e-4", "--sde-shells", "4"],
          "--reweight-horizon"),
-        (["simulate", "--horizon", "1e-12", "--dt", "1e-13", "--record", "11"], "--record"),
+        (["simulate", "--horizon", "1e-12", "--dt", "1e-13", "--record", "12"], "--record"),
     ],
 )
 def test_bad_ensemble_size_is_usage_error(argv, name, capsys):
@@ -230,6 +234,47 @@ def test_simulate_blowup_is_an_error_line(capsys):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err.startswith("error: ") and "split" in captured.err
+
+
+def test_simulate_overflow_is_not_a_row_of_numbers(capsys):
+    # em at N = 10, dt = 1e-4: the squared energies overflow before the states do
+    code = main(["simulate", "--model", "novikov", "--paths", "10", "--horizon", "0.01"])
+    captured = capsys.readouterr()
+    if code == 2:
+        assert captured.out == ""
+        assert captured.err.startswith("error: ") and "aborted" in captured.err
+    else:
+        assert code == 0 and "paths aborted" in captured.err
+        rows = [line.split(",") for line in captured.out.splitlines()[2:]]
+        assert all(math.isfinite(float(v)) for row in rows for v in row)
+
+
+def test_record_points_on_distinct_tiny_steps_are_kept(capsys):
+    # steps 0..10 of dt = 1e-13: no two record points share a step
+    argv = ["simulate", "--model", "novikov", "--shells", "3", "--paths", "4", "--horizon", "1e-12", "--dt", "1e-13"]
+    assert main(argv + ["--record", "11"]) == 0
+    rows = capsys.readouterr().out.splitlines()[2:]
+    assert len({row.split(",")[0] for row in rows}) == 11
+
+
+@given(
+    st.floats(min_value=-15.0, max_value=0.0),
+    st.integers(min_value=1, max_value=10**6),
+    st.integers(min_value=2, max_value=60),
+)
+@settings(derandomize=True, max_examples=200)
+def test_record_times_merge_only_on_equal_step_counts(exponent, k, points):
+    # points evenly spread over k steps of dt: distinct steps when they are at least a step apart
+    dt = 10.0**exponent
+    fractions = [j / (points - 1) for j in range(points)]
+    if points - 1 > k:  # more points than steps 0..k
+        with pytest.raises(ValueError, match="merges two record points"):
+            _record_times(k * dt, fractions, dt, "--record")
+        return
+    steps = sde._grid_steps(_record_times(k * dt, fractions, dt, "--record"), dt)
+    assert steps[0] == 0 and steps[-1] == k
+    assert all(k0 < k1 for k0, k1 in zip(steps, steps[1:]))
+    assert all(abs(step - f * k) <= 0.5 + 1e-9 for step, f in zip(steps, fractions))
 
 
 def test_triangulate_rejects_non_identity_grams(tmp_path, capsys):

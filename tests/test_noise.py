@@ -6,7 +6,7 @@ import pytest
 import shellsde as s
 from goy_oracle import goy_inverse_bridge, goy_noise_bridge, goy_noise_bridge_pair, keyed_slab
 from shellsde.algebra import CoefficientTable
-from shellsde.noise import check_shells, slab_rng
+from shellsde.noise import SlabStream, check_shells, slab_rng
 
 
 def stepper(spec, N, dt, paths=1):
@@ -14,11 +14,12 @@ def stepper(spec, N, dt, paths=1):
 
 
 def draws(st, rng, steps):
-    """(steps, drawn cells) array: the stepper's slab after each fill from rng, run by run, path-major."""
+    """(steps, drawn cells) array: the stepper's slab after each step of rng's stream, run by run, path-major."""
     out = []
-    for _ in range(steps):
-        st.fill(rng)
-        out.append(np.concatenate([st.dW[row, c, start:stop].T.ravel() for row, c, start, stop in st.cells]))
+    with SlabStream(rng, st.dW, st.cells, st.dt, steps, helper=False) as stream:
+        for _ in range(steps):
+            stream.fill()
+            out.append(np.concatenate([st.dW[row, c, start:stop].T.ravel() for row, c, start, stop in st.cells]))
     return np.stack(out)
 
 
@@ -33,10 +34,10 @@ def test_aliased_lookup_bit_identical(novikov):
 
 def test_slab_determinism(goy):
     s1, s2, s3 = (stepper(goy, 8, 1e-4) for _ in range(3))
-    s1.fill(slab_rng(7, 3, 5))
-    s2.fill(slab_rng(7, 3, 5))
+    draws(s1, slab_rng(7, 3, 5), 1)
+    draws(s2, slab_rng(7, 3, 5), 1)
     assert np.array_equal(s1.dW, s2.dW)
-    s3.fill(slab_rng(7, 3, 6))
+    draws(s3, slab_rng(7, 3, 6), 1)
     assert not np.array_equal(s1.dW, s3.dW)
 
 

@@ -1,5 +1,6 @@
 import dataclasses
 import math
+import threading
 
 import numpy as np
 import pytest
@@ -8,9 +9,11 @@ from hypothesis import strategies as st
 
 import einsum_oracle as oracle
 from goy_oracle import NoiseSlab, embed_complex, goy_complex_em_step, keyed_slab
+from noise_oracle import PerStepStream, fill_stepper
 import shellsde as s
 from rates_oracle import k_eff, n0
 from shellsde.algebra import BilinearMap, CoefficientTable
+from shellsde import noise as noise_module
 from shellsde import sde as sde_module
 from shellsde.noise import MAX_SHELLS, slab_rng
 from shellsde.sde import SCHEMES, SYSTEMS, NumericalBlowupError, Stepper, _add_terms, _sub_correction
@@ -356,7 +359,7 @@ def test_run_ensemble_single_path_matches_manual(novikov):
     X = batch(start(N, [1.0]))
     e0 = np.array([energy(X)])
     for k in range(nsteps):
-        st.fill(rng)
+        fill_stepper(st, rng)
         X = st.step(X, e0)
     assert np.allclose(es.mean_sq[0], (path(X) ** 2).sum(axis=1), atol=1e-14)
 
@@ -496,6 +499,130 @@ def test_run_ensemble_all_aborted_raises(novikov):
         )
 
 
+def test_run_ensemble_counts_an_overflowing_energy_as_aborted(novikov, monkeypatch):
+    # a path whose squares overflow while its state stays finite leaves at the next record time
+    base = dict(N=6, dt=1e-3, T=0.02, paths=10, which="linear", scheme="em", seed=3, record_times=[0.005, 0.01, 0.02])
+    plain = s.run_ensemble(novikov, [1.0], **base)
+    step, calls = sde_module._step_batch, []
+
+    def inflate_first_path_at_step_7(stepper, X, energy0):
+        X = step(stepper, X, energy0)
+        calls.append(None)
+        if len(calls) == 7:
+            X[:, :, 0] *= 1e160
+            assert np.isfinite(X).all() and not np.isfinite((X * X).sum())
+        return X
+
+    monkeypatch.setattr(sde_module, "_step_batch", inflate_first_path_at_step_7)
+    hit = s.run_ensemble(novikov, [1.0], **base)
+    assert plain.aborted == 0 and hit.aborted == 1
+    assert np.array_equal(hit.mean_sq[0], plain.mean_sq[0])
+    for field in ("mean_sq", "se_sq", "energy_mean", "energy_se", "ess"):
+        assert np.isfinite(getattr(hit, field)).all(), field
+    assert list(hit.ess) == [10.0, 9.0, 9.0]
+
+
+# ----------------------------------------------------------------- noise stream
+
+STREAM_CASES = {
+    "novikov-em": (
+        "novikov", [1.0], dict(N=6, dt=1e-3, T=0.03, which="linear", scheme="em", record_times=[0.01, 0.03])
+    ),
+    "novikov-split-QtoP": (
+        "novikov", [1.0],
+        dict(N=8, dt=1e-3, T=0.03, which="linear", scheme="split", weight_direction="QtoP", record_times=[0.03]),
+    ),
+    "goy-nonlinear-split": (
+        "goy", [[1.0, 0.0]],
+        dict(N=6, dt=1e-3, T=0.02, which="nonlinear", scheme="split", record_times=[0.01, 0.02]),
+    ),
+}
+
+
+def _largest_run(spec, base, block_size):
+    cells = CoefficientTable(spec, base["N"]).slab_cells("weight_direction" in base)
+    return block_size * max(stop - start for _, _, start, stop in cells)
+
+
+@pytest.mark.parametrize("case", list(STREAM_CASES))
+def test_stream_results_do_not_depend_on_chunks_helper_or_threads(case, request, monkeypatch):
+    # every variant draws the same normals in the same order as the per-step reference
+    name, x0, base = STREAM_CASES[case]
+    spec = request.getfixturevalue(name)
+    run = dict(base, paths=300, block_size=100, seed=17)
+    with monkeypatch.context() as m:
+        m.setattr(sde_module, "SlabStream", PerStepStream)
+        ref = s.run_ensemble(spec, x0, **run)
+    chunks = {"one normal": 1, "one run": _largest_run(spec, base, 100), "2**16": 1 << 16}
+    for chunk_name, chunk in chunks.items():
+        for cpus in (1, 64):  # helper off, then on
+            for threads in (1, 2):
+                with monkeypatch.context() as m:
+                    m.setattr(noise_module, "CHUNK_NORMALS", chunk)
+                    m.setattr(sde_module, "_usable_cpus", lambda: cpus)
+                    got = s.run_ensemble(spec, x0, threads=threads, **run)
+                for field in dataclasses.fields(ref):
+                    assert np.array_equal(getattr(got, field.name), getattr(ref, field.name)), (
+                        chunk_name, cpus, threads, field.name
+                    )
+
+
+@pytest.mark.parametrize("cpus,threads,helper", [(1, 1, False), (2, 1, True), (2, 2, False), (3, 2, True)])
+def test_helper_thread_runs_only_with_a_cpu_to_spare(novikov, monkeypatch, cpus, threads, helper):
+    # three blocks: min(threads, blocks) workers step, and a helper draws beside each only below the CPU count
+    seen = set()
+    step = sde_module._step_batch
+
+    def spy(*args):
+        seen.update(t.name for t in threading.enumerate())
+        return step(*args)
+
+    monkeypatch.setattr(sde_module, "_usable_cpus", lambda: cpus)
+    monkeypatch.setattr(sde_module, "_step_batch", spy)
+    monkeypatch.setattr(noise_module, "CHUNK_NORMALS", 1)  # more chunks than buffers: a helper waits for fill
+    s.run_ensemble(novikov, [1.0], N=4, dt=1e-3, T=0.005, paths=30, block_size=10, threads=threads)
+    assert ("slab-stream" in seen) == helper
+
+
+class _Boom(Exception):
+    pass
+
+
+class _FailingGenerator:
+    def standard_normal(self, *args, **kwargs):
+        raise _Boom("draw failed")
+
+
+def _raise_at_step_3(step):
+    calls = []
+
+    def wrapper(*args):
+        calls.append(None)
+        if len(calls) == 3:
+            raise _Boom("step failed")
+        return step(*args)
+
+    return wrapper
+
+
+@pytest.mark.parametrize("threads", [1, 2])
+@pytest.mark.parametrize("failure", [None, "step", "draw"])
+def test_no_stream_thread_outlives_run_ensemble(novikov, monkeypatch, failure, threads):
+    monkeypatch.setattr(sde_module, "_usable_cpus", lambda: 64)  # a helper per block
+    if failure == "step":
+        monkeypatch.setattr(sde_module, "_step_batch", _raise_at_step_3(sde_module._step_batch))
+    elif failure == "draw":
+        monkeypatch.setattr(sde_module, "slab_rng", lambda *key: _FailingGenerator())
+    before = threading.active_count()
+    run = dict(N=6, dt=1e-3, T=0.02, paths=300, block_size=100, threads=threads)
+    if failure is None:
+        s.run_ensemble(novikov, [1.0], **run)
+    else:
+        with pytest.raises(_Boom, match=failure):
+            s.run_ensemble(novikov, [1.0], **run)
+    assert threading.active_count() == before
+
+
 # ----------------------------------------------------------------- kernel oracle
 
 
@@ -564,7 +691,7 @@ def test_step_reads_no_undrawn_slab_cell(model, request):
         for scheme in SCHEMES:
             for which in SYSTEMS:
                 st = Stepper(table, dt, scheme, which, weighted, P)
-                st.fill(slab_rng(37, 0))
+                fill_stepper(st, slab_rng(37, 0))
                 drawn = st.dW.copy()
                 ref = st.step(X.copy(), e0)
                 ref_ledger = st.ledger(X)
