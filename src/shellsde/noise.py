@@ -10,21 +10,19 @@ Generators are keyed by (seed, stream, step) through ``numpy``'s
 SeedSequence.  An ensemble keys one generator per block of paths, once, as
 (seed, block, 0), and reads that block's slabs from a :class:`SlabStream`:
 the step kernel reads only some runs of slab cells, and the stream draws
-exactly those, step after step and run after run, in flat chunks of whole
-runs, then copies each step's runs into the slab.  numpy's normal stream
-is sequential, so a slab does not depend on how the runs are cut into
-chunks, nor on which thread drew them: a helper thread draws the next
-chunk while the step kernel reads the last one when ``run_ensemble`` has
-a CPU to spare for it, and the stream draws inline otherwise.  So
-ensembles are a pure function of (seed, block size) and can be split
-across workers without shared state.  Increments, not path values, are
+exactly those, step after step and run after run.  When ``run_ensemble``
+has a CPU to spare for it, a helper thread draws the runs ahead in flat
+chunks of whole runs while the step kernel reads the last chunk, and each
+step's runs are copied out of the chunk; otherwise each run is drawn
+straight into the slab.  numpy's normal stream is sequential, so a slab
+does not depend on how the runs are cut into chunks, nor on which thread
+drew them.  So ensembles are a pure function of (seed, block size) and
+can be split across workers without shared state.  Increments, not path values, are
 the primitive: integrators only ever consume increments.
 """
 from __future__ import annotations
 
 import math
-import threading
-from collections import deque
 
 import numpy as np
 
@@ -74,57 +72,52 @@ def _chunk_sizes(lengths, steps: int):
 
 
 class SlabStream:
-    """The increments of ``steps`` steps, drawn from ``rng`` in chunks and read one step at a time.
+    """The increments of ``steps`` steps, drawn from ``rng`` and read one step at a time.
 
     ``out`` is a slab in the step kernel's (n_star, d, window, P) layout and
     ``cells`` its (row, component, start, stop) runs, as given by
     ``CoefficientTable.slab_cells``.  Step after step, run after run, each
     run takes the next (stop - start) * P normals of ``rng``, scaled to
-    variance dt; cells outside the runs are left as they are.  The normals
-    are drawn into two alternating chunk buffers, one ``standard_normal``
-    call per chunk, and :meth:`fill` copies the next step's runs out of
-    them.
+    variance dt; cells outside the runs are left as they are.
 
-    With ``helper`` a daemon thread draws the chunks ahead of :meth:`fill`,
-    handing buffers over through two semaphores; ``standard_normal``
-    releases the GIL, so the draw runs beside the step kernel.  Without it
-    :meth:`fill` draws the same chunks itself when it needs them.  Either
-    way the slabs are the same, bit for bit.  Use the stream as a context
-    manager: leaving it stops and joins the helper, and an exception raised
-    in the helper is raised again by :meth:`fill`.
+    Without ``helper``, :meth:`fill` draws each run straight into ``out``,
+    one ``standard_normal`` call per run.  With it, a one-worker thread
+    pool draws the same normals ahead of :meth:`fill`, one chunk at a
+    time into two alternating flat buffers, and :meth:`fill` copies each
+    step's runs out of them; ``standard_normal`` releases the GIL, so the
+    draw runs beside the step kernel.  Either way the slabs are the same,
+    bit for bit.  Use the stream as a context manager: leaving it joins
+    the worker, and an exception raised in the worker is raised again by
+    :meth:`fill`.
     """
 
     def __init__(self, rng, out: np.ndarray, cells, dt: float, steps: int, helper: bool):
         self._rng = rng
         self._scale = math.sqrt(dt)
         self._runs = [out[row, c, start:stop].reshape(-1) for row, c, start, stop in cells]
-        lengths = [run.size for run in self._runs]
-        self._sizes = _chunk_sizes(lengths, steps)
-        size = max([CHUNK_NORMALS, *lengths])
-        self._buffers = (np.empty(size), np.empty(size))
-        self._drawn = 0  # chunks drawn, by the helper or inline
-        self._taken = 0  # chunks handed to fill
-        self._chunk = self._buffers[0][:0]
-        self._pos = 0
-        self._helper = None
+        self._helper = helper
+        self._pool = None
         if helper:
-            self._ready: deque = deque()  # chunks drawn and not yet read, oldest first
-            self._free = threading.Semaphore(2)
-            self._full = threading.Semaphore(0)
-            self._error = None
-            self._stop = False
-            self._helper = threading.Thread(target=self._produce, name="slab-stream", daemon=True)
+            lengths = [run.size for run in self._runs]
+            self._sizes = _chunk_sizes(lengths, steps)
+            size = max([CHUNK_NORMALS, *lengths])
+            self._buffers = (np.empty(size), np.empty(size))
+            self._drawn = 0  # chunks drawn
+            self._chunk = self._buffers[0][:0]
+            self._pos = 0
 
     def __enter__(self) -> SlabStream:
-        if self._helper is not None:
-            self._helper.start()
+        if self._helper:
+            from concurrent.futures import ThreadPoolExecutor
+
+            self._pool = ThreadPoolExecutor(max_workers=1, thread_name_prefix="slab-stream")
+            self._submit()
         return self
 
     def __exit__(self, *exc) -> None:
-        if self._helper is not None and self._helper.is_alive():
-            self._stop = True
-            self._free.release()
-            self._helper.join()
+        if self._pool is not None:
+            self._pool.shutdown(cancel_futures=True)
+            self._pool = None
 
     def _draw(self, n: int) -> np.ndarray:
         """The next chunk of n normals, scaled, in the buffer the chunk before last used."""
@@ -134,35 +127,23 @@ class SlabStream:
         chunk *= self._scale
         return chunk
 
-    def _produce(self) -> None:
-        try:
-            for n in self._sizes:
-                self._free.acquire()
-                if self._stop:
-                    return
-                self._ready.append(self._draw(n))
-                self._full.release()
-        except BaseException as exc:  # raised again in fill, on the reading thread
-            self._error = exc
-            self._full.release()
-
-    def _next_chunk(self) -> np.ndarray:
-        if self._helper is None:
-            return self._draw(next(self._sizes))
-        if self._taken:
-            self._free.release()  # fill is done with the last chunk; its buffer may be drawn again
-        self._full.acquire()
-        if self._error is not None:
-            raise self._error
-        self._taken += 1
-        return self._ready.popleft()
+    def _submit(self) -> None:
+        """Start drawing the next chunk, if any is left."""
+        n = next(self._sizes, 0)
+        self._next = self._pool.submit(self._draw, n) if n else None
 
     def fill(self) -> None:
-        """Copy the next step's increments into the read cells of ``out``."""
+        """Put the next step's increments into the read cells of ``out``."""
+        if not self._helper:
+            for run in self._runs:
+                self._rng.standard_normal(out=run)
+                run *= self._scale
+            return
         chunk, pos = self._chunk, self._pos
         for run in self._runs:
             if pos == chunk.size:  # chunks end between runs
-                chunk, pos = self._next_chunk(), 0
+                chunk, pos = self._next.result(), 0
+                self._submit()  # into the buffer of the chunk just read out
             end = pos + run.size
             run[:] = chunk[pos:end]
             pos = end

@@ -34,10 +34,11 @@ window, P); an ensemble block's :class:`~shellsde.noise.SlabStream` copies
 each step's increments there, in contiguous runs of cells per (row,
 component), and only the cells the kernel reads
 (:meth:`CoefficientTable.slab_cells`; the others stay zero).  The stream
-draws on a helper thread, beside the step kernel, when
-``min(threads, blocks)`` is below the number of CPUs the process may run
-on, and inline otherwise; the slabs are the same either way, so results
-depend only on (seed, block_size).
+draws on a helper thread, beside the step kernel, when the process may
+run on at least two CPUs per stepping worker (``2 * min(threads,
+blocks)``), so that each helper has a CPU of its own, and inline
+otherwise; the slabs are the same either way, so results depend only on
+(seed, block_size).
 Transport and diffusion are then sums of unrolled terms, one per non-zero
 ``B[j, a, b, c]``, precomputed by :class:`CoefficientTable`: each term
 multiplies two row blocks, scales by its folded coefficient vector and adds
@@ -313,12 +314,15 @@ def run_ensemble(
     from its own generator ``slab_rng(seed, b)``, keyed once, and fills only
     the cells the step reads; so results are a pure function of (seed,
     block_size), independent of scheduling and of ``threads``.  A block's
-    draw runs on a helper thread while the block steps when a CPU is left
-    for it (``min(threads, blocks)`` below the CPUs this process may use),
-    and inline otherwise, with the same numbers.  Failed paths (a
-    non-finite state after a step, or an energy whose square overflows at
-    a record time) are frozen, excluded from that record time on and
-    reported in ``aborted``.
+    draw runs on a helper thread while the block steps when each stepping
+    worker can have a second CPU for its helper (``2 * min(threads,
+    blocks)`` at most the CPUs this process may use), and inline
+    otherwise, with the same numbers.  Failed paths (a non-finite state
+    after a step, or at a record time an energy so large that the sums
+    over the paths could overflow) are frozen, excluded from that record
+    time on and reported in ``aborted``.  A statistic that still comes out
+    non-finite (an overflowing Girsanov weight) raises
+    :class:`NumericalBlowupError`.
     """
     for name, value in (("paths", paths), ("block_size", block_size), ("threads", threads)):
         if value < 1:
@@ -362,7 +366,7 @@ def run_ensemble(
         (b, min(block_size, paths - b * block_size))
         for b in range((paths + block_size - 1) // block_size)
     ]
-    helper = min(threads, len(blocks)) < _usable_cpus()
+    helper = 2 * min(threads, len(blocks)) <= _usable_cpus()
 
     def run_block(b: int, P: int):
         X = np.empty((spec.d, N, P))
@@ -378,8 +382,8 @@ def run_ensemble(
         def record(idx_list):
             vals = (X * X).sum(axis=0)  # (N, P)
             energy = vals.sum(axis=0)
-            # every square the sums below take is at most energy**2
-            lost = ~np.isfinite(energy * energy)
+            # unweighted, the variance sums below, over all paths, stay within 4 * paths * energy**2
+            lost = ~np.isfinite(energy * energy * (4 * paths))
             if lost.any():
                 alive[lost] = False
                 X[:, :, lost] = 0.0
@@ -443,16 +447,23 @@ def run_ensemble(
         raise NumericalBlowupError(
             f"all {paths} paths aborted before some record time; reduce dt or use scheme='split'"
         )
-    mean = sums["S1"] / S0[:, None]
-    var_num = sums["T2"] - 2.0 * mean * sums["T1"] + mean**2 * sums["T0"][:, None]
-    se = np.sqrt(np.maximum(var_num, 0.0)) / S0[:, None]
-    emean = sums["E1"] / S0
-    evar = sums["ET2"] - 2.0 * emean * sums["ET1"] + emean**2 * sums["T0"]
-    ese = np.sqrt(np.maximum(evar, 0.0)) / S0
-    ess = np.where(sums["T0"] > 0, S0**2 / sums["T0"], 0.0)
-    wmean = S0 / paths
-    wvar = np.maximum(sums["T0"] / paths - wmean**2, 0.0)
-    wse = np.sqrt(wvar / paths)
+    with np.errstate(over="ignore", invalid="ignore"):  # a non-finite statistic raises below
+        mean = sums["S1"] / S0[:, None]
+        var_num = sums["T2"] - 2.0 * mean * sums["T1"] + mean**2 * sums["T0"][:, None]
+        se = np.sqrt(np.maximum(var_num, 0.0)) / S0[:, None]
+        emean = sums["E1"] / S0
+        evar = sums["ET2"] - 2.0 * emean * sums["ET1"] + emean**2 * sums["T0"]
+        ese = np.sqrt(np.maximum(evar, 0.0)) / S0
+        ess = np.where(sums["T0"] > 0, S0**2 / sums["T0"], 0.0)
+        wmean = S0 / paths
+        wvar = np.maximum(sums["T0"] / paths - wmean**2, 0.0)
+        wse = np.sqrt(wvar / paths)
+    derived = (mean, se, emean, ese, ess, wmean, wse, sums["QVMAX"])
+    if not all(np.isfinite(v).all() for v in derived):
+        raise NumericalBlowupError(
+            "an ensemble statistic overflowed (a Girsanov weight or the quadratic variation); "
+            "reduce dt or use scheme='split'"
+        )
     return EnsembleStats(
         times=np.array([k * dt for k in rec_steps]),
         mean_sq=mean,
