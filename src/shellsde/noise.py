@@ -17,8 +17,8 @@ step's runs are copied out of the chunk; otherwise each run is drawn
 straight into the slab.  numpy's normal stream is sequential, so a slab
 does not depend on how the runs are cut into chunks, nor on which thread
 drew them.  So ensembles are a pure function of (seed, block size) and
-can be split across workers without shared state.  Increments, not path values, are
-the primitive: integrators only ever consume increments.
+can be split across workers without shared state.  Increments, not path
+values, are the primitive: integrators only ever consume increments.
 """
 from __future__ import annotations
 
@@ -111,7 +111,7 @@ class SlabStream:
             from concurrent.futures import ThreadPoolExecutor
 
             self._pool = ThreadPoolExecutor(max_workers=1, thread_name_prefix="slab-stream")
-            self._submit()
+            self._next = self._submit()
         return self
 
     def __exit__(self, *exc) -> None:
@@ -127,10 +127,10 @@ class SlabStream:
         chunk *= self._scale
         return chunk
 
-    def _submit(self) -> None:
-        """Start drawing the next chunk, if any is left."""
+    def _submit(self):
+        """The future of the next chunk to draw, or None when no chunk is left."""
         n = next(self._sizes, 0)
-        self._next = self._pool.submit(self._draw, n) if n else None
+        return self._pool.submit(self._draw, n) if n else None
 
     def fill(self) -> None:
         """Put the next step's increments into the read cells of ``out``."""
@@ -142,8 +142,11 @@ class SlabStream:
         chunk, pos = self._chunk, self._pos
         for run in self._runs:
             if pos == chunk.size:  # chunks end between runs
+                # the chunk after next goes into the buffer just read out; queued now, the
+                # worker draws it as soon as the next chunk is done, with no round trip
+                ahead = self._submit()
                 chunk, pos = self._next.result(), 0
-                self._submit()  # into the buffer of the chunk just read out
+                self._next = ahead
             end = pos + run.size
             run[:] = chunk[pos:end]
             pos = end

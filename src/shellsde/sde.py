@@ -30,7 +30,7 @@ for every adapted scheme.
 Step kernel.  A batch of P paths is stored component-major, as a contiguous
 (d, N, P) array, so that every (component, shell range) slice is a block of
 whole rows over the paths.  A step's noise slab is laid out (n_star, d,
-window, P); an ensemble block's :class:`~shellsde.noise.SlabStream` copies
+window, P); an ensemble block's :class:`~shellsde.noise.SlabStream` puts
 each step's increments there, in contiguous runs of cells per (row,
 component), and only the cells the kernel reads
 (:meth:`CoefficientTable.slab_cells`; the others stay zero).  The stream
