@@ -590,8 +590,9 @@ class KernelTerm(NamedTuple):
 
     The step kernel adds ``coef * X[b, src] * V[other]`` to ``out[a, dst]``,
     where X is a (d, N, P) batch of paths and V is either X itself, with
-    ``other = (c, shells)``, or the step's (n_star, d, window, P) noise slab,
-    with ``other = (row, c, window cells)``.  ``coef`` has shape (len, 1):
+    ``other = (c, shells)``, or the step's noise slab, with ``other = (row,
+    c, window cells)`` here and the rows of the packed slab in a Stepper's
+    copy.  ``coef`` has shape (len, 1):
     the bilinear entry times ``keff[j]`` on the destination shells, times
     sigma for noise terms.
     """
@@ -681,18 +682,20 @@ class CoefficientTable:
         """Window cells of the slab that a step reads, as (row, component, start, stop) runs.
 
         Read from the kernel's own lists: the noise terms' cells and, with
-        ``weighted``, every component of the ledger rows.  Overlapping or
-        adjacent ranges of one (row, component) are merged, so each run is a
-        contiguous block ``dW[row, component, start:stop]`` of the (n_star,
-        d, window, P) slab and no cell appears twice.
+        ``weighted``, the ledger rows.  A row's ranges are merged where they
+        overlap or touch, and every component of the row gets the same runs,
+        so that the ledger can read a row's components as one block; each
+        run is a contiguous block ``dW[row, component, start:stop]`` of the
+        (n_star, d, window, P) window slab and no cell appears twice.
         """
-        ranges = [(row, c, cells.start, cells.stop) for row, c, cells in (t.other for t in self.noise_terms)]
+        ranges = [(row, cells.start, cells.stop) for row, _, cells in (t.other for t in self.noise_terms)]
         if weighted:
-            ranges += [(row, c, cells.start, cells.stop) for row, _, cells in self.ledger_rows for c in range(self.d)]
-        runs: list[tuple[int, int, int, int]] = []
-        for row, c, start, stop in sorted(ranges):
-            if runs and runs[-1][:2] == (row, c) and start <= runs[-1][3]:
-                runs[-1] = (row, c, runs[-1][2], max(stop, runs[-1][3]))
+            ranges += [(row, cells.start, cells.stop) for row, _, cells in self.ledger_rows]
+        spans: dict[int, list[list[int]]] = {}  # per row, in row order
+        for row, start, stop in sorted(ranges):
+            merged = spans.setdefault(row, [])
+            if merged and start <= merged[-1][1]:
+                merged[-1][1] = max(stop, merged[-1][1])
             else:
-                runs.append((row, c, start, stop))
-        return tuple(runs)
+                merged.append([start, stop])
+        return tuple((row, c, a, b) for row, merged in spans.items() for c in range(self.d) for a, b in merged)

@@ -60,11 +60,11 @@ def _load(ref: str) -> algebra.ModelSpec:
     return spec
 
 
-def _check_start_shell(shell: int, *levels: int) -> None:
-    """Reject a start shell outside 1..min(levels), the shortest array it indexes."""
+def _check_shell(flag: str, shell: int, *levels: int) -> None:
+    """Reject a shell (the value of ``flag``) outside 1..min(levels), the shortest array it indexes."""
     top = min(levels)
     if not 1 <= shell <= top:
-        raise ValueError(f"--start-shell must be in 1..{top}, got {shell}")
+        raise ValueError(f"{flag} must be in 1..{top}, got {shell}")
 
 
 def _start_vector(spec: algebra.ModelSpec, N: int, shell: int, energy: float) -> np.ndarray:
@@ -104,7 +104,7 @@ def cmd_validate(args) -> int:
 
 def cmd_simulate(args) -> int:
     spec = _load(args.model)
-    _check_start_shell(args.start_shell, args.shells)
+    _check_shell("--start-shell", args.start_shell, args.shells)
     if args.record < 2:
         raise ValueError(f"--record must be at least 2 (t = 0 and the horizon), got {args.record}")
     times = _record_times(args.horizon, [k / (args.record - 1) for k in range(args.record)], args.dt, "--record")
@@ -155,7 +155,7 @@ def _time_grid(spec: algebra.ModelSpec, N: int, horizon: float, points: int, kin
 
 def cmd_moments(args) -> int:
     spec = _load(args.model)
-    _check_start_shell(args.start_shell, args.shells)
+    _check_shell("--start-shell", args.start_shell, args.shells)
     Q = moments.build_qmatrix(spec, args.shells)
     tgrid = _time_grid(spec, args.shells, args.horizon, args.points, args.grid)
     u0 = _start_vector(spec, args.shells, args.start_shell, args.energy)
@@ -172,7 +172,7 @@ def cmd_moments(args) -> int:
 def cmd_chain(args) -> int:
     spec = _load(args.model)
     caps = chain.ChainCaps(max_jumps=args.max_jumps, max_level=args.max_level)
-    _check_start_shell(args.start_shell, args.max_level)
+    _check_shell("--start-shell", args.start_shell, args.max_level)
     tgrid = _time_grid(spec, args.max_level, args.horizon, args.points, "linear")
     start = np.zeros(args.max_level)
     start[args.start_shell - 1] = 1.0
@@ -264,7 +264,8 @@ def cmd_triangulate(args) -> int:
     times = [float(s) for s in args.times.split(",")]
     N = args.shells
     n_sde = args.sde_shells or sde_resolvable_shells(spec, args.dt, N)
-    _check_start_shell(args.start_shell, n_sde, N, args.max_level)
+    _check_shell("--start-shell", args.start_shell, n_sde, N, args.max_level)
+    _check_shell("--nmax", args.nmax, N, args.max_level)
     x0 = _start_vector(spec, min(n_sde, N), args.start_shell, args.energy)
     x_norm_sq = float((x0 * x0).sum())
 
@@ -353,7 +354,7 @@ def cmd_dissipation(args) -> int:
     spec = _load(args.model)
     Ns = [int(s) for s in args.shells_list.split(",")]
     Nmax = max(Ns)
-    _check_start_shell(args.start_shell, *Ns, *([args.sde_shells] if args.paths > 0 else []))
+    _check_shell("--start-shell", args.start_shell, *Ns, *([args.sde_shells] if args.paths > 0 else []))
     tgrid = _time_grid(spec, Nmax, args.horizon, args.points, "geometric")
     curves = {}
     for N in Ns:
@@ -371,13 +372,16 @@ def cmd_dissipation(args) -> int:
             f"rho = {dc.rho:.3g} >= 1: the exponential decay statement under the "
             "original measure is outside the proven regime for this initial energy"
         )
-    # tail rate from the last decade of the grid where mass is positive
-    mask = (tgrid >= args.horizon / 3.0) & (solmax.mass > 0.0)
+    # tail rate over the grid times t >= horizon/3 whose mass is above roundoff; a line needs 2 of them
+    mask = (tgrid >= args.horizon / 3.0) & (solmax.mass > moments.MASS_TOL * args.energy)
     fitted_rate = None
-    if mask.any():
+    if mask.sum() >= 2:
         fitted_rate = -float(np.polyfit(tgrid[mask], np.log(solmax.mass[mask]), 1)[0])
     else:
-        warnings.append(f"no tail rate fitted: the mass at N={Nmax} is 0 at every grid time t >= horizon/3")
+        warnings.append(
+            f"no tail rate fitted: fewer than 2 grid times t >= horizon/3 have a mass at N={Nmax} "
+            "above MASS_TOL times the initial mass"
+        )
     mono_ok = True
     Ns_sorted = sorted(Ns)
     for small, big in zip(Ns_sorted, Ns_sorted[1:]):

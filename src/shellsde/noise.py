@@ -8,17 +8,14 @@ conservative.
 
 Generators are keyed by (seed, stream, step) through ``numpy``'s
 SeedSequence.  An ensemble keys one generator per block of paths, once, as
-(seed, block, 0), and reads that block's slabs from a :class:`SlabStream`:
-the step kernel reads only some runs of slab cells, and the stream draws
-exactly those, step after step and run after run.  When ``run_ensemble``
-has a CPU to spare for it, a helper thread draws the runs ahead in flat
-chunks of whole runs while the step kernel reads the last chunk, and each
-step's runs are copied out of the chunk; otherwise each run is drawn
-straight into the slab.  numpy's normal stream is sequential, so a slab
-does not depend on how the runs are cut into chunks, nor on which thread
-drew them.  So ensembles are a pure function of (seed, block size) and
-can be split across workers without shared state.  Increments, not path
-values, are the primitive: integrators only ever consume increments.
+(seed, block, 0), and a :class:`SlabStream` draws that block's slabs, each
+packed to the cells the step kernel reads, one whole step after another:
+straight into the stepper's slab, or ahead on a helper thread.  numpy's
+normal stream is sequential, so the slabs do not depend on how the steps
+are cut into chunks, nor on which thread drew them: ensembles are a pure
+function of (seed, block size) and can be split across workers without
+shared state.  Increments, not path values, are the primitive:
+integrators only ever consume increments.
 """
 from __future__ import annotations
 
@@ -36,8 +33,8 @@ __all__ = [
 # Guard against overflow of lambda**(2N) scales downstream.
 MAX_SHELLS = 64
 
-# Normals in one chunk of a SlabStream, unless one run holds more (then the
-# chunk is that run): 512 kB per buffer.
+# Normals in one chunk of a SlabStream, unless one step holds more (then the
+# chunk is that step): 512 kB per buffer.
 CHUNK_NORMALS = 1 << 16
 
 
@@ -54,60 +51,34 @@ def slab_rng(seed: int, stream: int = 0, step: int = 0) -> np.random.Generator:
     return np.random.default_rng(np.random.SeedSequence(entropy=[seed, stream, step]))
 
 
-def _chunk_sizes(lengths, steps: int):
-    """Sizes of the chunks that cut ``steps`` repeats of the runs ``lengths`` into whole runs.
-
-    A chunk takes runs while they fit in :data:`CHUNK_NORMALS`; a run larger
-    than that is a chunk of its own.
-    """
-    n = 0
-    for _ in range(steps):
-        for m in lengths:
-            if n and n + m > CHUNK_NORMALS:
-                yield n
-                n = 0
-            n += m
-    if n:
-        yield n
-
-
 class SlabStream:
-    """The increments of ``steps`` steps, drawn from ``rng`` and read one step at a time.
+    """The increments of ``steps`` steps, drawn from ``rng`` and handed out one step at a time.
 
-    ``out`` is a slab in the step kernel's (n_star, d, window, P) layout and
-    ``cells`` its (row, component, start, stop) runs, as given by
-    ``CoefficientTable.slab_cells``.  Step after step, run after run, each
-    run takes the next (stop - start) * P normals of ``rng``, scaled to
-    variance dt; cells outside the runs are left as they are.
-
-    Without ``helper``, :meth:`fill` draws each run straight into ``out``,
-    one ``standard_normal`` call per run.  With it, a one-worker thread
-    pool draws the same normals ahead of :meth:`fill`, one chunk at a
-    time into two alternating flat buffers, and :meth:`fill` copies each
-    step's runs out of them; ``standard_normal`` releases the GIL, so the
-    draw runs beside the step kernel.  Either way the slabs are the same,
-    bit for bit.  Use the stream as a context manager: leaving it joins
-    the worker, and an exception raised in the worker is raised again by
-    :meth:`fill`.
+    ``out`` is a stepper's packed slab; each step takes the next
+    ``out.size`` normals of ``rng``, in ``out``'s order, scaled to
+    variance dt.  Without ``helper``, :meth:`fill` draws each step
+    straight into ``out``.  With it, a one-worker thread pool draws ahead,
+    in chunks of whole steps that alternate between two buffers
+    (``standard_normal`` releases the GIL, so the draw runs beside the step
+    kernel), and :meth:`fill` returns the step's view, valid until the
+    next call.  Either way the slabs are the same, bit for bit.  Use the
+    stream as a context manager: leaving it joins the worker, and an
+    exception raised in the worker is raised again by :meth:`fill`.
     """
 
-    def __init__(self, rng, out: np.ndarray, cells, dt: float, steps: int, helper: bool):
+    def __init__(self, rng, out: np.ndarray, dt: float, steps: int, helper: bool):
         self._rng = rng
         self._scale = math.sqrt(dt)
-        self._runs = [out[row, c, start:stop].reshape(-1) for row, c, start, stop in cells]
-        self._helper = helper
-        self._pool = None
+        self._out = out
+        self._pool = self._chunks = None
         if helper:
-            lengths = [run.size for run in self._runs]
-            self._sizes = _chunk_sizes(lengths, steps)
-            size = max([CHUNK_NORMALS, *lengths])
-            self._buffers = (np.empty(size), np.empty(size))
-            self._drawn = 0  # chunks drawn
-            self._chunk = self._buffers[0][:0]
-            self._pos = 0
+            n = max(1, CHUNK_NORMALS // max(1, out.size))  # steps per chunk
+            buffers = (np.empty((n, *out.shape)), np.empty((n, *out.shape)))
+            self._chunks = (buffers[i % 2][: steps - k] for i, k in enumerate(range(0, steps, n)))
+            self._chunk, self._pos = buffers[0][:0], 0
 
     def __enter__(self) -> SlabStream:
-        if self._helper:
+        if self._chunks is not None:
             from concurrent.futures import ThreadPoolExecutor
 
             self._pool = ThreadPoolExecutor(max_workers=1, thread_name_prefix="slab-stream")
@@ -119,35 +90,26 @@ class SlabStream:
             self._pool.shutdown(cancel_futures=True)
             self._pool = None
 
-    def _draw(self, n: int) -> np.ndarray:
-        """The next chunk of n normals, scaled, in the buffer the chunk before last used."""
-        chunk = self._buffers[self._drawn % 2][:n]
-        self._drawn += 1
-        self._rng.standard_normal(out=chunk)
-        chunk *= self._scale
-        return chunk
+    def _draw(self, out: np.ndarray) -> np.ndarray:
+        """``out``, filled with the next normals of the stream, scaled."""
+        self._rng.standard_normal(out=out)
+        out *= self._scale
+        return out
 
     def _submit(self):
-        """The future of the next chunk to draw, or None when no chunk is left."""
-        n = next(self._sizes, 0)
-        return self._pool.submit(self._draw, n) if n else None
+        """The future of the next chunk, in the buffer the chunk before last used; None when no step is left."""
+        chunk = next(self._chunks, None)
+        return None if chunk is None else self._pool.submit(self._draw, chunk)
 
-    def fill(self) -> None:
-        """Put the next step's increments into the read cells of ``out``."""
-        if not self._helper:
-            for run in self._runs:
-                self._rng.standard_normal(out=run)
-                run *= self._scale
-            return
-        chunk, pos = self._chunk, self._pos
-        for run in self._runs:
-            if pos == chunk.size:  # chunks end between runs
-                # the chunk after next goes into the buffer just read out; queued now, the
-                # worker draws it as soon as the next chunk is done, with no round trip
-                ahead = self._submit()
-                chunk, pos = self._next.result(), 0
-                self._next = ahead
-            end = pos + run.size
-            run[:] = chunk[pos:end]
-            pos = end
-        self._chunk, self._pos = chunk, pos
+    def fill(self) -> np.ndarray:
+        """The next step's slab."""
+        if self._chunks is None:
+            return self._draw(self._out)
+        if self._pos == len(self._chunk):
+            # the chunk after next goes into the buffer just read out; queued now, the
+            # worker draws it as soon as the next chunk is done, with no round trip
+            ahead = self._submit()
+            self._chunk, self._pos = self._next.result(), 0
+            self._next = ahead
+        self._pos += 1
+        return self._chunk[self._pos - 1]

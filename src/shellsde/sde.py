@@ -29,21 +29,21 @@ for every adapted scheme.
 
 Step kernel.  A batch of P paths is stored component-major, as a contiguous
 (d, N, P) array, so that every (component, shell range) slice is a block of
-whole rows over the paths.  A step's noise slab is laid out (n_star, d,
-window, P); an ensemble block's :class:`~shellsde.noise.SlabStream` puts
-each step's increments there, in contiguous runs of cells per (row,
-component), and only the cells the kernel reads
-(:meth:`CoefficientTable.slab_cells`; the others stay zero).  The stream
-draws on a helper thread, beside the step kernel, when the process may
-run on at least two CPUs per stepping worker (``2 * min(threads,
-blocks)``), so that each helper has a CPU of its own, and inline
-otherwise; the slabs are the same either way, so results depend only on
-(seed, block_size).
+whole rows over the paths.  A step's noise slab is packed: a (cells, P)
+array that holds only the cells the kernel reads, the runs of
+:meth:`CoefficientTable.slab_cells` end to end.  A :class:`Stepper` maps
+each noise term, and each Girsanov ledger row, to a slice of it once.  An
+ensemble block's :class:`~shellsde.noise.SlabStream` hands out each step's
+slab whole; it draws on a helper thread, beside the step kernel, when the
+process may run on at least two CPUs per stepping worker (``2 *
+min(threads, blocks)``), so that each helper has a CPU of its own, and
+inline otherwise; the slabs are the same either way, so results depend
+only on (seed, block_size).
 Transport and diffusion are then sums of unrolled terms, one per non-zero
 ``B[j, a, b, c]``, precomputed by :class:`CoefficientTable`: each term
 multiplies two row blocks, scales by its folded coefficient vector and adds
 into the destination rows, in place in preallocated buffers.  The Girsanov
-ledger reduces the same layout over components and shells.  A
+ledger reads each row's block of the slab as (d, shells, P).  A
 :class:`Stepper` binds this kernel to one table, time step, scheme and
 batch size: it owns the slab, the scratch buffers and the damping factors,
 and is the only way in, for an ensemble block and a single path (P = 1)
@@ -82,7 +82,7 @@ class NumericalBlowupError(RuntimeError):
 
 # ----------------------------------------------------------------------
 # Step kernel over a batch of paths: X has shape (d, N, P), the step's
-# noise slab dW has shape (n_star, d, window, P)
+# packed noise slab dW has shape (cells, P)
 # ----------------------------------------------------------------------
 
 
@@ -150,7 +150,7 @@ def _step_batch(stepper: Stepper, X: np.ndarray, energy0: np.ndarray) -> np.ndar
     if not split:
         _sub_correction(table, X, incr, stepper.alt)
     incr *= stepper.dt
-    _add_terms(table.noise_terms, X, stepper.dW, incr, stepper.tmp)
+    _add_terms(stepper.noise_terms, X, stepper.dW, incr, stepper.tmp)
     X += incr
     if split:
         _damp(table, X, stepper.half_fac, stepper.alt)
@@ -169,33 +169,58 @@ def _weight_increment(stepper: Stepper, X: np.ndarray) -> tuple[np.ndarray, np.n
     mutually independent, which the exponential martingale requires.
     Reads the stepper's slab at the pre-step paths ``X``.
     """
-    table, dW = stepper.table, stepper.dW
-    zinc = np.zeros(X.shape[2])
-    qvinc = np.zeros(X.shape[2])
-    for row, shells, cells in table.ledger_rows:
+    dW, (d, _, P) = stepper.dW, X.shape
+    zinc = np.zeros(P)
+    qvinc = np.zeros(P)
+    for shells, block, cells in stepper.ledger_rows:
         Xm = X[:, shells]
-        zinc += _path_dot(Xm, dW[row, :, cells])
+        zinc += _path_dot(Xm, dW[block].reshape(d, -1, P)[:, cells])
         qvinc += _path_dot(Xm, Xm)
-    sigma = table.spec.sigma
+    sigma = stepper.table.spec.sigma
     zinc /= sigma
     qvinc *= stepper.dt / sigma**2
     return zinc, qvinc
 
 
+def _packed_terms(table: CoefficientTable, cells, weighted: bool):
+    """The table's noise terms and, with ``weighted``, its ledger rows, mapped into the packed slab of ``cells``.
+
+    A noise term's ``other`` becomes the slice of slab rows that holds its
+    window cells.  A ledger row becomes (shells, block, cells): ``block``
+    is the row's slab rows, its d components one after another, and
+    ``cells`` the ledger's part of each component.
+    """
+    packed = [(row, c, m) for row, c, start, stop in cells for m in range(start, stop)]
+    index = {cell: k for k, cell in enumerate(packed)}  # window cell -> slab row
+
+    def rows(row, c, win):
+        return slice(index[row, c, win.start], index[row, c, win.start] + win.stop - win.start)
+
+    noise = [t._replace(other=rows(*t.other)) for t in table.noise_terms]
+    if not weighted:
+        return noise, None
+    ledger = []
+    for row, shells, win in table.ledger_rows:
+        block = [k for k, cell in enumerate(packed) if cell[0] == row]
+        first = index[row, 0, win.start] - block[0]
+        ledger.append((shells, slice(block[0], block[-1] + 1), slice(first, first + win.stop - win.start)))
+    return noise, ledger
+
+
 class Stepper:
     """One time step of a truncated system, bound to a table and a batch of P paths.
 
-    Paths are stored (d, N, P).  The stepper owns the step's noise slab
-    ``dW`` (n_star, d, window, P), zeroed once: an ensemble's noise stream
-    writes the cells the step reads (``cells``, from
-    ``table.slab_cells(weighted)``) and the others stay zero, so a caller
-    may also write a slab of its own into ``dW``.  :meth:`step` advances
-    paths in place and :meth:`ledger` returns the Girsanov increments of
-    the pre-step paths; both read the current slab, so an ensemble step is
-    a fill of ``dW``, then ``ledger``, then ``step``.  They run
-    the module's ``_step_batch`` and ``_weight_increment``, looked up at
-    call time, so that a wrapper installed on either (as the benchmark's
-    tracer does) sees every step.
+    Paths are stored (d, N, P).  The step's noise slab ``dW`` is packed
+    (cells, P): the window cells the step reads, the runs ``cells`` of
+    ``table.slab_cells(weighted)`` end to end, zero until set.
+    ``noise_terms`` and ``ledger_rows`` (None unless ``weighted``) are the
+    table's, mapped into it.  :meth:`step` advances paths in place and
+    :meth:`ledger` returns the Girsanov increments of the pre-step paths;
+    both read ``dW``, so an ensemble step sets ``dW`` to the noise
+    stream's next slab, then calls ``ledger``, then ``step``.  They run the
+    module's ``_step_batch`` and ``_weight_increment``, looked up at call
+    time, so that a wrapper installed on either (as the benchmark's tracer
+    does) sees every step.
     """
 
     def __init__(
@@ -210,8 +235,9 @@ class Stepper:
         self.scheme = scheme
         self.system = system
         self.cells = table.slab_cells(weighted)
+        self.noise_terms, self.ledger_rows = _packed_terms(table, self.cells, weighted)
         self.half_fac = _half_damp_factors(table, dt) if scheme == "split" else None
-        self.dW = np.zeros((len(table.star_ids), table.d, table.window, paths))
+        self.dW = np.zeros((sum(stop - start for _, _, start, stop in self.cells), paths))
         self.incr = np.empty((table.d, table.N, paths))
         self.alt = np.empty((table.d, table.N, paths))
         self.tmp = np.empty((table.N, paths))
@@ -222,6 +248,8 @@ class Stepper:
 
     def ledger(self, X: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """Increments (z, qv) of the Girsanov ledger at the pre-step paths ``X``."""
+        if self.ledger_rows is None:
+            raise ValueError("a stepper built with weighted=False has no ledger cells in its slab")
         return _weight_increment(self, X)
 
 
@@ -311,7 +339,7 @@ def run_ensemble(
     """Monte Carlo ensemble of truncated-system paths.
 
     Paths are organised in blocks.  Block b draws its slabs, in step order,
-    from its own generator ``slab_rng(seed, b)``, keyed once, and fills only
+    from its own generator ``slab_rng(seed, b)``, keyed once, and draws only
     the cells the step reads; so results are a pure function of (seed,
     block_size), independent of scheduling and of ``threads``.  A block's
     draw runs on a helper thread while the block steps when each stepping
@@ -372,7 +400,7 @@ def run_ensemble(
         X = np.empty((spec.d, N, P))
         X[...] = x0arr.T[:, :, None]
         stepper = Stepper(table, dt, scheme, which, weighted, P)
-        stream = SlabStream(slab_rng(seed, b), stepper.dW, stepper.cells, dt, nsteps, helper)
+        stream = SlabStream(slab_rng(seed, b), stepper.dW, dt, nsteps, helper)
         alive = np.ones(P, dtype=bool)
         z = np.zeros(P)
         qv = np.zeros(P)
@@ -412,7 +440,7 @@ def run_ensemble(
             if 0 in rec_index:
                 record(rec_index[0])
             for k in range(nsteps):
-                stream.fill()
+                stepper.dW = stream.fill()
                 if weighted:
                     zinc, qvinc = stepper.ledger(X)
                     z += sign * zinc

@@ -9,7 +9,7 @@ against it under the complex-to-real embedding.
 Both sides read the same whole-window slab: :func:`keyed_slab` draws every
 cell of it from one key, in the sampling layout (paths, n_star, window, d)
 that :class:`NoiseSlab` looks channels up in, and :meth:`NoiseSlab.load`
-copies it into a stepper's own slab.  :func:`embed_complex` and
+packs it into a stepper's own slab.  :func:`embed_complex` and
 :func:`lift_real` map between complex shells and the real form's (re, im)
 pairs, and :func:`bilinear_apply` evaluates one bilinear map on vectors.
 """
@@ -18,6 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from noise_oracle import pack
 from shellsde.algebra import BilinearMap, CoefficientTable, ModelSpec
 from shellsde.noise import slab_rng
 
@@ -77,8 +78,8 @@ class NoiseSlab:
         return out[0] if self.paths == 1 else out
 
     def load(self, stepper) -> None:
-        """Write the increments into ``stepper.dW``, the kernel's (n_star, d, window, P) layout."""
-        stepper.dW[...] = self.increments.transpose(1, 3, 2, 0)
+        """Write the increments the stepper reads into its packed slab ``stepper.dW``."""
+        pack(stepper, self.increments.transpose(1, 3, 2, 0))
 
 
 def keyed_slab(table: CoefficientTable, dt: float, key, paths: int = 1) -> NoiseSlab:

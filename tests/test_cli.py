@@ -175,6 +175,10 @@ def test_start_shell_out_of_range_is_usage_error(argv, top, capsys):
         (["dissipation", "--paths", "10", "--reweight-horizon", "1e-4", "--dt", "1e-4", "--sde-shells", "4"],
          "--reweight-horizon"),
         (["simulate", "--horizon", "1e-12", "--dt", "1e-13", "--record", "12"], "--record"),
+        # the triangulation table has rows for shells 1..--nmax of the forward solve and the chain
+        (["triangulate", "--nmax", "20", "--shells", "15", "--paths", "10", "--replicates", "10"], "--nmax"),
+        (["triangulate", "--nmax", "12", "--max-level", "11", "--paths", "10", "--replicates", "10"], "--nmax"),
+        (["triangulate", "--nmax", "0", "--paths", "10", "--replicates", "10"], "--nmax"),
     ],
 )
 def test_bad_ensemble_size_is_usage_error(argv, name, capsys):
@@ -362,6 +366,33 @@ def test_dissipation_without_tail_mass_fits_no_rate(capsys):
     doc = json.loads(captured.out)
     assert doc["fitted_tail_rate"] is None and doc["rate_ratio"] is None
     assert doc["rate_bound_sigma2_over_mu"] > 0.0
+    assert [w for w in doc["warnings"] if w.startswith("no tail rate fitted")]
+    assert "warning: no tail rate fitted" in captured.err
+
+
+@pytest.mark.parametrize("model", ["novikov", "goy"])
+def test_dissipation_tail_fit_does_not_depend_on_the_energy(model, capsys):
+    # the fit reads only masses above roundoff, so it scales out with the energy like every other flag
+    docs = {}
+    for energy in (1e-8, 1.0, 1e8):
+        argv = ["dissipation", "--model", model, "--shells-list", "10,20,30,40,60", "--paths", "0"]
+        assert main(argv + ["--energy", repr(energy)]) == 0
+        docs[energy] = json.loads(capsys.readouterr().out)
+    ref = docs[1.0]
+    for doc in docs.values():
+        for key in ("fitted_tail_rate", "rate_ratio"):
+            assert doc[key] == pytest.approx(ref[key], rel=1e-9)
+        fitted = [w for w in doc["warnings"] if w.startswith("no tail rate fitted")]
+        assert fitted == [w for w in ref["warnings"] if w.startswith("no tail rate fitted")]
+
+
+def test_dissipation_fits_no_rate_through_one_point(capsys):
+    # at N = 60 the default grid has one time t >= horizon/3, and a line through one point is not determined
+    code = main(["dissipation", "--model", "novikov", "--shells-list", "20,40,60", "--paths", "0"])
+    assert code == 0
+    captured = capsys.readouterr()
+    doc = json.loads(captured.out)
+    assert doc["fitted_tail_rate"] is None and doc["rate_ratio"] is None
     assert [w for w in doc["warnings"] if w.startswith("no tail rate fitted")]
     assert "warning: no tail rate fitted" in captured.err
 

@@ -14,12 +14,11 @@ def stepper(spec, N, dt, paths=1):
 
 
 def draws(st, rng, steps):
-    """(steps, drawn cells) array: the stepper's slab after each step of rng's stream, run by run, path-major."""
+    """(steps, drawn cells) array: the stepper's slab after each step of rng's stream, path-major."""
     out = []
-    with SlabStream(rng, st.dW, st.cells, st.dt, steps, helper=False) as stream:
+    with SlabStream(rng, st.dW, st.dt, steps, helper=False) as stream:
         for _ in range(steps):
-            stream.fill()
-            out.append(np.concatenate([st.dW[row, c, start:stop].T.ravel() for row, c, start, stop in st.cells]))
+            out.append(stream.fill().T.flatten())
     return np.stack(out)
 
 
@@ -44,7 +43,7 @@ def test_slab_determinism(goy):
 def test_slab_window_covers_reachable_indices(goy):
     N = 8
     st = stepper(goy, N, 1e-3)
-    lo, hi = st.table.lo, st.table.lo + st.dW.shape[2] - 1
+    lo, hi = st.table.lo, st.table.lo + st.table.window - 1
     for it in goy.interactions:
         for n in range(1, N + 1):
             m = n + it.h

@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 
 import einsum_oracle as oracle
 from goy_oracle import NoiseSlab, embed_complex, goy_complex_em_step, keyed_slab
-from noise_oracle import PerStepStream, fill_stepper
+from noise_oracle import PerStepStream, fill_stepper, pack
 import shellsde as s
 from rates_oracle import k_eff, n0
 from shellsde.algebra import BilinearMap, CoefficientTable
@@ -69,7 +69,7 @@ def diffusion(stepper, x):
     """Noise increment of one step from the (N, d) state x with the stepper's slab."""
     X = batch(x)
     out = np.zeros_like(X)
-    _add_terms(stepper.table.noise_terms, X, stepper.dW, out, np.empty((stepper.table.N, 1)))
+    _add_terms(stepper.noise_terms, X, stepper.dW, out, np.empty((stepper.table.N, 1)))
     return path(out)
 
 
@@ -152,7 +152,9 @@ def test_single_increment_locality(goy):
     st = one_path(goy, N, 1e-3)
     m = 5
     row = 0  # representative channel "1"
-    st.dW[row, :, m - st.table.lo, 0] = (0.3, -0.2)
+    window = np.zeros((len(st.table.star_ids), 2, st.table.window, 1))
+    window[row, :, m - st.table.lo, 0] = (0.3, -0.2)
+    pack(st, window)
     inc = diffusion(st, x)
     expected = set()
     for iid in goy.ids:
@@ -715,7 +717,7 @@ def test_step_kernel_matches_einsum_oracle(model, request):
     slab = keyed_slab(table, dt, (29, 0, 0), paths=P)
     for scheme in SCHEMES:
         for which in SYSTEMS:
-            st = Stepper(table, dt, scheme, which, False, P)
+            st = Stepper(table, dt, scheme, which, True, P)  # weighted: the ledger below reads this slab
             slab.load(st)
             for energy0 in (e0, None) if scheme == "conservative" else (e0,):
                 # None: the oracle projects back to the pre-step energy, which the stepper is given
@@ -750,18 +752,52 @@ def test_step_reads_no_undrawn_slab_cell(model, request):
         for scheme in SCHEMES:
             for which in SYSTEMS:
                 st = Stepper(table, dt, scheme, which, weighted, P)
-                fill_stepper(st, slab_rng(37, 0))
-                drawn = st.dW.copy()
+                drawn = fill_stepper(st, slab_rng(37, 0))
                 ref = st.step(X.copy(), e0)
-                ref_ledger = st.ledger(X)
-                st.dW.fill(np.nan)
+                ref_ledger = st.ledger(X) if weighted else None
+                slab = np.full_like(drawn, np.nan)
                 for row, c, start, stop in st.cells:
-                    st.dW[row, c, start:stop] = drawn[row, c, start:stop]
+                    slab[row, c, start:stop] = drawn[row, c, start:stop]
+                pack(st, slab)
                 got = st.step(X.copy(), e0)
                 assert np.isfinite(got).all() and np.array_equal(got, ref), (weighted, scheme, which)
                 if weighted:
                     for ref, got in zip(ref_ledger, st.ledger(X)):
                         assert np.isfinite(got).all() and np.array_equal(got, ref)
+
+
+PRESETS = {
+    "novikov": lambda: s.build_novikov(2.0, 1.0),
+    "goy": lambda: s.build_goy(1.0, -1.5, 0.5, 2.0, 1.0),
+    "sabra": lambda: s.build_sabra(1.0, -1.25, 0.25, 2.0, 1.0, 0.125),
+}
+
+
+@given(
+    model=st.sampled_from(sorted(PRESETS)),
+    N=st.integers(min_value=1, max_value=MAX_SHELLS),
+    weighted=st.booleans(),
+    scheme=st.sampled_from(SCHEMES),
+    which=st.sampled_from(SYSTEMS),
+)
+@settings(max_examples=40, derandomize=True)
+def test_packed_step_matches_einsum_oracle_at_every_N(model, N, weighted, scheme, which):
+    # the oracle reads the whole window slab, so a read cell the packing left out would show
+    spec, P, dt = PRESETS[model](), 3, 1e-4
+    table = CoefficientTable(spec, N)
+    X = np.random.default_rng(N).standard_normal((P, N, spec.d))
+    e0 = (X * X).sum(axis=(1, 2))
+    slab = keyed_slab(table, dt, (43, N, 0), paths=P)
+    st_ = Stepper(table, dt, scheme, which, weighted, P)
+    slab.load(st_)
+    assert st_.dW.shape == (sum(stop - start for _, _, start, stop in st_.cells), P)
+    if weighted:
+        zinc, qvinc = st_.ledger(X.transpose(2, 1, 0).copy())
+        z_ref, qv_ref = oracle.weight_increment(table, X, slab.increments, slab.lo, dt)
+        _close(zinc, z_ref)
+        _close(qvinc, qv_ref)
+    got = st_.step(X.transpose(2, 1, 0).copy(), e0)
+    _close(got.transpose(2, 1, 0), oracle.step(table, X, slab.increments, slab.lo, dt, which, scheme, e0))
 
 
 # ----------------------------------------------------------------- conjugacy
