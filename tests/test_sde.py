@@ -788,15 +788,15 @@ def test_packed_step_matches_einsum_oracle_at_every_N(model, N, weighted, scheme
     X = np.random.default_rng(N).standard_normal((P, N, spec.d))
     e0 = (X * X).sum(axis=(1, 2))
     slab = keyed_slab(table, dt, (43, N, 0), paths=P)
-    st_ = Stepper(table, dt, scheme, which, weighted, P)
-    slab.load(st_)
-    assert st_.dW.shape == (sum(stop - start for _, _, start, stop in st_.cells), P)
+    stepper = Stepper(table, dt, scheme, which, weighted, P)
+    slab.load(stepper)
+    assert stepper.dW.shape == (sum(stop - start for _, _, start, stop in stepper.cells), P)
     if weighted:
-        zinc, qvinc = st_.ledger(X.transpose(2, 1, 0).copy())
+        zinc, qvinc = stepper.ledger(X.transpose(2, 1, 0).copy())
         z_ref, qv_ref = oracle.weight_increment(table, X, slab.increments, slab.lo, dt)
         _close(zinc, z_ref)
         _close(qvinc, qv_ref)
-    got = st_.step(X.transpose(2, 1, 0).copy(), e0)
+    got = stepper.step(X.transpose(2, 1, 0).copy(), e0)
     _close(got.transpose(2, 1, 0), oracle.step(table, X, slab.increments, slab.lo, dt, which, scheme, e0))
 
 
