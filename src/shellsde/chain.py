@@ -17,7 +17,7 @@ replicates that finished.  Replicate ``rep`` reads the stream that
 ``_ReplicateStreams`` defines for it, in the order :func:`simulate_chain`
 reads its generator: one start draw and then the draws of each jump.  No
 generator is built: ``_ReplicateStreams`` repeats numpy's seeding and
-PCG64 steps with array arithmetic over the live replicates, one draw of
+SFC64 steps with array arithmetic over the live replicates, one draw of
 each per call, so results do not depend on ``_BATCH``.  Both walks read
 their jump rows from one padded table (cumulative probabilities padded
 with +inf), so ``searchsorted(cum, u, side="right")`` is
@@ -122,15 +122,13 @@ def _sample_start(cum: np.ndarray, u):
     return np.searchsorted(cum, u, side="right") + 1
 
 
-# numpy's SeedSequence (a pool of 4 uint32 words) and PCG64 constants
+# numpy's SeedSequence (a pool of 4 uint32 words) and SFC64 constants
 _INIT_A, _MULT_A = 0x43B0D7E5, 0x931E8875
 _INIT_B, _MULT_B = 0x8B51F9DD, 0x58F38DED
 _MIX_L, _MIX_R = np.uint32(0xCA01F9DD), np.uint32(0x4973F715)
 _POOL = 4
-_PCG_MULT_HI, _PCG_MULT_LO = np.uint64(2549297995355413924), np.uint64(4865540595714422341)
 _U16, _U32 = np.uint32(16), np.uint64(32)
-_LOW32 = np.uint64(0xFFFFFFFF)
-_ONE, _U11, _U58, _U63, _U64 = (np.uint64(v) for v in (1, 11, 58, 63, 64))
+_ONE, _U3, _U11, _U24, _U40 = (np.uint64(v) for v in (1, 3, 11, 24, 40))
 
 
 def _uint32_words(n: int) -> list[int]:
@@ -153,7 +151,7 @@ def _hash(value: np.ndarray, const: int, mult: int) -> tuple[np.ndarray, int]:
 
 
 def _seed_words(entropy: list[np.ndarray]) -> list[np.ndarray]:
-    """``SeedSequence(entropy).generate_state(8, np.uint32)``, word by word, over broadcast lanes."""
+    """``SeedSequence(entropy).generate_state(6, np.uint32)``, word by word, over broadcast lanes."""
     const = _INIT_A
     pool = []
     for i in range(_POOL):
@@ -174,7 +172,7 @@ def _seed_words(entropy: list[np.ndarray]) -> list[np.ndarray]:
             mix_into(dst, word)
     const = _INIT_B
     out = []
-    for i in range(8):
+    for i in range(6):
         word, const = _hash(pool[i % _POOL], const, _MULT_B)
         out.append(word)
     return out
@@ -184,17 +182,17 @@ class _ReplicateStreams:
     """The uniforms of replicates ``reps`` under ``seed``, drawn in lockstep.
 
     Replicate ``rep`` reads the stream of
-    ``np.random.default_rng(np.random.SeedSequence(entropy=[seed, 0x6368,
-    rep]))``: each call of :meth:`random` gives every live replicate that
-    generator's next ``Generator.random()`` value, bit for bit.  The keying
-    is numpy's, done with array arithmetic over the replicates:
-    ``SeedSequence`` hashes the entropy into its pool and generates four
-    64-bit words, which seed PCG64 as ``pcg64_srandom_r`` does (O'Neill,
-    "PCG: a family of simple fast space-efficient statistically good
-    algorithms for random number generation", 2014).  The 128-bit state
-    and increment are (hi, lo) pairs of ``uint64`` arrays.  Every operand
-    is a typed numpy scalar or array, so the dtypes do not depend on
-    numpy's casting rules for Python ints.
+    ``np.random.Generator(np.random.SFC64(np.random.SeedSequence(entropy=[seed,
+    0x6368, rep])))``: each call of :meth:`random` gives every live
+    replicate that generator's next ``Generator.random()`` value, bit for
+    bit.  The keying is numpy's, done with array arithmetic over the
+    replicates: ``SeedSequence`` hashes the entropy into its pool and
+    generates three 64-bit words, which seed SFC64 (Doty-Humphrey's "small
+    fast chaotic" generator, from PractRand) as ``sfc64_set_seed`` does.
+    Each lane's state is three ``uint64`` words; the fourth, the counter,
+    is one scalar, since the lanes step together.  Every operand is a
+    typed numpy scalar or array, so the dtypes do not depend on numpy's
+    casting rules for Python ints.
     """
 
     def __init__(self, seed: int, reps: range):
@@ -203,43 +201,29 @@ class _ReplicateStreams:
         entropy = [np.array([w], dtype=np.uint32) for w in (*_uint32_words(seed), 0x6368)]
         entropy.append(np.arange(reps.start, reps.stop, dtype=np.uint32))
         words = [np.broadcast_to(w, (len(reps),)).astype(np.uint64) for w in _seed_words(entropy)]
-        # generate_state(4, np.uint64) joins word pairs little-endian; PCG64 reads the
-        # four results as (initstate hi, initstate lo, initseq hi, initseq lo)
-        init_hi, init_lo, seq_hi, seq_lo = (words[2 * k] | (words[2 * k + 1] << _U32) for k in range(4))
-        self.inc_hi = (seq_hi << _ONE) | (seq_lo >> _U63)
-        self.inc_lo = (seq_lo << _ONE) | _ONE
-        self.hi, self.lo = self.inc_hi, self.inc_lo  # the first step from state 0
-        self._add(init_hi, init_lo)
-        self._step()
+        # generate_state(3, np.uint64) joins word pairs little-endian; SFC64 takes them as
+        # (a, b, c), sets the counter to 1 and discards 12 outputs
+        self.a, self.b, self.c = (words[2 * k] | (words[2 * k + 1] << _U32) for k in range(3))
+        self.counter = _ONE
+        for _ in range(12):
+            self._next()
 
-    def _add(self, hi: np.ndarray, lo: np.ndarray) -> None:
-        lo = self.lo + lo
-        self.hi = self.hi + hi + (lo < self.lo)
-        self.lo = lo
-
-    def _step(self) -> None:
-        """state = state * multiplier + inc, modulo 2**128, from 32-bit limbs of the low word."""
-        a0, a1 = self.lo & _LOW32, self.lo >> _U32
-        b0, b1 = _PCG_MULT_LO & _LOW32, _PCG_MULT_LO >> _U32
-        p00, p01, p10 = a0 * b0, a0 * b1, a1 * b0
-        mid = (p00 >> _U32) + (p01 & _LOW32) + (p10 & _LOW32)
-        high = a1 * b1 + (p01 >> _U32) + (p10 >> _U32) + (mid >> _U32)  # of lo * _PCG_MULT_LO
-        self.hi = high + self.lo * _PCG_MULT_HI + self.hi * _PCG_MULT_LO
-        self.lo = self.lo * _PCG_MULT_LO
-        self._add(self.inc_hi, self.inc_lo)
+    def _next(self) -> np.ndarray:
+        """The next 64-bit output of every live replicate."""
+        out = self.a + self.b + self.counter
+        self.counter += _ONE
+        self.a = self.b ^ (self.b >> _U11)
+        self.b = self.c + (self.c << _U3)
+        self.c = ((self.c << _U24) | (self.c >> _U40)) + out
+        return out
 
     def random(self) -> np.ndarray:
         """The next uniform in [0, 1) of every live replicate."""
-        self._step()
-        rot = self.hi >> _U58
-        x = self.hi ^ self.lo
-        out = (x >> rot) | (x << ((_U64 - rot) & _U63))  # XSL-RR
-        return (out >> _U11) * 2.0**-53
+        return (self._next() >> _U11) * 2.0**-53
 
     def keep(self, live: np.ndarray) -> None:
         """Drop the replicates where ``live`` is False."""
-        self.hi, self.lo = self.hi[live], self.lo[live]
-        self.inc_hi, self.inc_lo = self.inc_hi[live], self.inc_lo[live]
+        self.a, self.b, self.c = self.a[live], self.b[live], self.c[live]
 
 
 def simulate_chain(

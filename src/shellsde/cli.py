@@ -429,6 +429,8 @@ def cmd_dissipation(args) -> int:
         "fitted_tail_rate": fitted_rate,
         "rate_bound_sigma2_over_mu": rate_bound,
         "rate_ratio": None if fitted_rate is None else fitted_rate / rate_bound,
+        "asymptotic_rate": solmax.decay_rate,
+        "asymptotic_rate_ratio": solmax.decay_rate / rate_bound,
         "threshold": threshold,
         "mass_monotone_in_N": mono_ok,
         "mass_final": {str(N): float(curves[N].mass[-1]) for N in Ns},

@@ -86,6 +86,7 @@ class MomentSolution:
     u: np.ndarray  # (T, N), nonnegative
     mass: np.ndarray  # (T,)
     escaped: np.ndarray  # (T,)
+    decay_rate: float  # -lambda_max(Q), the rate at which the mass decays as t grows
 
 
 def solve_forward(Q: QMatrix, u0: Sequence[float], tgrid: Sequence[float]) -> MomentSolution:
@@ -93,7 +94,7 @@ def solve_forward(Q: QMatrix, u0: Sequence[float], tgrid: Sequence[float]) -> Mo
 
     Evaluates the exact matrix exponential through the symmetric
     eigendecomposition (the matrix is symmetric, so this is both exact and
-    stable at any stiffness).
+    stable at any stiffness).  Its largest eigenvalue gives ``decay_rate``.
     """
     u0 = np.asarray(u0, dtype=float)
     if u0.shape != (Q.N,):
@@ -112,7 +113,7 @@ def solve_forward(Q: QMatrix, u0: Sequence[float], tgrid: Sequence[float]) -> Mo
         raise RuntimeError(f"forward solution went negative beyond roundoff: min={u.min():.3e}")
     u = np.maximum(u, 0.0)
     mass = u.sum(axis=1)
-    return MomentSolution(times=t, u=u, mass=mass, escaped=mass0 - mass)
+    return MomentSolution(times=t, u=u, mass=mass, escaped=mass0 - mass, decay_rate=-float(w[-1]))
 
 
 # ----------------------------------------------------------------------

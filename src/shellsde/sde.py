@@ -339,9 +339,9 @@ def run_ensemble(
     """Monte Carlo ensemble of truncated-system paths.
 
     Paths are organised in blocks.  Block b draws its slabs, in step order,
-    from its own generator ``slab_rng(seed, b)``, keyed once, and draws only
-    the cells the step reads; so results are a pure function of (seed,
-    block_size), independent of scheduling and of ``threads``.  A block's
+    from its own SFC64 generator ``slab_rng(seed, b)``, keyed once, and
+    draws only the cells the step reads; so results are a pure function of
+    (seed, block_size), independent of scheduling and of ``threads``.  A block's
     draw runs on a helper thread while the block steps when each stepping
     worker can have a second CPU for its helper (``2 * min(threads,
     blocks)`` at most the CPUs this process may use), and inline

@@ -28,7 +28,7 @@ SERIES_TOL = 1e-12  # relative size of the last term summed by explosion_tail_bo
 
 def chain_rng(seed, replicate):
     """The generator of replicate ``replicate`` of a chain estimate under ``seed``."""
-    return np.random.default_rng(np.random.SeedSequence(entropy=[seed, 0x6368, replicate]))
+    return np.random.Generator(np.random.SFC64(np.random.SeedSequence(entropy=[seed, 0x6368, replicate])))
 
 
 def _status(traj: ChainTrajectory, max_level: int) -> str:

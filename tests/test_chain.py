@@ -323,8 +323,8 @@ def test_lockstep_estimators_build_no_generator(goy, monkeypatch):
     grid = [0.4, 0.0, 0.1]
     caps = ChainCaps(2000, 20)
     with monkeypatch.context() as patch:
-        patch.setattr(np.random, "default_rng", refuse)
-        patch.setattr(np.random, "SeedSequence", refuse)
+        for name in ("default_rng", "SeedSequence", "Generator", "SFC64", "PCG64"):
+            patch.setattr(np.random, name, refuse)
         est = s.survival_curve(goy, start, grid, 300, caps, seed=5)
     _assert_same_survival(est, oracle.survival_curve(goy, start, grid, 300, caps, seed=5))
 

@@ -397,6 +397,27 @@ def test_dissipation_fits_no_rate_through_one_point(capsys):
     assert "warning: no tail rate fitted" in captured.err
 
 
+def test_dissipation_reports_the_asymptotic_rate_at_sixty_shells(capsys):
+    # no tail is fitted at N = 60, but the asymptotic rate -lambda_max(Q) needs no fit
+    code = main(["dissipation", "--model", "novikov", "--shells-list", "20,40,60", "--paths", "0"])
+    assert code == 0
+    doc = json.loads(capsys.readouterr().out)
+    assert doc["fitted_tail_rate"] is None
+    assert doc["asymptotic_rate"] > 0.0
+    assert doc["asymptotic_rate_ratio"] == doc["asymptotic_rate"] / doc["rate_bound_sigma2_over_mu"]
+
+
+@pytest.mark.parametrize("model", ["novikov", "goy"])
+def test_dissipation_asymptotic_rate_does_not_depend_on_the_energy(model, capsys):
+    rates = set()
+    for energy in (1e-8, 1.0, 1e8):
+        argv = ["dissipation", "--model", model, "--shells-list", "20,40,60", "--paths", "0"]
+        assert main(argv + ["--energy", repr(energy)]) == 0
+        doc = json.loads(capsys.readouterr().out)
+        rates.add((doc["asymptotic_rate"], doc["asymptotic_rate_ratio"]))
+    assert len(rates) == 1
+
+
 def test_dissipation_at_sixty_shells(capsys):
     # decay constants probe N + 5 = 65 shells, past MAX_SHELLS
     code = main(["dissipation", "--model", "novikov", "--shells-list", "20,60", "--paths", "0"])

@@ -1,12 +1,14 @@
 import dataclasses
 import math
 
+import mpmath
 import numpy as np
 import pytest
 
 import shellsde as s
 from rates_oracle import expm_oracle, n0, r_max_abs, radau_oracle
 from shellsde.algebra import BilinearMap, IdentityGramError
+from shellsde.modelio import load_model
 from shellsde.moments import embedded_matrix
 from shellsde.noise import MAX_SHELLS
 
@@ -117,6 +119,18 @@ def test_forward_modes_agree(novikov):
     a = s.solve_forward(Q, u0, t)
     b = radau_oracle(Q, u0, t)
     assert np.max(np.abs(a.u - b)) <= 1e-6
+
+
+@pytest.mark.parametrize("ref", ["novikov", "novikov:lambda=1.6", "goy"])
+def test_decay_rate_matches_a_high_precision_eigensolve(ref):
+    # -lambda_max(Q) against a 60-digit symmetric eigensolve; at N = 20 LAPACK's eigh is exact
+    N = 20
+    Q = s.build_qmatrix(load_model(ref), N)
+    rate = s.solve_forward(Q, np.eye(N)[0], [0.0, 1.0]).decay_rate
+    with mpmath.workdps(60):
+        w = mpmath.eigsy(mpmath.matrix(Q.matrix.tolist()), eigvals_only=True)
+        exact = -float(max(w[i] for i in range(N)))
+    assert rate == pytest.approx(exact, rel=1e-12)
 
 
 def test_mass_strictly_decreasing(novikov):

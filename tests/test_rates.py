@@ -9,6 +9,7 @@ hands out read-only prefixes of it, so these hold in any call order.
 """
 import dataclasses
 import json
+import math
 import warnings
 
 import numpy as np
@@ -18,7 +19,7 @@ from hypothesis import strategies as st
 
 import rates_oracle as oracle
 import shellsde as s
-from shellsde import chain
+from shellsde import algebra, chain
 from shellsde.algebra import CoefficientTable, JumpRates, jump_rates
 from shellsde.cli import main
 from shellsde.chain import ChainCaps
@@ -169,6 +170,52 @@ def test_integer_parameters_give_the_float_tables(model):
         for field in RATE_FIELDS:
             assert np.array_equal(getattr(a, field), getattr(b, field)), (N, field)
     assert type(ints.lam) is type(ints.sigma) is float
+
+
+def _numbers(low, high):
+    """An integer or a float in [low, high]."""
+    return st.one_of(st.integers(math.ceil(low), math.floor(high)), st.floats(low, high))
+
+
+@st.composite
+def models(draw):
+    """A preset with integer or float parameters (lambda in (1, 3], a + b + c = 0) and N in 1..MAX_SHELLS."""
+    name = draw(st.sampled_from(sorted(BUILDERS)))
+    lam = draw(st.one_of(st.integers(2, 3), st.floats(1.0, 3.0, exclude_min=True)))
+    sigma = draw(_numbers(0.125, 4.0))
+    N = draw(st.integers(1, MAX_SHELLS))
+    if name == "novikov":
+        return s.build_novikov(lam, sigma), N
+    a = draw(_numbers(0.25, 4.0))
+    c = draw(_numbers(0.25 if name == "sabra" else -4.0, 4.0))
+    if name == "goy":
+        return s.build_goy(a, -(a + c), c, lam, sigma), N
+    return s.build_sabra(a, -(a + c), c, lam, sigma, sigma * c / (lam * a)), N
+
+
+@given(models())
+@settings(derandomize=True, max_examples=60, deadline=None)
+def test_rate_invariants_hold_for_every_model_and_truncation(model):
+    spec, N = model
+    Q = build_qmatrix(spec, N)
+    np.testing.assert_allclose(Q.matrix, Q.matrix.T, rtol=1e-14, atol=0.0)
+    inside = Q.matrix - np.diag(np.diag(Q.matrix))
+    assert np.all(inside >= 0.0)
+    # escape is pi minus the float sum of a row's inside rates: >= 0 up to the rounding of that sum
+    assert np.all(Q.escape >= -N * np.finfo(float).eps * Q.pi)
+    table = chain._RateTable(spec, N)
+    assert np.array_equal(table.pi, Q.pi)
+    dead = Q.pi == 0.0
+    assert not inside[dead].any() and not table.targets[dead].any()
+    for n in np.flatnonzero(~dead):
+        real = table.targets[n] > 0
+        cum = np.where(np.isinf(table.cum[n, real]), 1.0, table.cum[n, real])  # the last real entry is +inf
+        row = np.bincount(table.targets[n, real] - 1, weights=np.diff(cum, prepend=0.0), minlength=N)
+        np.testing.assert_allclose(row[:N], inside[n] / Q.pi[n], rtol=1e-13, atol=1e-15)
+        assert row[N:].sum() == pytest.approx(Q.escape[n] / Q.pi[n], rel=1e-13, abs=1e-15)
+    fresh, prefix = algebra._build_rates(spec, N), jump_rates(spec, N)
+    for field in RATE_FIELDS:
+        assert np.array_equal(getattr(prefix, field), getattr(fresh, field)), field
 
 
 INTEGER_LAMBDA = {

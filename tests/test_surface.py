@@ -6,9 +6,11 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import shellsde
+from shellsde import noise
 
 PACKAGE = Path(shellsde.__file__).parent
 ROOT = Path(__file__).resolve().parents[1]
@@ -95,6 +97,41 @@ def test_tolerances_are_named_constants(name):
         and id(node) not in named
     ]
     assert not loose
+
+
+def _calls(tree):
+    """(enclosing function or None, called name) of every call in ``tree``."""
+    calls = []
+
+    def visit(node, scope):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, ast.Call):
+                func = child.func
+                calls.append((scope, func.attr if isinstance(func, ast.Attribute) else getattr(func, "id", None)))
+            visit(child, child.name if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)) else scope)
+
+    visit(tree, None)
+    return calls
+
+
+def test_only_slab_rng_builds_a_generator():
+    """Both routes draw from one generator family: ``noise.slab_rng``'s SFC64 is the only numpy generator ``src/`` builds.
+
+    The chain reproduces the same family's streams with array arithmetic,
+    so it builds none.
+    """
+    kinds = (np.random.BitGenerator, np.random.Generator, np.random.RandomState)
+    makers = {"default_rng"} | {
+        name for name in dir(np.random) if isinstance(getattr(np.random, name), type) and issubclass(getattr(np.random, name), kinds)
+    }
+    built = [
+        (name, scope, called)
+        for name in ["__init__", "__main__", *MODULES]
+        for scope, called in _calls(_tree(name))
+        if called in makers
+    ]
+    assert sorted(built) == [("noise", "slab_rng", "Generator"), ("noise", "slab_rng", "SFC64")]
+    assert type(noise.slab_rng(0).bit_generator) is np.random.SFC64
 
 
 def _reads(tree):
