@@ -7,15 +7,15 @@ the identical values, which is exactly the aliasing that makes the noise
 conservative.
 
 Generators run numpy's SFC64 bit generator, keyed by (seed, stream, step)
-through numpy's SeedSequence; a normal costs less on SFC64 than on
-PCG64, and the draw is an ensemble's largest cost.  An ensemble keys one
-generator per block of paths, once, as (seed, block, 0), and a :class:`SlabStream` draws that block's slabs, each
-packed to the cells the step kernel reads, one whole step after another:
-straight into the stepper's slab, or ahead on a helper thread.  numpy's
-normal stream is sequential, so the slabs do not depend on how the steps
-are cut into chunks, nor on which thread drew them: ensembles are a pure
-function of (seed, block size) and can be split across workers without
-shared state.  Increments, not path values, are the primitive:
+through numpy's SeedSequence; a normal costs less on SFC64 than on PCG64,
+and the draw is an ensemble's largest cost.  An ensemble keys one
+generator per block of paths, once, as (seed, block, 0), and a
+:class:`SlabStream` draws that block's slabs, each packed to the cells
+the step kernel reads, one whole step after another: straight into the
+stepper's slab, or ahead on a helper thread.  numpy's normal stream is
+sequential, so the slabs do not depend on how the steps are cut into
+chunks, nor on which thread drew them: ensembles are a pure function of
+(seed, block size) and can be split across workers without shared state.  Increments, not path values, are the primitive:
 integrators only ever consume increments.
 """
 from __future__ import annotations
@@ -46,7 +46,7 @@ def check_shells(N: int) -> None:
 
 
 def slab_rng(seed: int, stream: int = 0, step: int = 0) -> np.random.Generator:
-    """Generator keyed by (seed, stream, step); pure function of its key."""
+    """SFC64 generator keyed by (seed, stream, step); pure function of its key."""
     if seed < 0 or stream < 0 or step < 0:
         raise ValueError("seed, stream and step must be nonnegative")
     return np.random.Generator(np.random.SFC64(np.random.SeedSequence(entropy=[seed, stream, step])))

@@ -341,11 +341,11 @@ def run_ensemble(
     Paths are organised in blocks.  Block b draws its slabs, in step order,
     from its own SFC64 generator ``slab_rng(seed, b)``, keyed once, and
     draws only the cells the step reads; so results are a pure function of
-    (seed, block_size), independent of scheduling and of ``threads``.  A block's
-    draw runs on a helper thread while the block steps when each stepping
-    worker can have a second CPU for its helper (``2 * min(threads,
-    blocks)`` at most the CPUs this process may use), and inline
-    otherwise, with the same numbers.  Failed paths (a non-finite state
+    (seed, block_size), independent of scheduling and of ``threads``.  A
+    block's draw runs on a helper thread while the block steps when each
+    stepping worker can have a second CPU for its helper (``2 *
+    min(threads, blocks)`` at most the CPUs this process may use), and
+    inline otherwise, with the same numbers.  Failed paths (a non-finite state
     after a step, or at a record time an energy so large that the sums
     over the paths could overflow) are frozen, excluded from that record
     time on and reported in ``aborted``.  A statistic that still comes out
