@@ -1,0 +1,132 @@
+#!/usr/bin/env python3
+"""One SHA-256 per call of a fixed list of shellsde CLI calls.
+
+Each call runs in process through ``shellsde.cli.main``, on the ``src`` of
+the checkout that holds this script.  Its digest covers the exit code, the
+standard output (where every call here writes its result) and the standard
+error (its warnings).  To compare two checkouts, run this script in each:
+
+    python3 scripts/output_digest.py                  # one digest per call
+    python3 scripts/output_digest.py --save DIR       # and keep each output in DIR
+    python3 scripts/output_digest.py --against DIR    # and compare with a saved run
+
+With ``--against``, a call whose output differs from the saved one names
+each field that changed (a CSV column or a JSON key) and, for numbers, the
+largest relative change of one value, and the largest change over the
+field's largest magnitude.
+"""
+import argparse
+import contextlib
+import hashlib
+import io
+import json
+import math
+import os
+import sys
+
+sys.path.insert(0, os.path.join(os.path.dirname(__file__), "..", "src"))
+
+from shellsde.cli import main
+
+PRESETS = ("novikov", "goy", "sabra")
+CALLS = (
+    [(f"triangulate-seed{seed}", ["triangulate", "--model", "novikov", "--paths", "900", "--seed", str(seed)])
+     for seed in (1, 2, 102)]
+    + [(f"chain-{model}", ["chain", "--model", model]) for model in ("novikov", "goy")]
+    + [("simulate-goy-split", ["simulate", "--model", "goy", "--scheme", "split"])]
+    + [(f"dissipation-{model}", ["dissipation", "--model", model, "--paths", "0"]) for model in PRESETS]
+    # the shape of the dissipation benchmark, past the 25 rows where eigh changes method
+    + [("dissipation-novikov-to60", ["dissipation", "--model", "novikov", "--shells-list", "10,20,30,40,60", "--paths", "0"])]
+    + [(f"constants-{model}", ["constants", "--model", model]) for model in PRESETS]
+    + [("moments-novikov", ["moments", "--model", "novikov"])]
+)
+
+
+def run(argv: list[str]) -> str:
+    """Exit code (or exception), standard output and standard error of one call, as one text."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            status = str(main(argv))
+        except Exception as exc:  # an escaped exception is an output too
+            status = f"{type(exc).__name__}: {exc}"
+    return f"exit: {status}\n--- stdout\n{out.getvalue()}--- stderr\n{err.getvalue()}"
+
+
+def _flatten(path: str, doc, found: dict) -> None:
+    if isinstance(doc, dict):
+        for key, value in doc.items():
+            _flatten(f"{path}.{key}" if path else key, value, found)
+    elif isinstance(doc, list):
+        for value in doc:
+            _flatten(path, value, found)
+    else:
+        found.setdefault(path, []).append(doc)
+
+
+def fields(text: str) -> dict:
+    """The values of one output by field: a CSV column, a JSON key path, or a whole text."""
+    status, rest = text.split("\n--- stdout\n", 1)
+    out, err = rest.split("--- stderr\n", 1)
+    found = {"exit": [status], "stderr": [err]}
+    lines = out.splitlines()
+    if lines and lines[0].startswith("# config: "):
+        _flatten("config", json.loads(lines[0][len("# config: "):]), found)
+        header = lines[1].split(",")
+        for line in lines[2:]:
+            cells = line.split(",")
+            if len(cells) != len(header):  # a summary line after the table
+                found.setdefault("stdout", []).append(line)
+                continue
+            for name, cell in zip(header, cells):
+                found.setdefault(name, []).append(float(cell) if cell else None)
+    elif out.startswith("{"):
+        _flatten("", json.loads(out), found)
+    else:
+        found["stdout"] = [out]
+    return found
+
+
+def changes(old: str, new: str) -> str:
+    """Each field whose values differ, with the largest relative change among its numbers."""
+    a, b = fields(old), fields(new)
+    report = []
+    for name in sorted(a.keys() | b.keys()):
+        x, y = a.get(name), b.get(name)
+        if x == y:
+            continue
+        numeric = x and y and len(x) == len(y) and all(type(v) is float and type(w) is float for v, w in zip(x, y))
+        if not numeric:
+            report.append((math.inf, f"{name} differs"))
+            continue
+        worst = max(abs(v - w) / max(abs(v), abs(w)) for v, w in zip(x, y) if v != w)
+        spread = max(abs(v - w) for v, w in zip(x, y)) / max(abs(v) for v in x + y)
+        report.append((worst, f"{name} {worst:.3g} ({spread:.2g} of its largest)"))
+    if not report:
+        return "same"
+    return "changed: " + ", ".join(text for _, text in sorted(report, reverse=True))
+
+
+def cli(argv=None) -> int:
+    ap = argparse.ArgumentParser(description=__doc__, formatter_class=argparse.RawDescriptionHelpFormatter)
+    ap.add_argument("--save", default=None, help="directory to keep each call's output in")
+    ap.add_argument("--against", default=None, help="directory of a saved run to compare with")
+    args = ap.parse_args(argv)
+    if args.save:
+        os.makedirs(args.save, exist_ok=True)
+    for label, call in CALLS:
+        text = run(call)
+        line = f"{hashlib.sha256(text.encode()).hexdigest()}  {label}"
+        if args.save:
+            with open(os.path.join(args.save, label + ".txt"), "w", encoding="utf-8") as fh:
+                fh.write(text)
+        if args.against:
+            with open(os.path.join(args.against, label + ".txt"), encoding="utf-8") as fh:
+                old = fh.read()
+            line += "  " + changes(old, text)
+        print(line, flush=True)
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(cli())

@@ -52,7 +52,8 @@ class QMatrix:
 
     ``matrix[n-1, m-1]`` holds the jump rate n -> m inside 1..N, the
     diagonal holds the full exit rate -pi_n, and ``escape[n-1]`` the rate
-    leaking past the truncation (positive only near the top border).
+    leaking past the truncation: the sum of the rates n -> m with m > N,
+    never negative, and exactly zero on a row whose targets all lie inside.
     """
 
     N: int
@@ -66,7 +67,8 @@ def build_qmatrix(spec: ModelSpec, N: int) -> QMatrix:
 
     Off-diagonal entries are the in-range rates of :func:`jump_rates`,
     sigma**2 * k_eff(i, n)**2 summed over interactions with shell offset
-    m - n; the pairing makes the result symmetric.
+    m - n; the pairing makes the result symmetric.  ``escape`` sums the
+    grouped rates whose target n + offset lies past N.
     """
     require_identity_grams(spec)
     if N < 1:
@@ -76,7 +78,11 @@ def build_qmatrix(spec: ModelSpec, N: int) -> QMatrix:
     Q = rates.inside()
     pi = rates.pi
     np.fill_diagonal(Q, -pi)
-    escape = pi - (Q.sum(axis=1) - np.diag(Q))
+    escape = np.zeros(N)
+    for off, grouped in zip(rates.offsets.tolist(), rates.grouped):
+        if off > 0:  # rows n > N - off jump past N
+            past = slice(max(0, N - off), N)
+            escape[past] += grouped[past]
     return QMatrix(N=N, matrix=Q, pi=pi, escape=escape)
 
 
@@ -93,8 +99,10 @@ def solve_forward(Q: QMatrix, u0: Sequence[float], tgrid: Sequence[float]) -> Mo
     """Propagate u' = u Pi from a nonnegative initial condition.
 
     Evaluates the exact matrix exponential through the symmetric
-    eigendecomposition (the matrix is symmetric, so this is both exact and
-    stable at any stiffness).  Its largest eigenvalue gives ``decay_rate``.
+    eigendecomposition Pi = V diag(w) V^T (the matrix is symmetric, so this
+    is both exact and stable at any stiffness): with c = u0 V, the rows
+    u(t) = (exp(t w) * c) V^T for every grid time are one matrix product.
+    The largest eigenvalue gives ``decay_rate``.
     """
     u0 = np.asarray(u0, dtype=float)
     if u0.shape != (Q.N,):
@@ -108,7 +116,7 @@ def solve_forward(Q: QMatrix, u0: Sequence[float], tgrid: Sequence[float]) -> Mo
     w, V = np.linalg.eigh(Q.matrix)
     coeff = u0 @ V
     with np.errstate(under="ignore"):
-        u = np.einsum("k,tk,nk->tn", coeff, np.exp(np.outer(t, w)), V)
+        u = (np.exp(np.outer(t, w)) * coeff) @ V.T
     if u.min() < -MASS_TOL * mass0:
         raise RuntimeError(f"forward solution went negative beyond roundoff: min={u.min():.3e}")
     u = np.maximum(u, 0.0)

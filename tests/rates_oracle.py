@@ -11,6 +11,8 @@ each of
 independent propagations of the forward equation: a dense ``expm`` and an
 implicit Radau integration.  The package now reads all of these from
 :func:`shellsde.algebra.jump_rates`; the tests hold it to these loops.
+:func:`forward_contraction` is the earlier assembly of the forward solve,
+u(t) as a three-operand ``einsum`` over the same eigenpairs.
 """
 import numpy as np
 import scipy.integrate
@@ -53,6 +55,7 @@ def qmatrix(spec, N):
     """(matrix, pi, escape) of the absorbing rate matrix, accumulated per interaction."""
     Q = np.zeros((N, N))
     pi = np.zeros(N)
+    escape = np.zeros(N)
     for n in range(1, N + 1):
         for iid in spec.ids:
             k = k_eff(spec, iid, n)
@@ -63,8 +66,9 @@ def qmatrix(spec, N):
             m = n + spec.interaction(iid).r
             if 1 <= m <= N:
                 Q[n - 1, m - 1] += rate
+            elif m > N:
+                escape[n - 1] += rate
         Q[n - 1, n - 1] = -pi[n - 1]
-    escape = pi - (Q.sum(axis=1) - np.diag(Q))
     return Q, pi, escape
 
 
@@ -167,3 +171,15 @@ def radau_oracle(Q, u0, t):
     u = np.empty((len(t), Q.N))
     u[order] = sol.y.T
     return u
+
+
+def forward_contraction(Q, u0, t):
+    """(u, decay_rate, min) of the forward solve, u(t) the earlier three-operand einsum over the eigenpairs.
+
+    ``u`` is clipped at 0 as the solve clips it; ``min`` is its smallest entry before the clip.
+    """
+    w, V = np.linalg.eigh(Q.matrix)
+    coeff = np.asarray(u0, dtype=float) @ V
+    with np.errstate(under="ignore"):
+        u = np.einsum("k,tk,nk->tn", coeff, np.exp(np.outer(np.asarray(t, dtype=float), w)), V)
+    return np.maximum(u, 0.0), -float(w[-1]), float(u.min())

@@ -438,3 +438,28 @@ def test_dissipation_warns_outside_regime(capsys):
     doc = json.loads(captured.out)
     assert doc["warnings"]
     assert "rho" in captured.err
+
+
+def _output_digest():
+    import importlib.util
+    from pathlib import Path
+
+    path = Path(__file__).resolve().parents[1] / "scripts" / "output_digest.py"
+    spec = importlib.util.spec_from_file_location("output_digest", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def test_output_digest_calls_parse_and_changes_name_their_fields():
+    digest = _output_digest()
+    from shellsde.cli import build_parser
+
+    for _, call in digest.CALLS:
+        build_parser().parse_args(call)
+    csv = 'exit: 0\n--- stdout\n# config: {"seed": 1}\nt,n,mass\n0.0,1,1.0\n1.0,1,%r\nsummary\n--- stderr\n'
+    assert digest.changes(csv % 0.5, csv % 0.5) == "same"
+    assert digest.changes(csv % 0.5, csv % 0.5000000000000001) == "changed: mass 2.22e-16 (1.1e-16 of its largest)"
+    doc = 'exit: 0\n--- stdout\n{"a": {"b": [1.0, %r]}, "flag": %s}\n--- stderr\n%s'
+    old, new = doc % (2.0, "true", ""), doc % (2.5, "false", "warning: x\n")
+    assert digest.changes(old, new) == "changed: stderr differs, flag differs, a.b 0.2 (0.2 of its largest)"

@@ -6,10 +6,11 @@ import numpy as np
 import pytest
 
 import shellsde as s
-from rates_oracle import expm_oracle, n0, r_max_abs, radau_oracle
+from rates_oracle import expm_oracle, forward_contraction, n0, r_max_abs, radau_oracle
 from shellsde.algebra import BilinearMap, IdentityGramError
+from shellsde.cli import _time_grid
 from shellsde.modelio import load_model
-from shellsde.moments import embedded_matrix
+from shellsde.moments import MASS_TOL, embedded_matrix
 from shellsde.noise import MAX_SHELLS
 
 
@@ -44,7 +45,7 @@ def test_row_sums_and_escape(novikov, goy):
         for n in range(1, N + 1):
             if n <= interior:
                 assert abs(rows[n - 1]) <= 1e-12 * Q.pi[n - 1]
-                assert Q.escape[n - 1] <= 1e-12 * Q.pi[n - 1]
+                assert Q.escape[n - 1] == 0.0
             else:
                 assert Q.escape[n - 1] >= 0.0
         assert Q.escape[-1] > 0.0
@@ -119,6 +120,26 @@ def test_forward_modes_agree(novikov):
     a = s.solve_forward(Q, u0, t)
     b = radau_oracle(Q, u0, t)
     assert np.max(np.abs(a.u - b)) <= 1e-6
+
+
+@pytest.mark.parametrize("grid", ["geometric", "linear"])
+@pytest.mark.parametrize("ref", ["novikov", "novikov:lambda=1.6", "goy", "sabra"])
+def test_forward_assembly_matches_the_contraction(ref, grid):
+    # one matrix product over the eigenpairs against the three-operand einsum it replaced; where
+    # the einsum goes negative beyond MASS_TOL (eigh's error above 25 rows) the solve must refuse too
+    spec = load_model(ref)
+    for N in (1, 2, 10, 25, 26, 40, 64):
+        Q = s.build_qmatrix(spec, N)
+        t = _time_grid(spec, N, 3.0, 80, grid)
+        for u0 in (np.eye(N)[0], np.linspace(1.0, 2.0, N)):
+            u, rate, low = forward_contraction(Q, u0, t)
+            if low < -MASS_TOL * u0.sum():
+                with pytest.raises(RuntimeError, match="went negative"):
+                    s.solve_forward(Q, u0, t)
+                continue
+            sol = s.solve_forward(Q, u0, t)
+            assert np.max(np.abs(sol.u - u)) <= 1e-14 * np.abs(u).max(), N
+            assert sol.decay_rate == rate, N
 
 
 @pytest.mark.parametrize("ref", ["novikov", "novikov:lambda=1.6", "goy"])

@@ -23,7 +23,7 @@ from shellsde import algebra, chain
 from shellsde.algebra import CoefficientTable, JumpRates, jump_rates
 from shellsde.cli import main
 from shellsde.chain import ChainCaps
-from shellsde.moments import build_qmatrix, embedded_matrix
+from shellsde.moments import TAIL_TOL, build_qmatrix, decay_constants, embedded_matrix
 from shellsde.noise import MAX_SHELLS
 
 LAMS = (2.0, 1.5, 2.37, 3.0)
@@ -201,8 +201,10 @@ def test_rate_invariants_hold_for_every_model_and_truncation(model):
     np.testing.assert_allclose(Q.matrix, Q.matrix.T, rtol=1e-14, atol=0.0)
     inside = Q.matrix - np.diag(np.diag(Q.matrix))
     assert np.all(inside >= 0.0)
-    # escape is pi minus the float sum of a row's inside rates: >= 0 up to the rounding of that sum
-    assert np.all(Q.escape >= -N * np.finfo(float).eps * Q.pi)
+    # escape sums the rates whose target lies past N: never negative, exactly 0 where every target is inside
+    assert np.all(Q.escape >= 0.0)
+    reach = max(it.r for it in spec.interactions)
+    assert not Q.escape[: max(0, N - reach)].any()
     table = chain._RateTable(spec, N)
     assert np.array_equal(table.pi, Q.pi)
     dead = Q.pi == 0.0
@@ -216,6 +218,19 @@ def test_rate_invariants_hold_for_every_model_and_truncation(model):
     fresh, prefix = algebra._build_rates(spec, N), jump_rates(spec, N)
     for field in RATE_FIELDS:
         assert np.array_equal(getattr(prefix, field), getattr(fresh, field)), field
+
+
+@given(models())
+@settings(derandomize=True, max_examples=200, deadline=None)
+def test_decay_constants_hold_for_every_model_and_truncation(model):
+    spec, N = model
+    dc = decay_constants(spec, 1.0, N)
+    assert all(math.isfinite(v) for v in (dc.nu, dc.Lambda, dc.mu, dc.C))
+    assert np.all(dc.nu_n > 0.0) and np.all(np.isfinite(dc.nu_n))
+    assert dc.converged == (dc.tail_rel_change <= TAIL_TOL)
+    # pi scales with sigma**2 and nu with its inverse, so mu = sigma**2 * nu does not depend on sigma
+    doubled = decay_constants(dataclasses.replace(spec, sigma=2.0 * spec.sigma), 1.0, N)
+    assert doubled.mu == pytest.approx(dc.mu, rel=1e-8, abs=0.0)
 
 
 INTEGER_LAMBDA = {
