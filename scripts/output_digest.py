@@ -34,6 +34,11 @@ CALLS = (
      for seed in (1, 2, 102)]
     + [(f"chain-{model}", ["chain", "--model", model]) for model in ("novikov", "goy")]
     + [("simulate-goy-split", ["simulate", "--model", "goy", "--scheme", "split"])]
+    # Girsanov-weighted ensembles: the ledger's cells join the slab, and GOY's shift its second channel row
+    + [(f"simulate-{model}-{weights}-split",
+        ["simulate", "--model", model, "--weights", weights, "--scheme", "split", "--paths", "300", "--horizon", "0.2"])
+       for model, weights in (("novikov", "QtoP"), ("goy", "PtoQ"))]
+    + [("dissipation-novikov-reweighted", ["dissipation", "--model", "novikov", "--paths", "200"])]
     + [(f"dissipation-{model}", ["dissipation", "--model", model, "--paths", "0"]) for model in PRESETS]
     # the shape of the dissipation benchmark, past the 25 rows where eigh changes method
     + [("dissipation-novikov-to60", ["dissipation", "--model", "novikov", "--shells-list", "10,20,30,40,60", "--paths", "0"])]

@@ -590,18 +590,19 @@ class KernelTerm(NamedTuple):
 
     The step kernel adds ``coef * X[b, src] * V[other]`` to ``out[a, dst]``,
     where X is a (d, N, P) batch of paths and V is either X itself, with
-    ``other = (c, shells)``, or the step's noise slab, with ``other = (row,
-    c, window cells)`` here and the rows of the packed slab in a Stepper's
-    copy.  ``coef`` has shape (len, 1):
-    the bilinear entry times ``keff[j]`` on the destination shells, times
-    sigma for noise terms.
+    ``other = (c, shells)``, or the step's packed noise slab, with ``other``
+    a slice of its rows.  A noise term of a :class:`CoefficientTable` names
+    its cells as ``(channel row, c, noise shells)``, and
+    :meth:`CoefficientTable.slab` maps them into a slab.  ``coef`` has shape
+    (len, 1): the bilinear entry times ``keff[j]`` on the destination
+    shells, times sigma for noise terms.
     """
 
     a: int
     dst: slice
     b: int
     src: slice
-    other: tuple
+    other: tuple | slice
     coef: np.ndarray
 
 
@@ -615,10 +616,11 @@ class CoefficientTable:
     is the scalar ``pi[n-1] / 2``.
 
     The step kernel's term lists are built here once: ``transport_terms``
-    (state times state), ``noise_terms`` (state times slab) and
-    ``ledger_rows``, the (slab row, state shells, window cells) that the
-    Girsanov ledger reads.  Slab window cell 0 is shell index ``lo``.
-    :meth:`slab_cells` merges their cells into the runs a step draws.
+    (state times state), ``noise_terms`` (state times noise) and
+    ``ledger_rows``, the (channel row, shells) whose state and noise the
+    Girsanov ledger pairs.  Noise shells are zero-based shell indices, as
+    state shells are, and may pass N.  :meth:`slab` lays out the packed
+    slab that a step reads and maps both lists into it.
     """
 
     def __init__(self, spec: ModelSpec, N: int):
@@ -630,7 +632,6 @@ class CoefficientTable:
         self.d = spec.d
         star = spec.star_ids()
         row = {iid: j for j, iid in enumerate(star)}
-        self.star_ids = star
         self.star_row = np.array(
             [row[it.iid] if it.iid in spec.istar else row[spec.pairing[it.iid]] for it in spec.interactions],
             dtype=int,
@@ -639,14 +640,12 @@ class CoefficientTable:
         self.gamma = 0.5 * np.einsum("jn,jab->nab", rates.rate, spec.grams())
         self.pi = rates.pi
         self.identity_grams = spec.has_identity_grams()
-        self.lo = 1 - spec.h_max_abs
-        self.window = N + spec.h_max_abs - self.lo + 1
         self.transport_terms, self.noise_terms = self._kernel_terms()
         self.ledger_rows = []
         for j, iid in enumerate(star):
             mlo = max(1, 1 + spec.interaction(iid).h)
             if mlo <= N:
-                self.ledger_rows.append((j, slice(mlo - 1, N), slice(mlo - self.lo, N - self.lo + 1)))
+                self.ledger_rows.append((j, slice(mlo - 1, N)))
 
     def _kernel_terms(self) -> tuple[list[KernelTerm], list[KernelTerm]]:
         """Transport and noise terms of every non-zero bilinear entry.
@@ -655,7 +654,7 @@ class CoefficientTable:
         transported shell n + r exists; a transport term also needs the
         partner shell n + h.
         """
-        N, lo, sigma = self.N, self.lo, self.spec.sigma
+        N, sigma = self.N, self.spec.sigma
         transport, noise = [], []
         for j, it in enumerate(self.spec.interactions):
             nlo = max(1, 1 - it.r, 1 - it.h)
@@ -670,32 +669,47 @@ class CoefficientTable:
             transport_coef = vals * keff[: top - nlo + 1]
             dst, src = slice(nlo - 1, nhi), slice(nlo - 1 + it.r, nhi + it.r)
             dst_t, src_t = slice(nlo - 1, top), slice(nlo - 1 + it.r, top + it.r)
-            row, cells = int(self.star_row[j]), slice(nlo + it.h - lo, nhi + it.h - lo + 1)
+            row, shells = int(self.star_row[j]), slice(nlo - 1 + it.h, nhi + it.h)
             for i, (a, b, c) in enumerate(np.argwhere(B).tolist()):
-                noise.append(KernelTerm(a, dst, b, src, (row, c, cells), noise_coef[i]))
+                noise.append(KernelTerm(a, dst, b, src, (row, c, shells), noise_coef[i]))
                 if nlo <= top:
                     other = (c, slice(nlo - 1 + it.h, top + it.h))
                     transport.append(KernelTerm(a, dst_t, b, src_t, other, transport_coef[i]))
         return transport, noise
 
-    def slab_cells(self, weighted: bool = False) -> tuple[tuple[int, int, int, int], ...]:
-        """Window cells of the slab that a step reads, as (row, component, start, stop) runs.
+    def slab(self, weighted: bool) -> tuple[int, list[KernelTerm], list[tuple[slice, slice, slice]] | None]:
+        """The packed slab a step reads: its row count, and the noise terms and ledger rows mapped into it.
 
-        Read from the kernel's own lists: the noise terms' cells and, with
-        ``weighted``, the ledger rows.  A row's ranges are merged where they
-        overlap or touch, and every component of the row gets the same runs,
-        so that the ledger can read a row's components as one block; each
-        run is a contiguous block ``dW[row, component, start:stop]`` of the
-        (n_star, d, window, P) window slab and no cell appears twice.
+        The slab holds, of each channel row, the noise shells that its noise
+        terms read and, with ``weighted``, those of its ledger row, for every
+        component alike; rows run by channel row, then component, then
+        shell, which is the order a step draws them in.  A noise term's
+        ``other`` becomes its slice of slab rows.  A ledger row becomes
+        (shells, block, cells): ``block`` is the channel row's slab rows, its
+        d components one after another, and ``cells`` the ledger's part of
+        each component.  The ledger rows are None unless ``weighted``.
         """
-        ranges = [(row, cells.start, cells.stop) for row, _, cells in (t.other for t in self.noise_terms)]
+        reads = [(row, shells) for row, _, shells in (t.other for t in self.noise_terms)]
         if weighted:
-            ranges += [(row, cells.start, cells.stop) for row, _, cells in self.ledger_rows]
-        spans: dict[int, list[list[int]]] = {}  # per row, in row order
-        for row, start, stop in sorted(ranges):
-            merged = spans.setdefault(row, [])
-            if merged and start <= merged[-1][1]:
-                merged[-1][1] = max(stop, merged[-1][1])
-            else:
-                merged.append([start, stop])
-        return tuple((row, c, a, b) for row, merged in spans.items() for c in range(self.d) for a, b in merged)
+            reads += self.ledger_rows
+        read: dict[int, set[int]] = {}
+        for row, shells in reads:
+            read.setdefault(row, set()).update(range(shells.start, shells.stop))
+        size, first, place = 0, {}, {}  # per channel row: its first slab row, each shell's place in a component
+        for row in sorted(read):
+            first[row], place[row] = size, {m: i for i, m in enumerate(sorted(read[row]))}
+            size += self.d * len(read[row])
+
+        def cells(row, c, shells):
+            start = first[row] + c * len(place[row]) + place[row][shells.start]
+            return slice(start, start + shells.stop - shells.start)
+
+        noise = [t._replace(other=cells(*t.other)) for t in self.noise_terms]
+        if not weighted:
+            return size, noise, None
+        ledger = []
+        for row, shells in self.ledger_rows:
+            start = place[row][shells.start]
+            block = slice(first[row], first[row] + self.d * len(place[row]))
+            ledger.append((shells, block, slice(start, start + shells.stop - shells.start)))
+        return size, noise, ledger

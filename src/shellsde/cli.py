@@ -21,6 +21,7 @@ from typing import Optional, Sequence
 import numpy as np
 
 from . import algebra, chain, modelio, moments, sde
+from .noise import MAX_SHELLS
 
 __all__ = ["main", "main_entry"]
 
@@ -104,6 +105,7 @@ def cmd_validate(args) -> int:
 
 def cmd_simulate(args) -> int:
     spec = _load(args.model)
+    _check_shell("--shells", args.shells, MAX_SHELLS)
     _check_shell("--start-shell", args.start_shell, args.shells)
     if args.record < 2:
         raise ValueError(f"--record must be at least 2 (t = 0 and the horizon), got {args.record}")
@@ -155,6 +157,7 @@ def _time_grid(spec: algebra.ModelSpec, N: int, horizon: float, points: int, kin
 
 def cmd_moments(args) -> int:
     spec = _load(args.model)
+    _check_shell("--shells", args.shells, MAX_SHELLS)
     _check_shell("--start-shell", args.start_shell, args.shells)
     Q = moments.build_qmatrix(spec, args.shells)
     tgrid = _time_grid(spec, args.shells, args.horizon, args.points, args.grid)
@@ -263,6 +266,9 @@ def cmd_triangulate(args) -> int:
     caps = chain.ChainCaps(max_jumps=args.max_jumps, max_level=args.max_level)
     times = [float(s) for s in args.times.split(",")]
     N = args.shells
+    _check_shell("--shells", N, MAX_SHELLS)
+    if args.sde_shells:
+        _check_shell("--sde-shells", args.sde_shells, MAX_SHELLS)
     n_sde = args.sde_shells or sde_resolvable_shells(spec, args.dt, N)
     _check_shell("--start-shell", args.start_shell, n_sde, N, args.max_level)
     _check_shell("--nmax", args.nmax, N, args.max_level)
@@ -354,6 +360,10 @@ def cmd_dissipation(args) -> int:
     spec = _load(args.model)
     Ns = [int(s) for s in args.shells_list.split(",")]
     Nmax = max(Ns)
+    for N in Ns:
+        _check_shell("--shells-list", N, MAX_SHELLS)
+    if args.paths > 0:
+        _check_shell("--sde-shells", args.sde_shells, MAX_SHELLS)
     _check_shell("--start-shell", args.start_shell, *Ns, *([args.sde_shells] if args.paths > 0 else []))
     tgrid = _time_grid(spec, Nmax, args.horizon, args.points, "geometric")
     curves = {}

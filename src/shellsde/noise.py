@@ -1,10 +1,9 @@
 """Aliased Brownian increment generation for shell-model simulations.
 
-One time step consumes a slab of Gaussian increments indexed by
-(independent channel, shell window, component).  Only one representative
-per interaction pair carries fresh randomness; the partner channel reads
-the identical values, which is exactly the aliasing that makes the noise
-conservative.
+One time step consumes a slab of Gaussian increments.  Only one
+representative per interaction pair carries fresh randomness; the partner
+channel reads the identical values, which is exactly the aliasing that
+makes the noise conservative.
 
 Generators run numpy's SFC64 bit generator, keyed by (seed, stream, step)
 through numpy's SeedSequence; a normal costs less on SFC64 than on PCG64,
@@ -42,7 +41,7 @@ CHUNK_NORMALS = 1 << 16
 def check_shells(N: int) -> None:
     """Reject truncation levels beyond :data:`MAX_SHELLS`."""
     if N > MAX_SHELLS:
-        raise ValueError(f"window overflow: N = {N} exceeds configured maximum {MAX_SHELLS}")
+        raise ValueError(f"N = {N} exceeds MAX_SHELLS = {MAX_SHELLS}")
 
 
 def slab_rng(seed: int, stream: int = 0, step: int = 0) -> np.random.Generator:

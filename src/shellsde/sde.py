@@ -30,15 +30,15 @@ for every adapted scheme.
 Step kernel.  A batch of P paths is stored component-major, as a contiguous
 (d, N, P) array, so that every (component, shell range) slice is a block of
 whole rows over the paths.  A step's noise slab is packed: a (cells, P)
-array that holds only the cells the kernel reads, the runs of
-:meth:`CoefficientTable.slab_cells` end to end.  A :class:`Stepper` maps
-each noise term, and each Girsanov ledger row, to a slice of it once.  An
-ensemble block's :class:`~shellsde.noise.SlabStream` hands out each step's
-slab whole; it draws on a helper thread, beside the step kernel, when the
-process may run on at least two CPUs per stepping worker (``2 *
-min(threads, blocks)``), so that each helper has a CPU of its own, and
-inline otherwise; the slabs are the same either way, so results depend
-only on (seed, block_size).
+array that holds only the cells the kernel reads, by channel row, then
+component, then shell, as :meth:`CoefficientTable.slab` lays it out; the
+same call gives each noise term, and each Girsanov ledger row, as slices
+of it.  An ensemble block's :class:`~shellsde.noise.SlabStream` hands out
+each step's slab whole; it draws on a helper thread, beside the step
+kernel, when the process may run on at least two CPUs per stepping worker
+(``2 * min(threads, blocks)``), so that each helper has a CPU of its own,
+and inline otherwise; the slabs are the same either way, so results
+depend only on (seed, block_size).
 Transport and diffusion are then sums of unrolled terms, one per non-zero
 ``B[j, a, b, c]``, precomputed by :class:`CoefficientTable`: each term
 multiplies two row blocks, scales by its folded coefficient vector and adds
@@ -182,39 +182,13 @@ def _weight_increment(stepper: Stepper, X: np.ndarray) -> tuple[np.ndarray, np.n
     return zinc, qvinc
 
 
-def _packed_terms(table: CoefficientTable, cells, weighted: bool):
-    """The table's noise terms and, with ``weighted``, its ledger rows, mapped into the packed slab of ``cells``.
-
-    A noise term's ``other`` becomes the slice of slab rows that holds its
-    window cells.  A ledger row becomes (shells, block, cells): ``block``
-    is the row's slab rows, its d components one after another, and
-    ``cells`` the ledger's part of each component.
-    """
-    packed = [(row, c, m) for row, c, start, stop in cells for m in range(start, stop)]
-    index = {cell: k for k, cell in enumerate(packed)}  # window cell -> slab row
-
-    def rows(row, c, win):
-        return slice(index[row, c, win.start], index[row, c, win.start] + win.stop - win.start)
-
-    noise = [t._replace(other=rows(*t.other)) for t in table.noise_terms]
-    if not weighted:
-        return noise, None
-    ledger = []
-    for row, shells, win in table.ledger_rows:
-        block = [k for k, cell in enumerate(packed) if cell[0] == row]
-        first = index[row, 0, win.start] - block[0]
-        ledger.append((shells, slice(block[0], block[-1] + 1), slice(first, first + win.stop - win.start)))
-    return noise, ledger
-
-
 class Stepper:
     """One time step of a truncated system, bound to a table and a batch of P paths.
 
     Paths are stored (d, N, P).  The step's noise slab ``dW`` is packed
-    (cells, P): the window cells the step reads, the runs ``cells`` of
-    ``table.slab_cells(weighted)`` end to end, zero until set.
-    ``noise_terms`` and ``ledger_rows`` (None unless ``weighted``) are the
-    table's, mapped into it.  :meth:`step` advances paths in place and
+    (cells, P), as ``table.slab(weighted)`` lays it out, and zero until
+    set; ``noise_terms`` and ``ledger_rows`` (None unless ``weighted``)
+    come from the same call.  :meth:`step` advances paths in place and
     :meth:`ledger` returns the Girsanov increments of the pre-step paths;
     both read ``dW``, so an ensemble step sets ``dW`` to the noise
     stream's next slab, then calls ``ledger``, then ``step``.  They run the
@@ -234,10 +208,9 @@ class Stepper:
         self.dt = dt
         self.scheme = scheme
         self.system = system
-        self.cells = table.slab_cells(weighted)
-        self.noise_terms, self.ledger_rows = _packed_terms(table, self.cells, weighted)
+        cells, self.noise_terms, self.ledger_rows = table.slab(weighted)
         self.half_fac = _half_damp_factors(table, dt) if scheme == "split" else None
-        self.dW = np.zeros((sum(stop - start for _, _, start, stop in self.cells), paths))
+        self.dW = np.zeros((cells, paths))
         self.incr = np.empty((table.d, table.N, paths))
         self.alt = np.empty((table.d, table.N, paths))
         self.tmp = np.empty((table.N, paths))

@@ -5,7 +5,8 @@ step kernel in :mod:`shellsde.sde`.  They read the offsets and bilinear
 maps from the model's interactions and only the coefficient arrays of a
 :class:`CoefficientTable` (``keff``, ``star_row``, ``gamma``), never its
 kernel term lists.  Slabs keep the sampling layout
-(P, n_star, window, d), with window cell 0 at shell index ``lo``.
+(P, n_star, width, d) of :func:`noise_oracle.window_layout`, with window
+cell 0 at shell index ``lo``.
 """
 import numpy as np
 

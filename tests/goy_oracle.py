@@ -7,9 +7,10 @@ conjugacy tests check the real-form integrator of :mod:`shellsde.sde`
 against it under the complex-to-real embedding.
 
 Both sides read the same whole-window slab: :func:`keyed_slab` draws every
-cell of it from one key, in the sampling layout (paths, n_star, window, d)
-that :class:`NoiseSlab` looks channels up in, and :meth:`NoiseSlab.load`
-packs it into a stepper's own slab.  :func:`embed_complex` and
+cell of it from one key, in the sampling layout (paths, n_star, width, d)
+that :class:`NoiseSlab` looks channels up in (the window of
+:func:`noise_oracle.window_layout`), and :meth:`NoiseSlab.load` packs it
+into a stepper's own slab.  :func:`embed_complex` and
 :func:`lift_real` map between complex shells and the real form's (re, im)
 pairs, and :func:`bilinear_apply` evaluates one bilinear map on vectors.
 """
@@ -18,7 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from noise_oracle import pack
+from noise_oracle import pack, window_layout
 from shellsde.algebra import BilinearMap, CoefficientTable, ModelSpec
 from shellsde.noise import slab_rng
 
@@ -88,9 +89,10 @@ def keyed_slab(table: CoefficientTable, dt: float, key, paths: int = 1) -> Noise
     ``key`` is a (seed, stream, step) tuple, or a prefix of one.  Equal keys
     give bit-identical slabs.
     """
-    shape = (paths, len(table.star_ids), table.window, table.d)
+    lo, width, _ = window_layout(table.spec, table.N, False)
+    shape = (paths, len(table.spec.star_ids()), width, table.d)
     increments = slab_rng(*key).standard_normal(shape) * math.sqrt(dt)
-    return NoiseSlab(spec=table.spec, dt=dt, lo=table.lo, increments=increments)
+    return NoiseSlab(spec=table.spec, dt=dt, lo=lo, increments=increments)
 
 
 def _goy_params(slab: NoiseSlab) -> tuple[float, float, float, float]:

@@ -179,6 +179,16 @@ def test_start_shell_out_of_range_is_usage_error(argv, top, capsys):
         (["triangulate", "--nmax", "20", "--shells", "15", "--paths", "10", "--replicates", "10"], "--nmax"),
         (["triangulate", "--nmax", "12", "--max-level", "11", "--paths", "10", "--replicates", "10"], "--nmax"),
         (["triangulate", "--nmax", "0", "--paths", "10", "--replicates", "10"], "--nmax"),
+        # a truncation level outside 1..MAX_SHELLS names its flag
+        (["simulate", "--shells", "0"], "--shells must be in 1..64, got 0"),
+        (["simulate", "--shells", "65"], "--shells must be in 1..64, got 65"),
+        (["moments", "--shells", "65"], "--shells must be in 1..64, got 65"),
+        (["triangulate", "--shells", "65", "--paths", "10", "--replicates", "10"], "--shells must be in 1..64, got 65"),
+        (["triangulate", "--sde-shells", "65", "--paths", "10", "--replicates", "10"],
+         "--sde-shells must be in 1..64, got 65"),
+        (["dissipation", "--shells-list", "0,10"], "--shells-list must be in 1..64, got 0"),
+        (["dissipation", "--shells-list", "10,65"], "--shells-list must be in 1..64, got 65"),
+        (["dissipation", "--sde-shells", "0", "--paths", "10"], "--sde-shells must be in 1..64, got 0"),
     ],
 )
 def test_bad_ensemble_size_is_usage_error(argv, name, capsys):

@@ -84,7 +84,7 @@ def test_non_identity_gram_refused(goy):
 
 
 def test_qmatrix_rejects_too_many_shells(novikov):
-    with pytest.raises(ValueError, match="window overflow"):
+    with pytest.raises(ValueError, match=f"N = {MAX_SHELLS + 1} exceeds MAX_SHELLS = {MAX_SHELLS}"):
         s.build_qmatrix(novikov, MAX_SHELLS + 1)
 
 

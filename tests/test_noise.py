@@ -5,8 +5,9 @@ import pytest
 
 import shellsde as s
 from goy_oracle import goy_inverse_bridge, goy_noise_bridge, goy_noise_bridge_pair, keyed_slab
+from noise_oracle import window_layout
 from shellsde.algebra import CoefficientTable
-from shellsde.noise import SlabStream, check_shells, slab_rng
+from shellsde.noise import MAX_SHELLS, SlabStream, check_shells, slab_rng
 
 
 def stepper(spec, N, dt, paths=1):
@@ -40,18 +41,26 @@ def test_slab_determinism(goy):
     assert not np.array_equal(s1.dW, s3.dW)
 
 
-def test_slab_window_covers_reachable_indices(goy):
-    N = 8
-    st = stepper(goy, N, 1e-3)
-    lo, hi = st.table.lo, st.table.lo + st.table.window - 1
-    for it in goy.interactions:
-        for n in range(1, N + 1):
-            m = n + it.h
-            assert lo <= m <= hi
+def test_slab_window_covers_reachable_indices(novikov, goy, sabra):
+    # every read cell lies in the packed slab, and the slab holds no cell that nothing reads
+    for spec in (novikov, goy, sabra):
+        for N in range(1, MAX_SHELLS + 1):
+            table = CoefficientTable(spec, N)
+            for weighted in (False, True):
+                st = s.Stepper(table, 1e-3, "em", "linear", weighted, 1)
+                rows = len(st.dW)
+                for t in st.noise_terms:
+                    assert 0 <= t.other.start < t.other.stop <= rows
+                for _, block, cells in st.ledger_rows or ():
+                    assert 0 <= block.start < block.stop <= rows
+                    assert 0 <= cells.start < cells.stop <= (block.stop - block.start) // spec.d
+                _, _, runs = window_layout(spec, N, weighted)
+                read = {(row, c, m) for row, c, start, stop in runs for m in range(start, stop)}
+                assert rows == len(read), (spec.meta["preset"], N, weighted)
 
 
 def test_window_overflow_rejected(novikov):
-    with pytest.raises(ValueError, match="window overflow"):
+    with pytest.raises(ValueError, match=f"N = 100 exceeds MAX_SHELLS = {MAX_SHELLS}"):
         check_shells(100)
 
 

@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 
 import einsum_oracle as oracle
 from goy_oracle import NoiseSlab, embed_complex, goy_complex_em_step, keyed_slab
-from noise_oracle import PerStepStream, fill_stepper, pack
+from noise_oracle import PerStepStream, fill_stepper, pack, stepper_layout, window_layout
 import shellsde as s
 from rates_oracle import k_eff, n0
 from shellsde.algebra import BilinearMap, CoefficientTable
@@ -152,8 +152,9 @@ def test_single_increment_locality(goy):
     st = one_path(goy, N, 1e-3)
     m = 5
     row = 0  # representative channel "1"
-    window = np.zeros((len(st.table.star_ids), 2, st.table.window, 1))
-    window[row, :, m - st.table.lo, 0] = (0.3, -0.2)
+    lo, width, _ = window_layout(goy, N, False)
+    window = np.zeros((len(goy.star_ids()), 2, width, 1))
+    window[row, :, m - lo, 0] = (0.3, -0.2)
     pack(st, window)
     inc = diffusion(st, x)
     expected = set()
@@ -435,8 +436,8 @@ def test_run_ensemble_keys_one_stream_per_block_through_slab_rng(novikov, goy, m
         monkeypatch.undo()
         assert sorted(keys) == [(13, 0), (13, 1), (13, 2)]
         weighted = "weight_direction" in base
-        cells = CoefficientTable(spec, base["N"]).slab_cells(weighted)
-        assert sum(drawn) == paths * nsteps * sum(stop - start for _, _, start, stop in cells)
+        _, _, runs = window_layout(spec, base["N"], weighted)
+        assert sum(drawn) == paths * nsteps * sum(stop - start for _, _, start, stop in runs)
         assert calls.count("CoefficientTable") == 1
         assert calls.count("_step_batch") == len(keys) * nsteps
         assert calls.count("_weight_increment") == (len(keys) * nsteps if weighted else 0)
@@ -445,7 +446,7 @@ def test_run_ensemble_keys_one_stream_per_block_through_slab_rng(novikov, goy, m
 
 
 def test_run_ensemble_rejects_too_many_shells(novikov):
-    with pytest.raises(ValueError, match="window overflow"):
+    with pytest.raises(ValueError, match=f"N = {MAX_SHELLS + 1} exceeds MAX_SHELLS = {MAX_SHELLS}"):
         s.run_ensemble(novikov, [1.0], N=MAX_SHELLS + 1, dt=1e-3, T=1e-3, paths=1)
 
 
@@ -596,8 +597,8 @@ STREAM_CASES = {
 
 
 def _largest_run(spec, base, block_size):
-    cells = CoefficientTable(spec, base["N"]).slab_cells("weight_direction" in base)
-    return block_size * max(stop - start for _, _, start, stop in cells)
+    _, _, runs = window_layout(spec, base["N"], "weight_direction" in base)
+    return block_size * max(stop - start for _, _, start, stop in runs)
 
 
 @pytest.mark.parametrize("case", list(STREAM_CASES))
@@ -756,7 +757,7 @@ def test_step_reads_no_undrawn_slab_cell(model, request):
                 ref = st.step(X.copy(), e0)
                 ref_ledger = st.ledger(X) if weighted else None
                 slab = np.full_like(drawn, np.nan)
-                for row, c, start, stop in st.cells:
+                for row, c, start, stop in stepper_layout(st)[2]:
                     slab[row, c, start:stop] = drawn[row, c, start:stop]
                 pack(st, slab)
                 got = st.step(X.copy(), e0)
@@ -790,7 +791,7 @@ def test_packed_step_matches_einsum_oracle_at_every_N(model, N, weighted, scheme
     slab = keyed_slab(table, dt, (43, N, 0), paths=P)
     stepper = Stepper(table, dt, scheme, which, weighted, P)
     slab.load(stepper)
-    assert stepper.dW.shape == (sum(stop - start for _, _, start, stop in stepper.cells), P)
+    assert stepper.dW.shape == (sum(stop - start for _, _, start, stop in stepper_layout(stepper)[2]), P)
     if weighted:
         zinc, qvinc = stepper.ledger(X.transpose(2, 1, 0).copy())
         z_ref, qv_ref = oracle.weight_increment(table, X, slab.increments, slab.lo, dt)
