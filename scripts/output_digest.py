@@ -43,6 +43,14 @@ CALLS = (
     # the shape of the dissipation benchmark, past the 25 rows where eigh changes method
     + [("dissipation-novikov-to60", ["dissipation", "--model", "novikov", "--shells-list", "10,20,30,40,60", "--paths", "0"])]
     + [(f"constants-{model}", ["constants", "--model", model]) for model in PRESETS]
+    # the decay constants' bordered inverse: a 1 x 1 leading block, a probe at shell 69, and
+    # tail_rel_change 4.4e-4 near TAIL_TOL
+    + [("constants-novikov-1", ["constants", "--model", "novikov", "--shells", "1"]),
+       ("constants-goy-64", ["constants", "--model", "goy", "--shells", "64"]),
+       ("constants-novikov-lambda1.1-59", ["constants", "--model", "novikov:lambda=1.1", "--shells", "59"])]
+    # the dissipation benchmark's GOY call
+    + [("dissipation-goy-bench", ["dissipation", "--model", "goy:a=1,b=-1.5,c=0.5,lambda=2.2,sigma_tilde=1",
+                                  "--shells-list", "10,20,30,40,60", "--paths", "0"])]
     + [("moments-novikov", ["moments", "--model", "novikov"])]
 )
 

@@ -221,9 +221,12 @@ class ModelSpec:
         return np.stack([it.B.gram() for it in self.interactions])
 
     def has_identity_grams(self) -> bool:
+        """Whether every gram is the identity: per gram, :func:`_negligible` of g - I against g."""
         if self._identity is None:
-            eye = np.eye(self.d)
-            object.__setattr__(self, "_identity", all(_negligible(g - eye, g) for g in self.grams()))
+            g = self.grams()
+            diff = np.abs(g - np.eye(self.d)).max(axis=(1, 2))
+            scale = np.maximum(1.0, np.abs(g).max(axis=(1, 2)))
+            object.__setattr__(self, "_identity", bool(np.all(diff <= REL_TOL * scale)))
         return self._identity
 
     def star_ids(self) -> tuple[str, ...]:
@@ -548,10 +551,10 @@ def jump_rates(spec: ModelSpec, N: int) -> JumpRates:
     """The one table of effective coefficients and jump rates on shells 1..N.
 
     Each spec stores one table, built at the deepest level any route reads
-    (``MAX_SHELLS + 5``, the decay constants' convergence probe, or N when
-    deeper), and every call returns a read-only prefix of it.  Each column
-    depends on its own shell alone, so the prefix equals the table built at
-    N bit for bit.
+    (``MAX_SHELLS + 5``, the decay constants' convergence probe, which
+    borders their inverse at N out to N + 5, or N when deeper), and every
+    call returns a read-only prefix of it.  Each column depends on its own
+    shell alone, so the prefix equals the table built at N bit for bit.
     """
     if N < 1:
         raise ValueError("truncation level must be >= 1")
@@ -563,18 +566,22 @@ def jump_rates(spec: ModelSpec, N: int) -> JumpRates:
 
 
 def _build_rates(spec: ModelSpec, N: int) -> JumpRates:
-    r = np.array([it.r for it in spec.interactions])
-    lowest = np.array([[min(it.r, it.h)] for it in spec.interactions])
-    k = np.array([[it.k] for it in spec.interactions], dtype=float)
-    active = (np.arange(1, N + 1) + lowest >= 1) & (k != 0.0)
-    keff = np.zeros(active.shape)
-    offsets = np.unique(r)
+    # interaction j acts from shell 1 - min(r_j, h_j) on, unless k_j is zero
+    powers = np.array([_power(spec.lam, n) for n in range(1, N + 1)])
+    offsets = np.unique([it.r for it in spec.interactions])
+    keff = np.zeros((spec.size, N))
+    pi = np.zeros(N)
+    grouped = np.zeros((len(offsets), N))
     with np.errstate(over="ignore"):
-        np.multiply(k, [_power(spec.lam, n) for n in range(1, N + 1)], out=keff, where=active)
+        for j, it in enumerate(spec.interactions):
+            if it.k != 0.0:
+                first = max(0, -min(it.r, it.h))
+                keff[j, first:] = it.k * powers[first:]
         rate = (spec.sigma**2 * keff) * keff
-        # cumsum adds the interactions in order; sum(axis=0) may pair them
-        pi = rate.cumsum(axis=0)[-1]
-        grouped = np.stack([rate[r == off].cumsum(axis=0)[-1] for off in offsets])
+        # row by row, so that every sum adds the interactions in model order
+        for j, it in enumerate(spec.interactions):
+            pi += rate[j]
+            grouped[np.searchsorted(offsets, it.r)] += rate[j]
     for arr in (keff, rate, pi, offsets, grouped):
         arr.setflags(write=False)
     return JumpRates(keff, rate, pi, offsets, grouped)

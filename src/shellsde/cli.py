@@ -213,6 +213,8 @@ def _threshold_for(spec: algebra.ModelSpec) -> Optional[float]:
 
 def cmd_constants(args) -> int:
     spec = _load(args.model)
+    if args.shells < 1:  # no upper end: the constants are not held to MAX_SHELLS
+        raise ValueError(f"--shells must be >= 1, got {args.shells}")
     dc = moments.decay_constants(spec, args.energy, args.shells)
     import dataclasses
 

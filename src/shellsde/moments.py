@@ -18,7 +18,8 @@ instead trap the mass and destroy the effect being measured).
 
 Tolerances: the equation is linear, so ``MASS_TOL`` times the initial mass
 bounds the roundoff of any mass; the decay constants converge when their
-occupation-time sums move by at most ``TAIL_TOL`` relatively at N + 5.
+occupation-time sums move by at most ``TAIL_TOL`` relatively at N + 5, a
+probe that borders the inverse at N rather than inverting again.
 """
 from __future__ import annotations
 
@@ -169,23 +170,47 @@ class DecayConstants:
         return {f.name: getattr(self, f.name) for f in fields(self) if f.name != "nu_n"}
 
 
-def _nu_vector(spec: ModelSpec, N: int) -> np.ndarray:
-    """nu_n = E[visits to n | visited] / pi_n via the fundamental matrix."""
-    M = np.linalg.inv(np.eye(N) - embedded_matrix(spec, N))
-    return np.diag(M) / jump_rates(spec, N).pi
+def _occupation_times(spec: ModelSpec, N: int) -> tuple[np.ndarray, np.ndarray]:
+    """nu_n at N and at N + 5 from one inverse, at N, bordered out to N + 5.
+
+    nu_n = diag((I - P)^-1)_n / pi_n, the diagonal of the embedded chain's
+    fundamental matrix over the exit rates.  With I - P at N + 5 written as
+    blocks [[A, B], [C, D]], A the leading N x N block (I - P at N) and
+    S = D - C A^-1 B (5 x 5), the diagonal at N + 5 is
+    diag(A^-1) + diag(A^-1 B S^-1 C A^-1) on shells 1..N and diag(S^-1) on
+    the five shells past N.  I - P is an M-matrix, so the correction is
+    entrywise >= 0 and adds to diag(A^-1) without cancellation.
+    """
+    pi = jump_rates(spec, N + 5).pi
+    overflow = np.flatnonzero(~np.isfinite(pi))
+    if overflow.size:
+        raise ValueError(
+            f"jump rates overflow at shell {overflow[0] + 1}; the decay constants at N = {N} read shells 1..{N + 5}"
+        )
+    K = np.eye(N + 5) - embedded_matrix(spec, N + 5)
+    A_inv = np.linalg.inv(K[:N, :N])
+    A_inv_B = A_inv @ K[:N, N:]
+    C_A_inv = K[N:, :N] @ A_inv
+    S_inv = np.linalg.inv(K[N:, N:] - K[N:, :N] @ A_inv_B)
+    diag = np.diag(A_inv)
+    border = ((A_inv_B @ S_inv) * C_A_inv.T).sum(axis=1)
+    return diag / pi[:N], np.concatenate([diag + border, np.diag(S_inv)]) / pi
 
 
 def decay_constants(spec: ModelSpec, x_norm_sq: float, N: int) -> DecayConstants:
     """Assemble the exponential-decay constants at truncation level N.
 
-    Convergence of the occupation times is probed by recomputing at N + 5;
-    ``converged`` is False when the sums of nu_n or of -nu_n log nu_n still
-    move by more than ``TAIL_TOL`` relatively.
+    Convergence of the occupation times is probed at N + 5, by bordering
+    the inverse at N (:func:`_occupation_times`); ``converged`` is False
+    when the sums of nu_n or of -nu_n log nu_n still move by more than
+    ``TAIL_TOL`` relatively.  Rates that are not finite through shell N + 5
+    are a ``ValueError``.
     """
+    if N < 1:
+        raise ValueError("N must be >= 1")
     if x_norm_sq <= 0.0:
         raise ValueError("x_norm_sq must be positive")
-    nu_n = _nu_vector(spec, N)
-    nu_big = _nu_vector(spec, N + 5)
+    nu_n, nu_big = _occupation_times(spec, N)
     nu = float(nu_n.sum())
     Lambda = float(-(nu_n * np.log(nu_n)).sum())
     nu2 = float(nu_big.sum())

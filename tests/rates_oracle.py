@@ -13,10 +13,17 @@ implicit Radau integration.  The package now reads all of these from
 :func:`shellsde.algebra.jump_rates`; the tests hold it to these loops.
 :func:`forward_contraction` is the earlier assembly of the forward solve,
 u(t) as a three-operand ``einsum`` over the same eigenpairs.
+:func:`nu_vector` is the earlier body of the decay constants' occupation
+times, one inverse per truncation level, and :func:`mp_nu_vector` their
+high-precision reference from the scalar rates.
 """
+import mpmath
 import numpy as np
 import scipy.integrate
 import scipy.linalg
+
+from shellsde import moments
+from shellsde.algebra import TINY, jump_rates
 
 
 def is_active(spec, iid, n):
@@ -183,3 +190,36 @@ def forward_contraction(Q, u0, t):
     with np.errstate(under="ignore"):
         u = np.einsum("k,tk,nk->tn", coeff, np.exp(np.outer(np.asarray(t, dtype=float), w)), V)
     return np.maximum(u, 0.0), -float(w[-1]), float(u.min())
+
+
+def nu_vector(spec, N):
+    """nu_n = diag((I - P)^-1)_n / pi_n at N from its own N x N inverse of the package's embedded chain."""
+    M = np.linalg.inv(np.eye(N) - moments.embedded_matrix(spec, N))
+    return np.diag(M) / jump_rates(spec, N).pi
+
+
+def tail_rel_change(nu_n, nu_big):
+    """The decay constants' convergence measure: the larger relative move of sum(nu) and of -sum(nu log nu)."""
+    nu, nu2 = nu_n.sum(), nu_big.sum()
+    Lambda, Lambda2 = -(nu_n * np.log(nu_n)).sum(), -(nu_big * np.log(nu_big)).sum()
+    return float(max(abs(nu2 - nu) / abs(nu2), abs(Lambda2 - Lambda) / max(abs(Lambda2), TINY)))
+
+
+def mp_nu_vector(spec, N, dps=40):
+    """nu_n at N in ``dps``-digit arithmetic, from the rates sigma**2 (k lam**n)**2 of :func:`is_active` interactions."""
+    with mpmath.workdps(dps):
+        lam, sigma2 = mpmath.mpf(spec.lam), mpmath.mpf(spec.sigma) ** 2
+        K = mpmath.eye(N)
+        pi = []
+        for n in range(1, N + 1):
+            rates = {}
+            for iid in spec.ids:
+                it = spec.interaction(iid)
+                if is_active(spec, iid, n) and it.k != 0.0:
+                    rates[n + it.r] = rates.get(n + it.r, 0) + sigma2 * (mpmath.mpf(it.k) * lam**n) ** 2
+            pi.append(sum(rates.values(), mpmath.mpf(0)))
+            for m, rate in rates.items():
+                if 1 <= m <= N:
+                    K[n - 1, m - 1] -= rate / pi[-1]
+        M = mpmath.inverse(K)
+        return np.array([float(M[n, n] / pi[n]) for n in range(N)])

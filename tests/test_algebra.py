@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 import shellsde as s
 from goy_oracle import bilinear_apply, embed_complex, lift_real
 from rates_oracle import active_ids, k_eff, n0
+from shellsde import algebra
 from shellsde.algebra import BilinearMap, CoefficientTable, MalformedModelError
 
 SQRT2 = math.sqrt(2.0)
@@ -174,6 +175,41 @@ def test_sabra_alias_on_basis(sabra):
 def test_sabra_grams_identity(sabra):
     for it in sabra.interactions:
         assert np.allclose(it.B.gram(), np.eye(2), atol=1e-15)
+
+
+def _identity_by_gram(spec):
+    """The per-gram decision: every gram g passes ``_negligible(g - I, g)``."""
+    return all(algebra._negligible(g - np.eye(spec.d), g) for g in spec.grams())
+
+
+def _scale_maps(spec, factor, count=None):
+    """``spec`` with the bilinear maps of its first ``count`` interactions (all by default) scaled by ``factor``."""
+    count = spec.size if count is None else count
+    return dataclasses.replace(
+        spec,
+        interactions=tuple(
+            dataclasses.replace(it, B=BilinearMap(factor * it.B.entries)) if j < count else it
+            for j, it in enumerate(spec.interactions)
+        ),
+    )
+
+
+@pytest.mark.parametrize(
+    "name,factor,count,expected",
+    [
+        ("novikov", 1.0, 0, True),
+        ("goy", 1.0, 0, True),
+        ("sabra", 1.0, 0, True),
+        ("goy", 1.1, None, False),  # test_sde's goy_scaled
+        # one gram off the identity by 0.5 or 2 times REL_TOL of its scale (about 1), the others exact
+        ("goy", math.sqrt(1.0 + 0.5 * algebra.REL_TOL), 1, True),
+        ("goy", math.sqrt(1.0 + 2.0 * algebra.REL_TOL), 1, False),
+    ],
+)
+def test_identity_gram_decision_is_the_per_gram_loop(name, factor, count, expected, request):
+    spec = _scale_maps(request.getfixturevalue(name), factor, count)  # a fresh spec decides anew
+    assert _identity_by_gram(spec) is expected
+    assert spec.has_identity_grams() is expected
 
 
 def test_build_novikov_validates():

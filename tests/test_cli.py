@@ -189,6 +189,9 @@ def test_start_shell_out_of_range_is_usage_error(argv, top, capsys):
         (["dissipation", "--shells-list", "0,10"], "--shells-list must be in 1..64, got 0"),
         (["dissipation", "--shells-list", "10,65"], "--shells-list must be in 1..64, got 65"),
         (["dissipation", "--sde-shells", "0", "--paths", "10"], "--sde-shells must be in 1..64, got 0"),
+        # the decay constants have no upper truncation level
+        (["constants", "--shells", "0"], "--shells must be >= 1, got 0"),
+        (["constants", "--shells", "-3"], "--shells must be >= 1, got -3"),
     ],
 )
 def test_bad_ensemble_size_is_usage_error(argv, name, capsys):
@@ -312,6 +315,22 @@ def test_constants_json(capsys):
         assert key in doc
     assert doc["threshold"] is None  # not a GOY/Sabra construction
     assert doc["sigma_invariance"]["rel_diff"] <= 1e-10
+    assert doc["converged"] is True
+
+
+def _reject_constant(name):
+    raise ValueError(f"{name} is not valid JSON")
+
+
+def test_constants_past_the_float_range_are_an_error(capsys):
+    # novikov's rates pass the float range at shell 512, which the N + 5 probe of --shells 600 reads
+    assert main(["constants", "--model", "novikov", "--shells", "600"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: jump rates overflow at shell 512") and "N = 600" in captured.err
+    assert main(["constants", "--model", "novikov", "--shells", "300"]) == 0
+    doc = json.loads(capsys.readouterr().out, parse_constant=_reject_constant)
+    assert all(math.isfinite(doc[key]) for key in ("nu", "Lambda", "mu", "C", "rho", "theta_max", "tail_rel_change"))
     assert doc["converged"] is True
 
 

@@ -19,7 +19,7 @@ from hypothesis import strategies as st
 
 import rates_oracle as oracle
 import shellsde as s
-from shellsde import algebra, chain
+from shellsde import algebra, chain, moments
 from shellsde.algebra import CoefficientTable, JumpRates, jump_rates
 from shellsde.cli import main
 from shellsde.chain import ChainCaps
@@ -231,6 +231,39 @@ def test_decay_constants_hold_for_every_model_and_truncation(model):
     # pi scales with sigma**2 and nu with its inverse, so mu = sigma**2 * nu does not depend on sigma
     doubled = decay_constants(dataclasses.replace(spec, sigma=2.0 * spec.sigma), 1.0, N)
     assert doubled.mu == pytest.approx(dc.mu, rel=1e-8, abs=0.0)
+
+
+@given(models())
+@settings(derandomize=True, max_examples=200, deadline=None)
+def test_bordered_inverse_matches_two_inverses(model):
+    spec, N = model
+    nu_n, nu_big = moments._occupation_times(spec, N)
+    ref_n, ref_big = oracle.nu_vector(spec, N), oracle.nu_vector(spec, N + 5)
+    assert np.array_equal(nu_n, ref_n)
+    np.testing.assert_allclose(nu_big, ref_big, rtol=1e-13, atol=0.0)
+    dc = decay_constants(spec, 1.0, N)
+    assert np.array_equal(dc.nu_n, ref_n)
+    ref_tail = oracle.tail_rel_change(ref_n, ref_big)
+    assert abs(dc.tail_rel_change - ref_tail) <= 1e-12
+    if abs(ref_tail - TAIL_TOL) > 1e-12:
+        assert dc.converged == (ref_tail <= TAIL_TOL)
+
+
+@pytest.mark.parametrize("name,lam", [("novikov", 1.1), ("novikov", 2.0), ("goy", 2.0)])
+@pytest.mark.parametrize("N", [1, 10, 30])
+def test_bordered_occupation_times_match_mpmath(name, lam, N):
+    spec = _model(name, lam)
+    nu_n, nu_big = moments._occupation_times(spec, N)
+    np.testing.assert_allclose(nu_n, oracle.mp_nu_vector(spec, N), rtol=1e-12, atol=0.0)
+    np.testing.assert_allclose(nu_big, oracle.mp_nu_vector(spec, N + 5), rtol=1e-12, atol=0.0)
+
+
+def test_decay_constants_refuse_rates_past_the_float_range():
+    spec = _model("novikov", 2.0)  # its exit rate pi_n passes the float range at shell 512
+    assert np.isfinite(decay_constants(spec, 1.0, 506).nu_n).all()
+    for N in (507, 600):
+        with pytest.raises(ValueError, match=f"overflow at shell 512; the decay constants at N = {N}"):
+            decay_constants(spec, 1.0, N)
 
 
 INTEGER_LAMBDA = {
