@@ -2,9 +2,12 @@
 """One SHA-256 per call of a fixed list of shellsde CLI calls.
 
 Each call runs in process through ``shellsde.cli.main``, on the ``src`` of
-the checkout that holds this script.  Its digest covers the exit code, the
-standard output (where every call here writes its result) and the standard
-error (its warnings).  To compare two checkouts, run this script in each:
+the checkout that holds this script, in a fresh temporary directory.  Its
+digest covers the exit code, the standard output (where every call here
+writes its result), the standard error (its warnings) and each file that a
+call names after a flag of ``FILE_FLAGS`` (a relative name, so that it is
+the same text in every checkout's config).  To compare two checkouts, run
+this script in each:
 
     python3 scripts/output_digest.py                  # one digest per call
     python3 scripts/output_digest.py --save DIR       # and keep each output in DIR
@@ -23,12 +26,15 @@ import json
 import math
 import os
 import sys
+import tempfile
+from pathlib import Path
 
-sys.path.insert(0, os.path.join(os.path.dirname(__file__), "..", "src"))
+sys.path.insert(0, os.path.join(os.path.dirname(os.path.abspath(__file__)), "..", "src"))
 
 from shellsde.cli import main
 
 PRESETS = ("novikov", "goy", "sabra")
+FILE_FLAGS = ("--curves-out",)
 CALLS = (
     [(f"triangulate-seed{seed}", ["triangulate", "--model", "novikov", "--paths", "900", "--seed", str(seed)])
      for seed in (1, 2, 102)]
@@ -52,18 +58,31 @@ CALLS = (
     + [("dissipation-goy-bench", ["dissipation", "--model", "goy:a=1,b=-1.5,c=0.5,lambda=2.2,sigma_tilde=1",
                                   "--shells-list", "10,20,30,40,60", "--paths", "0"])]
     + [("moments-novikov", ["moments", "--model", "novikov"])]
+    # as many grid times as shells, so that only the column order tells the two axes apart
+    + [("moments-novikov-square", ["moments", "--model", "novikov", "--shells", "5", "--points", "5"])]
+    + [("dissipation-novikov-curves",
+        ["dissipation", "--model", "novikov", "--paths", "0", "--curves-out", "mass.csv"])]
 )
 
 
 def run(argv: list[str]) -> str:
-    """Exit code (or exception), standard output and standard error of one call, as one text."""
+    """Exit code (or exception), standard output, standard error and named files of one call, as one text."""
     out, err = io.StringIO(), io.StringIO()
-    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+    files = [argv[i + 1] for i, flag in enumerate(argv[:-1]) if flag in FILE_FLAGS]
+    home = os.getcwd()
+    with tempfile.TemporaryDirectory() as tmp:
+        os.chdir(tmp)
         try:
-            status = str(main(argv))
-        except Exception as exc:  # an escaped exception is an output too
-            status = f"{type(exc).__name__}: {exc}"
-    return f"exit: {status}\n--- stdout\n{out.getvalue()}--- stderr\n{err.getvalue()}"
+            with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+                try:
+                    status = str(main(argv))
+                except Exception as exc:  # an escaped exception is an output too
+                    status = f"{type(exc).__name__}: {exc}"
+            texts = [Path(name).read_text(encoding="utf-8") if Path(name).exists() else "(missing)\n" for name in files]
+        finally:
+            os.chdir(home)
+    text = f"exit: {status}\n--- stdout\n{out.getvalue()}--- stderr\n{err.getvalue()}"
+    return text + "".join(f"--- file {name}\n{body}" for name, body in zip(files, texts))
 
 
 def _flatten(path: str, doc, found: dict) -> None:
@@ -77,26 +96,36 @@ def _flatten(path: str, doc, found: dict) -> None:
         found.setdefault(path, []).append(doc)
 
 
-def fields(text: str) -> dict:
-    """The values of one output by field: a CSV column, a JSON key path, or a whole text."""
-    status, rest = text.split("\n--- stdout\n", 1)
-    out, err = rest.split("--- stderr\n", 1)
-    found = {"exit": [status], "stderr": [err]}
-    lines = out.splitlines()
+def _table(text: str, prefix: str, found: dict) -> None:
+    """The fields of one CSV, JSON or plain text, each name after ``prefix``; text outside a table is ``stdout``."""
+    lines = text.splitlines()
+    rest = prefix + "text" if prefix else "stdout"
     if lines and lines[0].startswith("# config: "):
-        _flatten("config", json.loads(lines[0][len("# config: "):]), found)
+        _flatten(prefix + "config", json.loads(lines[0][len("# config: "):]), found)
         header = lines[1].split(",")
         for line in lines[2:]:
             cells = line.split(",")
             if len(cells) != len(header):  # a summary line after the table
-                found.setdefault("stdout", []).append(line)
+                found.setdefault(rest, []).append(line)
                 continue
             for name, cell in zip(header, cells):
-                found.setdefault(name, []).append(float(cell) if cell else None)
-    elif out.startswith("{"):
-        _flatten("", json.loads(out), found)
+                found.setdefault(prefix + name, []).append(float(cell) if cell else None)
+    elif text.startswith("{"):
+        _flatten(prefix.rstrip("."), json.loads(text), found)
     else:
-        found["stdout"] = [out]
+        found[rest] = [text]
+
+
+def fields(text: str) -> dict:
+    """The values of one output by field: a CSV column, a JSON key path, or a whole text; a file's after its name."""
+    status, rest = text.split("\n--- stdout\n", 1)
+    out, rest = rest.split("--- stderr\n", 1)
+    err, *files = rest.split("--- file ")
+    found = {"exit": [status], "stderr": [err]}
+    _table(out, "", found)
+    for section in files:
+        name, body = section.split("\n", 1)
+        _table(body, name + ".", found)
     return found
 
 

@@ -37,6 +37,7 @@ __all__ = [
     "REL_TOL",
     "MalformedModelError",
     "IdentityGramError",
+    "NumericalBlowupError",
     "require_identity_grams",
     "BilinearMap",
     "Interaction",
@@ -49,6 +50,7 @@ __all__ = [
     "build_novikov",
     "JumpRates",
     "jump_rates",
+    "require_finite_rates",
     "CoefficientTable",
 ]
 
@@ -77,6 +79,10 @@ class MalformedModelError(ValueError):
 
 class IdentityGramError(ValueError):
     """A consumer required every interaction gram matrix to be the identity."""
+
+
+class NumericalBlowupError(RuntimeError):
+    """A route's float arithmetic failed on valid input: an ensemble blew up, or a solve lost its sign."""
 
 
 def require_identity_grams(spec: ModelSpec) -> None:
@@ -539,6 +545,16 @@ class JumpRates:
         return out
 
 
+def require_finite_rates(values: np.ndarray, reader: str, what: str = "jump rates") -> None:
+    """Refuse rates past the float range: a ``ValueError`` naming the first shell (last axis) where one is not finite.
+
+    ``reader`` says which route reads the shells, and so ends the message.
+    """
+    bad = np.flatnonzero(~np.isfinite(np.atleast_2d(values)).all(axis=0))
+    if bad.size:
+        raise ValueError(f"{what} overflow at shell {bad[0] + 1}; {reader}")
+
+
 def _power(lam: float, n: int) -> float:
     """Python's scalar float ``lam**n``, the power in k_eff = k * lam**n; inf past the float range."""
     try:
@@ -632,8 +648,8 @@ class CoefficientTable:
 
     def __init__(self, spec: ModelSpec, N: int):
         rates = jump_rates(spec, N)
-        if not np.all(np.isfinite(rates.keff)):
-            raise OverflowError("effective coefficients overflow at this truncation level")
+        # an infinite pi only damps its shell to zero; an infinite k_eff has no step at all
+        require_finite_rates(rates.keff, f"the SDE at N = {N} reads shells 1..{N}", "effective coefficients")
         self.spec = spec
         self.N = N
         self.d = spec.d

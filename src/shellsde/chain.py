@@ -33,7 +33,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .algebra import ModelSpec, jump_rates, require_identity_grams
+from .algebra import ModelSpec, jump_rates, require_finite_rates, require_identity_grams
 
 __all__ = [
     "ChainCaps",
@@ -84,12 +84,14 @@ class _RateTable:
     the normalised running sums of their rates, padded with target 0 and
     +inf.  The last real entry of each row is stored as +inf too, so a
     rounding shortfall of the row total below 1 cannot send a uniform past
-    the row.
+    the row.  Rates that are not finite below the level cap are a
+    ``ValueError``.
     """
 
     def __init__(self, spec: ModelSpec, max_level: int):
         require_identity_grams(spec)
         rates = jump_rates(spec, max_level)
+        require_finite_rates(rates.pi, f"the chain at level cap {max_level} reads shells 1..{max_level}")
         self.pi = rates.pi
         values = rates.grouped.T
         present = values > 0.0

@@ -7,11 +7,14 @@ written and rerunning a command with the same arguments yields
 byte-identical output.
 
 Exit codes: 0 success, 1 check failure, 2 usage or parse error (also for a
-model file that :func:`algebra.validate_model` rejects).
+model file that :func:`algebra.validate_model` rejects) and every route's
+refusal: bad input raises ``ValueError`` (rates past the float range name
+their shell), a numerical failure ``algebra.NumericalBlowupError``.
 """
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import functools
 import json
 import math
@@ -31,11 +34,17 @@ def _config_of(args: argparse.Namespace) -> dict:
     return {k: v for k, v in sorted(vars(args).items()) if k not in skip}
 
 
-def _write_csv(path: Optional[str], config: dict, columns: Sequence[str], rows) -> None:
-    lines = ["# config: " + json.dumps(config, sort_keys=True)]
-    lines.append(",".join(columns))
-    for row in rows:
-        lines.append(",".join("" if v is None else repr(v) if isinstance(v, float) else str(v) for v in row))
+def _write_csv(path: Optional[str], config: dict, **columns) -> None:
+    """The config line, a header of the column names, and one row per cell of the columns broadcast together.
+
+    Each keyword is a column, in order; its array is typically (time x
+    shell), with a (T, 1) array for a per-time value and an (S,) array
+    for a per-shell one.  Rows run over the cells in C order, and each
+    value is written as Python's ``repr`` of its float or int.
+    """
+    cells = [a.ravel().tolist() for a in np.broadcast_arrays(*columns.values())]
+    lines = ["# config: " + json.dumps(config, sort_keys=True), ",".join(columns)]
+    lines += [",".join(map(repr, row)) for row in zip(*cells)]
     _emit(path, "\n".join(lines) + "\n")
 
 
@@ -124,33 +133,31 @@ def cmd_simulate(args) -> int:
         weight_direction=args.weights,
         threads=args.threads,
     )
-    rows = []
-    for ti, t in enumerate(stats.times):
-        for n in range(1, args.shells + 1):
-            rows.append(
-                (
-                    float(t),
-                    n,
-                    float(stats.mean_sq[ti, n - 1]),
-                    float(stats.se_sq[ti, n - 1]),
-                    float(stats.energy_mean[ti]),
-                    float(stats.ess[ti]),
-                )
-            )
-    _write_csv(args.out, _config_of(args), ["t", "n", "mean_sq", "se", "energy_mean", "ess"], rows)
+    _write_csv(
+        args.out,
+        _config_of(args),
+        t=stats.times[:, None],
+        n=np.arange(1, args.shells + 1),
+        mean_sq=stats.mean_sq,
+        se=stats.se_sq,
+        energy_mean=stats.energy_mean[:, None],
+        ess=stats.ess[:, None],
+    )
     if stats.aborted:
         print(f"warning: {stats.aborted} of {stats.paths} paths aborted", file=sys.stderr)
     return 0
 
 
 def _time_grid(spec: algebra.ModelSpec, N: int, horizon: float, points: int, kind: str) -> np.ndarray:
-    """``points`` times from 0 to ``horizon``: evenly spaced, or 0 then a geometric run up from ~1/pi_N."""
+    """``points`` times from 0 to ``horizon``: evenly spaced, or 0 then a geometric run up from
+    min(1/(10 pi_N), horizon/10), or from horizon/10 when nothing leaves shell N (pi_N = 0)."""
     least = 2 if kind == "linear" else 3
     if points < least:
         raise ValueError(f"--points must be at least {least} for a {kind} grid ending at the horizon, got {points}")
     if kind == "linear":
         return np.linspace(0.0, horizon, points)
-    tmin = min(1.0 / (10.0 * spec.pi_n(N)), horizon / 10.0)
+    pi = spec.pi_n(N)
+    tmin = min(1.0 / (10.0 * pi), horizon / 10.0) if pi > 0.0 else horizon / 10.0
     grid = np.geomspace(tmin, horizon, points - 1)
     return np.concatenate([[0.0], grid])
 
@@ -164,11 +171,8 @@ def cmd_moments(args) -> int:
     u0 = _start_vector(spec, args.shells, args.start_shell, args.energy)
     u0 = (u0 * u0).sum(axis=1)
     sol = moments.solve_forward(Q, u0, tgrid)
-    rows = []
-    for ti, t in enumerate(sol.times):
-        for n in range(1, args.shells + 1):
-            rows.append((float(t), n, float(sol.u[ti, n - 1]), float(sol.mass[ti])))
-    _write_csv(args.out, _config_of(args), ["t", "n", "moment", "mass"], rows)
+    n = np.arange(1, args.shells + 1)
+    _write_csv(args.out, _config_of(args), t=sol.times[:, None], n=n, moment=sol.u, mass=sol.mass[:, None])
     return 0
 
 
@@ -180,24 +184,15 @@ def cmd_chain(args) -> int:
     start = np.zeros(args.max_level)
     start[args.start_shell - 1] = 1.0
     est = chain.survival_curve(spec, start, tgrid, replicates=args.replicates, caps=caps, seed=args.seed)
-    rows = []
-    for ti, t in enumerate(est.times):
-        for n in range(1, args.max_level + 1):
-            rows.append(
-                (
-                    float(t),
-                    float(est.survival[ti]),
-                    float(est.se[ti]),
-                    n,
-                    float(est.occupancy[ti, n - 1]),
-                    float(est.occupancy_se[ti, n - 1]),
-                )
-            )
     _write_csv(
         args.out,
         {**_config_of(args), "status": est.status_counts()},
-        ["t", "survival", "survival_se", "n", "occupancy", "occupancy_se"],
-        rows,
+        t=est.times[:, None],
+        survival=est.survival[:, None],
+        survival_se=est.se[:, None],
+        n=np.arange(1, args.max_level + 1),
+        occupancy=est.occupancy,
+        occupancy_se=est.occupancy_se,
     )
     return 0
 
@@ -216,10 +211,10 @@ def cmd_constants(args) -> int:
     if args.shells < 1:  # no upper end: the constants are not held to MAX_SHELLS
         raise ValueError(f"--shells must be >= 1, got {args.shells}")
     dc = moments.decay_constants(spec, args.energy, args.shells)
-    import dataclasses
-
-    spec2 = dataclasses.replace(spec, sigma=2.0 * spec.sigma)
-    dc2 = moments.decay_constants(spec2, args.energy, args.shells)
+    try:  # the copy's rates overflow a shell earlier than the model's
+        dc2 = moments.decay_constants(dataclasses.replace(spec, sigma=2.0 * spec.sigma), args.energy, args.shells)
+    except ValueError as exc:
+        raise ValueError(f"sigma-invariance check at 2 sigma: {exc}") from None
     rel = abs(dc2.mu - dc.mu) / abs(dc.mu)
     threshold = _threshold_for(spec)
     doc = {
@@ -244,11 +239,19 @@ def cmd_constants(args) -> int:
     return 0
 
 
-def _cell_pass(a: float, se_a: float, b: float, se_b: float, floor: float) -> tuple[float, bool]:
+def _cell_pass(a: float, se_a: float, b: float, se_b: float, floor: float) -> tuple[float, int]:
+    """z-score of one cell of two routes, capped at 1e6, and 1 where it is <= 3 or the difference <= ``floor``."""
     diff = abs(a - b)
     comb = math.hypot(se_a, se_b)
     z = diff / comb if comb > 0 else (0.0 if diff <= floor else math.inf)
-    return z, bool(z <= 3.0 or diff <= floor)
+    return min(z, 1e6), int(z <= 3.0 or diff <= floor)
+
+
+def _pair_pass(a, se_a, b, se_b, floor: float) -> tuple[np.ndarray, np.ndarray]:
+    """:func:`_cell_pass` on Python floats, cell by cell, over arrays broadcast to the shape of ``a``."""
+    cells = zip(*(x.ravel().tolist() for x in np.broadcast_arrays(a, se_a, b, se_b)))
+    z, ok = zip(*(_cell_pass(*cell, floor) for cell in cells))
+    return np.reshape(z, a.shape), np.reshape(ok, a.shape)
 
 
 def sde_resolvable_shells(spec: algebra.ModelSpec, dt: float, nmax: int) -> int:
@@ -298,57 +301,30 @@ def cmd_triangulate(args) -> int:
     start[args.start_shell - 1] = 1.0
     surv = chain.survival_curve(spec, start, times, replicates=args.replicates, caps=caps, seed=args.seed + 1)
     floor = x_norm_sq * 4.0 / min(args.paths, args.replicates)  # MC resolution floor
-    rows = []
-    npass = 0
-    ncells = 0
-    for ti, t in enumerate(times):
-        for n in range(1, args.nmax + 1):
-            if n <= n_sde:
-                a, sa = float(ens.mean_sq[ti, n - 1]), float(ens.se_sq[ti, n - 1])
-            else:
-                a, sa = 0.0, 0.0
-            b = float(sol.u[ti, n - 1])
-            c = float(surv.occupancy[ti, n - 1]) * x_norm_sq
-            sc = float(surv.occupancy_se[ti, n - 1]) * x_norm_sq
-            z_ab, ok_ab = _cell_pass(a, sa, b, 0.0, floor)
-            z_ac, ok_ac = _cell_pass(a, sa, c, sc, floor)
-            z_bc, ok_bc = _cell_pass(b, 0.0, c, sc, floor)
-            ok = ok_ab and ok_ac and ok_bc
-            ncells += 1
-            npass += ok
-            rows.append(
-                (
-                    t,
-                    n,
-                    a,
-                    sa,
-                    b,
-                    c,
-                    sc,
-                    float(min(z_ab, 1e6)),
-                    float(min(z_ac, 1e6)),
-                    float(min(z_bc, 1e6)),
-                    int(ok),
-                )
-            )
+    nmax = args.nmax
+    a, sa = (np.pad(m[:, :nmax], ((0, 0), (0, max(0, nmax - n_sde)))) for m in (ens.mean_sq, ens.se_sq))
+    b = sol.u[:, :nmax]
+    c, sc = (m[:, :nmax] * x_norm_sq for m in (surv.occupancy, surv.occupancy_se))
+    z_ab, ok_ab = _pair_pass(a, sa, b, 0.0, floor)
+    z_ac, ok_ac = _pair_pass(a, sa, c, sc, floor)
+    z_bc, ok_bc = _pair_pass(b, 0.0, c, sc, floor)
+    ok = ok_ab & ok_ac & ok_bc
+    npass, ncells = int(ok.sum()), ok.size
     frac = npass / ncells
     _write_csv(
         args.out,
         {**_config_of(args), "pass_fraction": frac},
-        [
-            "t",
-            "n",
-            "sde_moment",
-            "sde_se",
-            "ode_moment",
-            "chain_moment",
-            "chain_se",
-            "z_sde_ode",
-            "z_sde_chain",
-            "z_ode_chain",
-            "cell_pass",
-        ],
-        rows,
+        t=np.array(times)[:, None],
+        n=np.arange(1, nmax + 1),
+        sde_moment=a,
+        sde_se=sa,
+        ode_moment=b,
+        chain_moment=c,
+        chain_se=sc,
+        z_sde_ode=z_ab,
+        z_sde_chain=z_ac,
+        z_ode_chain=z_bc,
+        cell_pass=ok,
     )
     print(f"triangulation: {npass}/{ncells} cells agree pairwise within 3 SE ({frac:.1%})")
     if ens.aborted:
@@ -367,10 +343,10 @@ def cmd_dissipation(args) -> int:
     if args.paths > 0:
         _check_shell("--sde-shells", args.sde_shells, MAX_SHELLS)
     _check_shell("--start-shell", args.start_shell, *Ns, *([args.sde_shells] if args.paths > 0 else []))
+    Qs = [moments.build_qmatrix(spec, N) for N in Ns]  # refuses rates past the float range before pi_N is read
     tgrid = _time_grid(spec, Nmax, args.horizon, args.points, "geometric")
     curves = {}
-    for N in Ns:
-        Q = moments.build_qmatrix(spec, N)
+    for N, Q in zip(Ns, Qs):
         u0 = np.zeros(N)
         u0[args.start_shell - 1] = args.energy
         curves[N] = moments.solve_forward(Q, u0, tgrid)
@@ -452,11 +428,8 @@ def cmd_dissipation(args) -> int:
         doc["reweighted_nonlinear"] = reweight
     _write_json(args.out, doc)
     if args.curves_out:
-        rows = []
-        for N in Ns:
-            for ti, t in enumerate(tgrid):
-                rows.append((N, float(t), float(curves[N].mass[ti])))
-        _write_csv(args.curves_out, _config_of(args), ["N", "t", "mass"], rows)
+        masses = np.array([curves[N].mass for N in Ns])
+        _write_csv(args.curves_out, _config_of(args), N=np.array(Ns)[:, None], t=tgrid, mass=masses)
     for w in warnings:
         print("warning: " + w, file=sys.stderr)
     return 0
@@ -579,7 +552,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         return int(exc.code or 0)
     try:
         return args.func(args)
-    except (ValueError, sde.NumericalBlowupError) as exc:  # model and usage errors are ValueErrors
+    except (ValueError, sde.NumericalBlowupError) as exc:  # the one refusal path of every route
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

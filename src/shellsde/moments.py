@@ -29,7 +29,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .algebra import TINY, ModelSpec, jump_rates, require_identity_grams
+from .algebra import TINY, ModelSpec, NumericalBlowupError, jump_rates, require_finite_rates, require_identity_grams
 from .noise import check_shells
 
 __all__ = [
@@ -69,13 +69,15 @@ def build_qmatrix(spec: ModelSpec, N: int) -> QMatrix:
     Off-diagonal entries are the in-range rates of :func:`jump_rates`,
     sigma**2 * k_eff(i, n)**2 summed over interactions with shell offset
     m - n; the pairing makes the result symmetric.  ``escape`` sums the
-    grouped rates whose target n + offset lies past N.
+    grouped rates whose target n + offset lies past N.  Rates that are not
+    finite through shell N are a ``ValueError``.
     """
     require_identity_grams(spec)
     if N < 1:
         raise ValueError("N must be >= 1")
     check_shells(N)
     rates = jump_rates(spec, N)
+    require_finite_rates(rates.pi, f"the rate matrix at N = {N} reads shells 1..{N}")
     Q = rates.inside()
     pi = rates.pi
     np.fill_diagonal(Q, -pi)
@@ -103,7 +105,9 @@ def solve_forward(Q: QMatrix, u0: Sequence[float], tgrid: Sequence[float]) -> Mo
     eigendecomposition Pi = V diag(w) V^T (the matrix is symmetric, so this
     is both exact and stable at any stiffness): with c = u0 V, the rows
     u(t) = (exp(t w) * c) V^T for every grid time are one matrix product.
-    The largest eigenvalue gives ``decay_rate``.
+    The largest eigenvalue gives ``decay_rate``.  A solution negative
+    beyond ``MASS_TOL`` times the initial mass (eigh's error on a stiff Q)
+    is a :class:`NumericalBlowupError`.
     """
     u0 = np.asarray(u0, dtype=float)
     if u0.shape != (Q.N,):
@@ -119,7 +123,7 @@ def solve_forward(Q: QMatrix, u0: Sequence[float], tgrid: Sequence[float]) -> Mo
     with np.errstate(under="ignore"):
         u = (np.exp(np.outer(t, w)) * coeff) @ V.T
     if u.min() < -MASS_TOL * mass0:
-        raise RuntimeError(f"forward solution went negative beyond roundoff: min={u.min():.3e}")
+        raise NumericalBlowupError(f"forward solution went negative beyond roundoff: min={u.min():.3e}")
     u = np.maximum(u, 0.0)
     mass = u.sum(axis=1)
     return MomentSolution(times=t, u=u, mass=mass, escaped=mass0 - mass, decay_rate=-float(w[-1]))
@@ -182,11 +186,11 @@ def _occupation_times(spec: ModelSpec, N: int) -> tuple[np.ndarray, np.ndarray]:
     entrywise >= 0 and adds to diag(A^-1) without cancellation.
     """
     pi = jump_rates(spec, N + 5).pi
-    overflow = np.flatnonzero(~np.isfinite(pi))
-    if overflow.size:
-        raise ValueError(
-            f"jump rates overflow at shell {overflow[0] + 1}; the decay constants at N = {N} read shells 1..{N + 5}"
-        )
+    reader = f"the decay constants at N = {N} read shells 1..{N + 5}"
+    require_finite_rates(pi, reader)
+    stuck = np.flatnonzero(pi == 0.0)
+    if stuck.size:
+        raise ValueError(f"exit rate pi_n = 0 at shell {stuck[0] + 1}, which has no occupation time; {reader}")
     K = np.eye(N + 5) - embedded_matrix(spec, N + 5)
     A_inv = np.linalg.inv(K[:N, :N])
     A_inv_B = A_inv @ K[:N, N:]
@@ -203,8 +207,8 @@ def decay_constants(spec: ModelSpec, x_norm_sq: float, N: int) -> DecayConstants
     Convergence of the occupation times is probed at N + 5, by bordering
     the inverse at N (:func:`_occupation_times`); ``converged`` is False
     when the sums of nu_n or of -nu_n log nu_n still move by more than
-    ``TAIL_TOL`` relatively.  Rates that are not finite through shell N + 5
-    are a ``ValueError``.
+    ``TAIL_TOL`` relatively.  Rates that are not finite, or an exit rate
+    that is 0, through shell N + 5 are a ``ValueError``.
     """
     if N < 1:
         raise ValueError("N must be >= 1")

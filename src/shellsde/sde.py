@@ -61,7 +61,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .algebra import CoefficientTable, ModelSpec
+from .algebra import CoefficientTable, ModelSpec, NumericalBlowupError
 from .noise import SlabStream, check_shells, slab_rng
 
 __all__ = [
@@ -74,10 +74,6 @@ __all__ = [
 SCHEMES = ("em", "split", "conservative")
 SYSTEMS = ("nonlinear", "linear")
 GRID_TOL = 1e-9
-
-
-class NumericalBlowupError(RuntimeError):
-    pass
 
 
 # ----------------------------------------------------------------------

@@ -7,7 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import save_model
-from shellsde import sde
+from shellsde import moments, sde
 from shellsde.algebra import BilinearMap
 from shellsde.cli import _record_times, main
 from shellsde.modelio import load_model
@@ -99,6 +99,24 @@ def test_moments_csv(tmp_path):
     lines = read_out(out).strip().splitlines()
     assert lines[1] == "t,n,moment,mass"
     assert len(lines) == 2 + 10 * 8
+
+
+def test_moments_rows_run_over_shells_within_each_time(tmp_path):
+    # a square grid (5 times, 5 shells): swapped axes would still give 25 rows
+    out = tmp_path / "m.csv"
+    assert main(["moments", "--model", "novikov", "--shells", "5", "--points", "5", "--out", str(out)]) == 0
+    lines = read_out(out).splitlines()
+    assert lines[1] == "t,n,moment,mass"
+    rows = [[float(v) for v in line.split(",")] for line in lines[2:]]
+    assert [int(row[1]) for row in rows] == [1, 2, 3, 4, 5] * 5
+    blocks = [rows[5 * i : 5 * i + 5] for i in range(5)]
+    times = [block[0][0] for block in blocks]
+    assert times[0] == 0.0 and times[-1] == 3.0 and times == sorted(set(times))
+    for block in blocks:
+        assert len({row[0] for row in block}) == 1 and len({row[3] for row in block}) == 1
+        assert block[0][3] == pytest.approx(sum(row[2] for row in block), rel=1e-14)
+    # at t = 0 the moment sits on the start shell
+    assert rows[0][2] == pytest.approx(1.0) and max(row[2] for row in rows[1:5]) < 1e-12
 
 
 def test_chain_csv(tmp_path):
@@ -266,6 +284,36 @@ def test_simulate_overflow_is_not_a_row_of_numbers(capsys):
         assert all(math.isfinite(float(v)) for row in rows for v in row)
 
 
+@pytest.mark.parametrize(
+    "argv,says",
+    [
+        # eigh's error at 26 rows makes the solution negative beyond roundoff
+        (["moments", "--model", "novikov", "--shells", "26"], "forward solution went negative"),
+        # k_eff passes the float range at shell 31
+        (["simulate", "--model", "novikov:lambda=1e10", "--shells", "40", "--paths", "10", "--horizon", "0.001"],
+         "effective coefficients overflow at shell 31"),
+        (["chain", "--model", "novikov", "--max-level", "600"], "jump rates overflow at shell 512"),
+        (["chain", "--model", "novikov:lambda=1e10"], "jump rates overflow at shell 16"),
+        (["moments", "--model", "novikov:lambda=1e5", "--shells", "40"], "jump rates overflow at shell 31"),
+        (["dissipation", "--model", "novikov:lambda=1e5", "--shells-list", "10,40"], "jump rates overflow at shell 31"),
+    ],
+)
+def test_route_refusal_is_one_error_line(argv, says, capsys):
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
+    assert says in captured.err
+
+
+def test_split_scheme_runs_past_an_infinite_exit_rate(capsys):
+    # pi_n overflows from shell 31 while k_eff stays finite; split damps those shells to zero
+    argv = ["simulate", "--model", "novikov:lambda=1e5", "--shells", "40", "--scheme", "split", "--paths", "10"]
+    assert main(argv + ["--horizon", "0.001", "--record", "2"]) == 0
+    rows = [line.split(",") for line in capsys.readouterr().out.splitlines()[2:]]
+    assert len(rows) == 2 * 40 and all(math.isfinite(float(v)) for row in rows for v in row)
+
+
 def test_record_points_on_distinct_tiny_steps_are_kept(capsys):
     # steps 0..10 of dt = 1e-13: no two record points share a step
     argv = ["simulate", "--model", "novikov", "--shells", "3", "--paths", "4", "--horizon", "1e-12", "--dt", "1e-13"]
@@ -332,6 +380,27 @@ def test_constants_past_the_float_range_are_an_error(capsys):
     doc = json.loads(capsys.readouterr().out, parse_constant=_reject_constant)
     assert all(math.isfinite(doc[key]) for key in ("nu", "Lambda", "mu", "C", "rho", "theta_max", "tail_rel_change"))
     assert doc["converged"] is True
+
+
+def test_constants_name_a_shell_without_exit_rate(tmp_path, capsys):
+    # every k = 0 passes validation, but nothing leaves any shell, so no occupation time is finite
+    spec = load_model("novikov")
+    still = dataclasses.replace(spec, interactions=tuple(dataclasses.replace(it, k=0.0) for it in spec.interactions))
+    path = tmp_path / "still.json"
+    save_model(still, str(path))
+    assert main(["constants", "--model", str(path), "--shells", "5"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: exit rate pi_n = 0 at shell 1") and "N = 5" in captured.err
+
+
+def test_constants_say_when_the_2_sigma_copy_overflows(capsys):
+    # novikov's own rates are finite through shell 511, those of its copy at 2 sigma only through 510
+    assert main(["constants", "--model", "novikov", "--shells", "506"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: sigma-invariance check at 2 sigma: jump rates overflow at shell 511")
+    assert moments.decay_constants(load_model("novikov"), 1.0, 506).converged
 
 
 def test_constants_threshold_for_goy(capsys):
@@ -469,6 +538,27 @@ def test_dissipation_warns_outside_regime(capsys):
     assert "rho" in captured.err
 
 
+def test_dissipation_curves_out_runs_over_the_shells_list_then_the_grid(tmp_path, capsys):
+    out = tmp_path / "mass.csv"
+    argv = ["dissipation", "--model", "novikov", "--shells-list", "15,10,20", "--points", "12"]
+    argv += ["--curves-out", str(out)]
+    assert main(argv) == 0
+    doc = json.loads(capsys.readouterr().out)
+    text = read_out(out)
+    lines = text.splitlines()
+    assert lines[0].startswith("# config: ") and lines[1] == "N,t,mass"
+    rows = [line.split(",") for line in lines[2:]]
+    assert [int(row[0]) for row in rows] == [N for N in (15, 10, 20) for _ in range(12)]
+    times = [float(row[1]) for row in rows[:12]]
+    assert times[0] == 0.0 and times[-1] == 3.0 and times == sorted(set(times))
+    for i, N in enumerate((15, 10, 20)):
+        block = rows[12 * i : 12 * i + 12]
+        assert [float(row[1]) for row in block] == times
+        assert float(block[0][2]) == pytest.approx(1.0) and float(block[-1][2]) == doc["mass_final"][str(N)]
+    assert main(argv) == 0
+    assert read_out(out) == text
+
+
 def _output_digest():
     import importlib.util
     from pathlib import Path
@@ -489,6 +579,11 @@ def test_output_digest_calls_parse_and_changes_name_their_fields():
     csv = 'exit: 0\n--- stdout\n# config: {"seed": 1}\nt,n,mass\n0.0,1,1.0\n1.0,1,%r\nsummary\n--- stderr\n'
     assert digest.changes(csv % 0.5, csv % 0.5) == "same"
     assert digest.changes(csv % 0.5, csv % 0.5000000000000001) == "changed: mass 2.22e-16 (1.1e-16 of its largest)"
+    # a file a call writes is a table of its own, whose fields carry the file's name
+    curves = "--- file mass.csv\n# config: {}\nN,t,mass\n10,0.0,%r\n"
+    old, new = csv % 0.5 + curves % 1.0, csv % 0.5 + curves % 0.5
+    assert digest.changes(old, new) == "changed: mass.csv.mass 0.5 (0.5 of its largest)"
+    assert digest.fields(old)["mass"] == [1.0, 0.5] and digest.fields(old)["mass.csv.N"] == [10.0]
     doc = 'exit: 0\n--- stdout\n{"a": {"b": [1.0, %r]}, "flag": %s}\n--- stderr\n%s'
     old, new = doc % (2.0, "true", ""), doc % (2.5, "false", "warning: x\n")
     assert digest.changes(old, new) == "changed: stderr differs, flag differs, a.b 0.2 (0.2 of its largest)"
