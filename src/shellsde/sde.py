@@ -24,8 +24,12 @@ Three schemes are provided:
     counterpart of the conservative Galerkin border choice.
 
 Girsanov path weights are accumulated with left-point (Ito) evaluation of
-the integrand, so the exponential density is an exact discrete martingale
-for every adapted scheme.
+the integrand.  Each increment is +-sqrt(dt) with equal probability (see
+:mod:`shellsde.noise`), so the density exp(z - sum log cosh(a sqrt(dt))),
+with a = X / sigma over the ledger's cells, is an exact discrete
+martingale for every adapted scheme: log cosh(a sqrt(dt)) is the exact
+one-step compensator of a sqrt(dt) times a random sign.  The quadratic
+variation qv = sum a**2 dt is accumulated beside it.
 
 Step kernel.  A batch of P paths is stored component-major, as a contiguous
 (d, N, P) array, so that every (component, shell range) slice is a block of
@@ -33,12 +37,9 @@ whole rows over the paths.  A step's noise slab is packed: a (cells, P)
 array that holds only the cells the kernel reads, by channel row, then
 component, then shell, as :meth:`CoefficientTable.slab` lays it out; the
 same call gives each noise term, and each Girsanov ledger row, as slices
-of it.  An ensemble block's :class:`~shellsde.noise.SlabStream` hands out
-each step's slab whole; it draws on a helper thread, beside the step
-kernel, when the process may run on at least two CPUs per stepping worker
-(``2 * min(threads, blocks)``), so that each helper has a CPU of its own,
-and inline otherwise; the slabs are the same either way, so results
-depend only on (seed, block_size).
+of it.  An ensemble block's :class:`~shellsde.noise.SlabStream` writes
+each step's slab whole, one random bit per cell, so results depend only on
+(seed, block_size).
 Transport and diffusion are then sums of unrolled terms, one per non-zero
 ``B[j, a, b, c]``, precomputed by :class:`CoefficientTable`: each term
 multiplies two row blocks, scales by its folded coefficient vector and adds
@@ -55,7 +56,6 @@ dt, judged in step units: |t / dt - k| at most ``GRID_TOL`` times max(1, k).
 from __future__ import annotations
 
 import math
-import os
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
@@ -158,24 +158,32 @@ def _step_batch(stepper: Stepper, X: np.ndarray, energy0: np.ndarray) -> np.ndar
     return X
 
 
-def _weight_increment(stepper: Stepper, X: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Per-path increments of the log integrand and its quadratic variation.
+def _weight_increment(stepper: Stepper, X: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Per-path increments of the log integrand, its quadratic variation and its compensator.
 
     Sums over the representative channels only; their increments are
     mutually independent, which the exponential martingale requires.
-    Reads the stepper's slab at the pre-step paths ``X``.
+    Reads the stepper's slab at the pre-step paths ``X``, and writes its
+    scratch buffer ``alt``.  The compensator is the log of the product of
+    cosh(X sqrt(dt) / sigma) over the cells, one log per path; it is inf
+    when that product overflows.
     """
     dW, (d, _, P) = stepper.dW, X.shape
+    sigma = stepper.table.spec.sigma
     zinc = np.zeros(P)
     qvinc = np.zeros(P)
+    cosh = np.ones(P)
     for shells, block, cells in stepper.ledger_rows:
         Xm = X[:, shells]
         zinc += _path_dot(Xm, dW[block].reshape(d, -1, P)[:, cells])
         qvinc += _path_dot(Xm, Xm)
-    sigma = stepper.table.spec.sigma
+        buf = stepper.alt[:, : Xm.shape[1]]
+        np.multiply(Xm, math.sqrt(stepper.dt) / sigma, out=buf)
+        np.cosh(buf, out=buf)
+        cosh *= buf.prod(axis=(0, 1))
     zinc /= sigma
     qvinc *= stepper.dt / sigma**2
-    return zinc, qvinc
+    return zinc, qvinc, np.log(cosh)
 
 
 class Stepper:
@@ -215,8 +223,8 @@ class Stepper:
         """Advance ``X`` (d, N, P) by one step in place and return it."""
         return _step_batch(self, X, energy0)
 
-    def ledger(self, X: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """Increments (z, qv) of the Girsanov ledger at the pre-step paths ``X``."""
+    def ledger(self, X: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """Increments (z, qv, log cosh compensator) of the Girsanov ledger at the pre-step paths ``X``."""
         if self.ledger_rows is None:
             raise ValueError("a stepper built with weighted=False has no ledger cells in its slab")
         return _weight_increment(self, X)
@@ -262,14 +270,6 @@ def _grid_steps(times: Sequence[float], dt: float) -> list[int]:
     return steps
 
 
-def _usable_cpus() -> int:
-    """The number of CPUs this process may run on."""
-    try:
-        return len(os.sched_getaffinity(0))
-    except AttributeError:  # no affinity on this platform
-        return os.cpu_count() or 1
-
-
 def _start_state(x0, N: int, d: int) -> np.ndarray:
     """The start state as an (N, d) array; shells past the given ones start at zero.
 
@@ -308,17 +308,15 @@ def run_ensemble(
     """Monte Carlo ensemble of truncated-system paths.
 
     Paths are organised in blocks.  Block b draws its slabs, in step order,
-    from its own SFC64 generator ``slab_rng(seed, b)``, keyed once, and
-    draws only the cells the step reads; so results are a pure function of
-    (seed, block_size), independent of scheduling and of ``threads``.  A
-    block's draw runs on a helper thread while the block steps when each
-    stepping worker can have a second CPU for its helper (``2 *
-    min(threads, blocks)`` at most the CPUs this process may use), and
-    inline otherwise, with the same numbers.  Failed paths (a non-finite state
-    after a step, or at a record time an energy so large that the sums
-    over the paths could overflow) are frozen, excluded from that record
-    time on and reported in ``aborted``.  A statistic that still comes out
-    non-finite (an overflowing Girsanov weight) raises
+    from its own SFC64 generator ``slab_rng(seed, b)``, keyed once, one
+    random bit per cell the step reads, each cell +-sqrt(dt); so results
+    are a pure function of (seed, block_size), independent of scheduling
+    and of ``threads``, which steps that many blocks at once.  Failed paths
+    (a non-finite state after a step, or at a record time an energy so
+    large that the sums over the paths could overflow) are frozen, excluded
+    from that record time on and reported in ``aborted``.  A statistic that
+    still comes out non-finite (an overflowing Girsanov weight), or at a
+    record time a live path whose Girsanov compensator overflowed, raises
     :class:`NumericalBlowupError`.
     """
     for name, value in (("paths", paths), ("block_size", block_size), ("threads", threads)):
@@ -363,16 +361,16 @@ def run_ensemble(
         (b, min(block_size, paths - b * block_size))
         for b in range((paths + block_size - 1) // block_size)
     ]
-    helper = 2 * min(threads, len(blocks)) <= _usable_cpus()
 
     def run_block(b: int, P: int):
         X = np.empty((spec.d, N, P))
         X[...] = x0arr.T[:, :, None]
         stepper = Stepper(table, dt, scheme, which, weighted, P)
-        stream = SlabStream(slab_rng(seed, b), stepper.dW, dt, nsteps, helper)
+        stream = SlabStream(slab_rng(seed, b), stepper.dW.shape, dt)
         alive = np.ones(P, dtype=bool)
         z = np.zeros(P)
         qv = np.zeros(P)
+        comp = np.zeros(P)
         e0 = np.full(P, float((x0arr * x0arr).sum()))
         partial = {k: np.zeros_like(v) for k, v in sums.items()}
 
@@ -387,8 +385,13 @@ def run_ensemble(
                 vals[:, lost] = 0.0
                 energy[lost] = 0.0
             if weighted:
+                if np.isinf(comp[alive]).any():
+                    raise NumericalBlowupError(
+                        "a Girsanov compensator overflowed (the product over a path's cells of "
+                        "cosh(X sqrt(dt) / sigma)); reduce dt"
+                    )
                 with np.errstate(over="ignore"):
-                    w = np.where(alive, np.exp(z - 0.5 * qv), 0.0)
+                    w = np.where(alive, np.exp(z - comp), 0.0)
                 w = np.where(np.isfinite(w), w, 0.0)
             else:
                 w = alive.astype(float)
@@ -405,15 +408,16 @@ def run_ensemble(
                 partial["ET2"][idx] += w2 @ (energy * energy)
                 partial["QVMAX"][idx] = max(partial["QVMAX"][idx], qv_alive)
 
-        with stream, np.errstate(over="ignore", invalid="ignore"):
+        with np.errstate(over="ignore", invalid="ignore"):
             if 0 in rec_index:
                 record(rec_index[0])
             for k in range(nsteps):
                 stepper.dW = stream.fill()
                 if weighted:
-                    zinc, qvinc = stepper.ledger(X)
+                    zinc, qvinc, compinc = stepper.ledger(X)
                     z += sign * zinc
                     qv += qvinc
+                    comp += compinc
                 X = stepper.step(X, e0)
                 ok = np.isfinite(X).all(axis=(0, 1))
                 if not ok.all():

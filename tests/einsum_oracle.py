@@ -63,6 +63,7 @@ def weight_increment(table, X, dW, lo, dt):
     spec = table.spec
     zinc = np.zeros(P)
     qvinc = np.zeros(P)
+    compinc = np.zeros(P)
     for row, iid in enumerate(spec.star_ids()):
         h = spec.interaction(iid).h
         mlo = max(1, 1 + h)
@@ -72,7 +73,8 @@ def weight_increment(table, X, dW, lo, dt):
         Wm = dW[:, row, mlo - lo : N - lo + 1]
         zinc += (Xm * Wm).sum(axis=(1, 2)) / spec.sigma
         qvinc += (Xm * Xm).sum(axis=(1, 2)) * dt / spec.sigma**2
-    return zinc, qvinc
+        compinc += np.log(np.cosh(Xm * np.sqrt(dt) / spec.sigma)).sum(axis=(1, 2))
+    return zinc, qvinc, compinc
 
 
 def half_damp_factors(table, dt):

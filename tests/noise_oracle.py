@@ -3,13 +3,15 @@
 :func:`window_layout` derives, from the model's offsets alone, the window
 slab: the (n_star, d, width, P) layout that holds every noise shell an
 interaction can read, and the runs of it that a step draws.
+:func:`two_point` turns one step's raw 64-bit words into +-sqrt(dt)
+increments, bit by bit with shifts and masks (not ``np.unpackbits``).
 :func:`fill_slab` draws one step's increments into a window slab, run by
-run, one ``standard_normal`` call per run.  :func:`pack` copies a window
+run, from one :func:`two_point` draw.  :func:`pack` copies a window
 slab's read cells into a stepper's packed (cells, P) slab, and
 :func:`fill_stepper` does both.  :class:`PerStepStream` has the stream's
-interface and draws each step cell by cell, so an ensemble run with it
-patched in for ``sde.SlabStream`` is the reference ensemble: the same
-numbers, drawn with no chunks and no helper thread.
+interface and draws each step with :func:`two_point`, so an ensemble run
+with it patched in for ``sde.SlabStream`` is the reference ensemble: the
+same numbers.
 """
 import math
 
@@ -59,19 +61,29 @@ def stepper_layout(stepper):
     return window_layout(stepper.table.spec, stepper.table.N, stepper.ledger_rows is not None)
 
 
+def two_point(rng: np.random.Generator, n: int, sqrt_dt: float) -> np.ndarray:
+    """The next n increments of ``rng``: ceil(n / 64) raw words, increment i +-sqrt_dt by bit i mod 64 of word i div 64."""
+    words = rng.bit_generator.random_raw(-(-n // 64))
+    bits = (words[:, None] >> np.arange(64, dtype=np.uint64)) & np.uint64(1)
+    return np.where(bits.ravel()[:n] == 1, sqrt_dt, -sqrt_dt)
+
+
 def fill_slab(rng: np.random.Generator, out: np.ndarray, runs, sqrt_dt: float) -> None:
     """Draw one step's increments into the read cells of ``out``, in place.
 
     ``out`` is a window slab in the (n_star, d, width, P) layout and
     ``runs`` its (row, component, start, stop) runs, as given by
-    :func:`window_layout`.  Each run takes one ``standard_normal`` call, in
-    the order given, scaled to variance dt; cells outside the runs are left
-    as they are.
+    :func:`window_layout`.  The step's increments come from one
+    :func:`two_point` draw and fill the runs in the order given, each run
+    (stop - start, P) in C order; cells outside the runs are left as they
+    are.
     """
+    P = out.shape[-1]
+    values = two_point(rng, P * sum(stop - start for _, _, start, stop in runs), sqrt_dt)
+    pos = 0
     for row, c, start, stop in runs:
-        view = out[row, c, start:stop]
-        rng.standard_normal(out=view)
-        view *= sqrt_dt
+        out[row, c, start:stop] = values[pos : pos + (stop - start) * P].reshape(stop - start, P)
+        pos += (stop - start) * P
 
 
 def pack(stepper, window: np.ndarray) -> None:
@@ -94,19 +106,10 @@ def fill_stepper(stepper, rng: np.random.Generator) -> np.ndarray:
 
 
 class PerStepStream:
-    """``SlabStream``'s interface: one draw per cell per step, inline, into ``out``."""
+    """``SlabStream``'s interface: each step's slab is one :func:`two_point` draw."""
 
-    def __init__(self, rng, out, dt, steps, helper):
-        self.rng, self.out, self.sqrt_dt = rng, out, math.sqrt(dt)
-
-    def __enter__(self):
-        return self
-
-    def __exit__(self, *exc):
-        pass
+    def __init__(self, rng, shape, dt):
+        self.rng, self.shape, self.sqrt_dt = rng, shape, math.sqrt(dt)
 
     def fill(self):
-        for cell in self.out:
-            self.rng.standard_normal(out=cell)
-            cell *= self.sqrt_dt
-        return self.out
+        return two_point(self.rng, math.prod(self.shape), self.sqrt_dt).reshape(self.shape)

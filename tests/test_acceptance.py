@@ -294,7 +294,7 @@ def test_acceptance_8_girsanov(novikov2):
     report(
         8,
         ok_mart and ok_qv,
-        f"E[exp(z - qv/2)] = {es.weight_mean[0]:.4f} +- {es.weight_se[0]:.4f} (z={z:.2f}); "
+        f"E[exp(z - sum log cosh)] = {es.weight_mean[0]:.4f} +- {es.weight_se[0]:.4f} (z={z:.2f}); "
         f"max qv {cons.qv_max[0]:.4f} <= {bound}",
     )
 

@@ -16,10 +16,10 @@ def stepper(spec, N, dt, paths=1):
 
 def draws(st, rng, steps):
     """(steps, drawn cells) array: the stepper's slab after each step of rng's stream, path-major."""
-    out = []
-    with SlabStream(rng, st.dW, st.dt, steps, helper=False) as stream:
-        for _ in range(steps):
-            out.append(stream.fill().T.flatten())
+    stream, out = SlabStream(rng, st.dW.shape, st.dt), []
+    for _ in range(steps):
+        st.dW = stream.fill()
+        out.append(st.dW.T.flatten())
     return np.stack(out)
 
 
@@ -62,6 +62,17 @@ def test_slab_window_covers_reachable_indices(novikov, goy, sabra):
 def test_window_overflow_rejected(novikov):
     with pytest.raises(ValueError, match=f"N = 100 exceeds MAX_SHELLS = {MAX_SHELLS}"):
         check_shells(100)
+
+
+def test_every_increment_is_plus_or_minus_root_dt(goy):
+    # 6 * 7 = 42 cells a step, so a step leaves 22 bits of its one word unused
+    dt = 1e-3
+    st = stepper(goy, 3, dt, paths=7)
+    assert st.dW.size % 64 != 0
+    vals = draws(st, slab_rng(3, 1), 50)
+    root = math.sqrt(dt)
+    assert np.all((vals == root) | (vals == -root))
+    assert (vals == root).any() and (vals == -root).any()
 
 
 def test_increment_mean_bound(novikov):

@@ -13,7 +13,6 @@ from noise_oracle import PerStepStream, fill_stepper, pack, stepper_layout, wind
 import shellsde as s
 from rates_oracle import k_eff, n0
 from shellsde.algebra import BilinearMap, CoefficientTable
-from shellsde import noise as noise_module
 from shellsde import sde as sde_module
 from shellsde.noise import MAX_SHELLS, slab_rng
 from shellsde.sde import SCHEMES, SYSTEMS, NumericalBlowupError, Stepper, _add_terms, _sub_correction
@@ -273,8 +272,8 @@ def test_em_blowup_raises(novikov):
 def test_zero_path_unit_weight(novikov):
     st = one_path(novikov, 6, 1e-3, weighted=True)
     keyed_slab(st.table, 1e-3, (81, 0, 0)).load(st)
-    z, qv = (float(v[0]) for v in st.ledger(np.zeros((1, 6, 1))))
-    assert z == 0.0 and qv == 0.0 and math.exp(z - 0.5 * qv) == 1.0
+    z, qv, comp = (float(v[0]) for v in st.ledger(np.zeros((1, 6, 1))))
+    assert z == 0.0 and qv == 0.0 and comp == 0.0 and math.exp(z - comp) == 1.0
 
 
 def test_qv_bound_on_conservative_paths(novikov):
@@ -296,13 +295,59 @@ def test_qv_bound_on_conservative_paths(novikov):
 
 
 def test_weight_direction_sign(novikov):
-    # one path, one step: the directions share qv and flip the log integrand z
+    # one path, one step: the directions share qv and the compensator, and flip the log integrand z
     run = dict(N=6, dt=1e-3, T=1e-3, paths=1, which="linear", scheme="em", seed=95)
     wq = s.run_ensemble(novikov, [1.0, 0.5], weight_direction="QtoP", **run)
     wp = s.run_ensemble(novikov, [1.0, 0.5], weight_direction="PtoQ", **run)
-    zq, zp = (math.log(w.weight_mean[0]) + 0.5 * w.qv_max[0] for w in (wq, wp))
+    # the compensator reads the start state alone: sum of log cosh(x sqrt(dt) / sigma) over the ledger's cells
+    comp = float(one_path(novikov, 6, 1e-3, weighted=True).ledger(batch(start(6, [1.0, 0.5])))[2][0])
+    assert comp == pytest.approx(sum(math.log(math.cosh(x * math.sqrt(1e-3) / novikov.sigma)) for x in (1.0, 0.5)))
+    zq, zp = (math.log(w.weight_mean[0]) + comp for w in (wq, wp))
     assert zq == pytest.approx(-zp)
     assert wq.qv_max[0] == pytest.approx(wp.qv_max[0])
+
+
+def _every_sign(cells: int, dt: float) -> np.ndarray:
+    """(cells, 2**cells) slab: path p holds +sqrt(dt) in cell c where bit c of p is set, else -sqrt(dt)."""
+    bits = (np.arange(2**cells)[None, :] >> np.arange(cells)[:, None]) & 1
+    return np.where(bits == 1, math.sqrt(dt), -math.sqrt(dt))
+
+
+@pytest.mark.parametrize("model", ["novikov", "sabra"])
+@pytest.mark.parametrize("N", [3, 4])
+@pytest.mark.parametrize("direction", ["QtoP", "PtoQ"])
+def test_two_point_density_is_an_exact_martingale(model, N, direction, request):
+    # one step from one state, over all 2**cells equally likely slabs: E[exp(+-z - compensator)] = 1
+    spec, dt = request.getfixturevalue(model), 0.1
+    table = CoefficientTable(spec, N)
+    cells = table.slab(True)[0]
+    st = Stepper(table, dt, "em", "linear", True, 2**cells)
+    st.dW[...] = _every_sign(cells, dt)
+    z, qv, comp = st.ledger(np.repeat(batch(random_state(spec, N, 5)), 2**cells, axis=2))
+    sign = 1.0 if direction == "QtoP" else -1.0
+    assert abs(np.exp(sign * z - comp).mean() - 1.0) <= 1e-14
+    # the Gaussian law's compensator qv / 2 is off by about x**4 / 12 a cell
+    assert abs(np.exp(sign * z - 0.5 * qv).mean() - 1.0) > 1e-5
+
+
+@pytest.mark.parametrize("model", ["novikov", "goy", "sabra"])
+@pytest.mark.parametrize("scheme", ["em", "split"])
+def test_two_point_step_has_the_gaussian_second_moments(model, scheme, request):
+    # a linear em or split step is affine in the slab, X' = m + sum_c dW_c g_c; over all 2**cells
+    # equally likely slabs E[X' X'^T] is then m m^T + dt sum_c g_c g_c^T, as under Gaussian increments
+    spec, N, dt = request.getfixturevalue(model), 4, 0.05
+    table = CoefficientTable(spec, N)
+    cells = table.slab(False)[0]
+    x = batch(random_state(spec, N, 7))
+    st = Stepper(table, dt, scheme, "linear", False, 2**cells)
+    st.dW[...] = _every_sign(cells, dt)
+    V = st.step(np.repeat(x, 2**cells, axis=2), np.zeros(2**cells)).reshape(-1, 2**cells)
+    # m and g_c from steps at a zero slab and at one unit cell each
+    probe = Stepper(table, dt, scheme, "linear", False, cells + 1)
+    probe.dW[:, 1:] = np.eye(cells)
+    Y = probe.step(np.repeat(x, cells + 1, axis=2), np.zeros(cells + 1)).reshape(-1, cells + 1)
+    m, G = Y[:, 0], Y[:, 1:] - Y[:, :1]
+    _close(V @ V.T / 2**cells, np.outer(m, m) + dt * G @ G.T)
 
 
 def test_density_martingale_small(novikov):
@@ -391,10 +436,10 @@ def test_run_ensemble_threads_deterministic(novikov, goy):
 
 
 def test_run_ensemble_keys_one_stream_per_block_through_slab_rng(novikov, goy, monkeypatch):
-    # the benchmark times and counts the noise by hooking sde.slab_rng and the
-    # standard_normal calls of the generators it returns; it also wraps
-    # sde.CoefficientTable, sde._step_batch and sde._weight_increment, so each
-    # must be looked up at call time
+    # the benchmark times the noise by hooking sde.slab_rng; the stream reads
+    # ceil(cells * P / 64) raw words a step from the bit generator of what it
+    # returns; the benchmark also wraps sde.CoefficientTable, sde._step_batch
+    # and sde._weight_increment, so each must be looked up at call time
     cases = [
         (novikov, [1.0], dict(N=6, dt=1e-3, T=0.02, which="linear", scheme="split", weight_direction="QtoP")),
         (goy, [[1.0, 0.0]], dict(N=6, dt=1e-3, T=0.01, which="nonlinear", scheme="em")),
@@ -403,12 +448,12 @@ def test_run_ensemble_keys_one_stream_per_block_through_slab_rng(novikov, goy, m
 
     class Counting:
         def __init__(self, gen):
-            self.gen = gen
+            self.bit_generator = self
+            self.raw = gen.bit_generator.random_raw
 
-        def standard_normal(self, *args, **kwargs):
-            out = self.gen.standard_normal(*args, **kwargs)
-            drawn.append(out.size)
-            return out
+        def random_raw(self, size):
+            drawn.append(size)
+            return self.raw(size)
 
     def counting_rng(*args):
         keys.append(args)
@@ -437,7 +482,8 @@ def test_run_ensemble_keys_one_stream_per_block_through_slab_rng(novikov, goy, m
         assert sorted(keys) == [(13, 0), (13, 1), (13, 2)]
         weighted = "weight_direction" in base
         _, _, runs = window_layout(spec, base["N"], weighted)
-        assert sum(drawn) == paths * nsteps * sum(stop - start for _, _, start, stop in runs)
+        cells = sum(stop - start for _, _, start, stop in runs)
+        assert sorted(drawn) == sorted(nsteps * [-(-cells * P // 64) for P in (1000, 1000, 500)])
         assert calls.count("CoefficientTable") == 1
         assert calls.count("_step_batch") == len(keys) * nsteps
         assert calls.count("_weight_increment") == (len(keys) * nsteps if weighted else 0)
@@ -565,11 +611,11 @@ def test_run_ensemble_raises_on_an_overflowing_weight(novikov, monkeypatch):
     increment, calls = sde_module._weight_increment, []
 
     def jump(stepper, X):
-        z, qv = increment(stepper, X)
+        z, qv, comp = increment(stepper, X)
         calls.append(None)
         if len(calls) == 5:
             z[0] += 400.0
-        return z, qv
+        return z, qv, comp
 
     monkeypatch.setattr(sde_module, "_weight_increment", jump)
     with pytest.raises(NumericalBlowupError, match="overflowed"):
@@ -577,6 +623,20 @@ def test_run_ensemble_raises_on_an_overflowing_weight(novikov, monkeypatch):
             novikov, [1.0], N=6, dt=1e-3, T=0.01, paths=10, which="linear", scheme="split",
             weight_direction="QtoP", seed=3,
         )
+
+
+def test_run_ensemble_raises_on_an_overflowing_compensator(novikov):
+    # at x = 1e5 and dt = 1e-3, x sqrt(dt) / sigma = 3162: cosh overflows, while the state, z and qv stay finite
+    run = dict(N=6, dt=1e-3, T=2e-3, paths=4, which="linear", scheme="split", weight_direction="QtoP", seed=3)
+    st = one_path(novikov, 6, 1e-3, weighted=True)
+    with np.errstate(over="ignore"):
+        z, qv, comp = (float(v[0]) for v in st.ledger(batch(start(6, [1e5]))))
+    assert math.isfinite(z) and math.isfinite(qv) and comp == math.inf
+    with pytest.raises(NumericalBlowupError, match="overflowed"):
+        s.run_ensemble(novikov, [1e5], **run)
+    # at 1e4 every cosh is finite, and so is every statistic
+    es = s.run_ensemble(novikov, [1e4], **run)
+    assert all(np.isfinite(getattr(es, f.name)).all() for f in dataclasses.fields(es))
 
 
 # ----------------------------------------------------------------- noise stream
@@ -596,54 +656,19 @@ STREAM_CASES = {
 }
 
 
-def _largest_run(spec, base, block_size):
-    _, _, runs = window_layout(spec, base["N"], "weight_direction" in base)
-    return block_size * max(stop - start for _, _, start, stop in runs)
-
-
 @pytest.mark.parametrize("case", list(STREAM_CASES))
 def test_stream_results_do_not_depend_on_chunks_helper_or_threads(case, request, monkeypatch):
-    # every variant draws the same normals in the same order as the per-step reference
+    # at one and two threads the stream draws the same increments in the same order as the bitwise reference
     name, x0, base = STREAM_CASES[case]
     spec = request.getfixturevalue(name)
     run = dict(base, paths=300, block_size=100, seed=17)
     with monkeypatch.context() as m:
         m.setattr(sde_module, "SlabStream", PerStepStream)
         ref = s.run_ensemble(spec, x0, **run)
-    # the chunk size matters only to the helper; without it (one CPU) each run is drawn straight into the slab
-    variants = [("inline", 1 << 16, 1)] + [
-        (chunk_name, chunk, 64)
-        for chunk_name, chunk in {"one normal": 1, "one run": _largest_run(spec, base, 100), "2**16": 1 << 16}.items()
-    ]
-    for chunk_name, chunk, cpus in variants:
-        for threads in (1, 2):
-            with monkeypatch.context() as m:
-                m.setattr(noise_module, "CHUNK_NORMALS", chunk)
-                m.setattr(sde_module, "_usable_cpus", lambda: cpus)
-                got = s.run_ensemble(spec, x0, threads=threads, **run)
-            for field in dataclasses.fields(ref):
-                assert np.array_equal(getattr(got, field.name), getattr(ref, field.name)), (
-                    chunk_name, threads, field.name
-                )
-
-
-@pytest.mark.parametrize(
-    "cpus,threads,helper", [(1, 1, False), (2, 1, True), (2, 2, False), (3, 2, False), (4, 2, True), (4, 8, False)]
-)
-def test_helper_thread_runs_only_with_a_cpu_to_spare(novikov, monkeypatch, cpus, threads, helper):
-    # three blocks: min(threads, blocks) workers step, and a helper draws beside each only if each can have a CPU
-    seen = set()
-    step = sde_module._step_batch
-
-    def spy(*args):
-        seen.update(t.name for t in threading.enumerate())
-        return step(*args)
-
-    monkeypatch.setattr(sde_module, "_usable_cpus", lambda: cpus)
-    monkeypatch.setattr(sde_module, "_step_batch", spy)
-    monkeypatch.setattr(noise_module, "CHUNK_NORMALS", 1)  # more chunks than buffers: a helper waits for fill
-    s.run_ensemble(novikov, [1.0], N=4, dt=1e-3, T=0.005, paths=30, block_size=10, threads=threads)
-    assert any(name.startswith("slab-stream") for name in seen) == helper
+    for threads in (1, 2):
+        got = s.run_ensemble(spec, x0, threads=threads, **run)
+        for field in dataclasses.fields(ref):
+            assert np.array_equal(getattr(got, field.name), getattr(ref, field.name)), (threads, field.name)
 
 
 class _Boom(Exception):
@@ -651,7 +676,10 @@ class _Boom(Exception):
 
 
 class _FailingGenerator:
-    def standard_normal(self, *args, **kwargs):
+    def __init__(self):
+        self.bit_generator = self
+
+    def random_raw(self, *args, **kwargs):
         raise _Boom("draw failed")
 
 
@@ -670,7 +698,8 @@ def _raise_at_step_3(step):
 @pytest.mark.parametrize("threads", [1, 2])
 @pytest.mark.parametrize("failure", [None, "step", "draw"])
 def test_no_stream_thread_outlives_run_ensemble(novikov, monkeypatch, failure, threads):
-    monkeypatch.setattr(sde_module, "_usable_cpus", lambda: 64)  # a helper per block
+    # the stream starts no thread; a failing draw or step in a block worker reaches the
+    # caller, and the block workers' pool leaves no thread behind
     if failure == "step":
         monkeypatch.setattr(sde_module, "_step_batch", _raise_at_step_3(sde_module._step_batch))
     elif failure == "draw":
@@ -706,6 +735,19 @@ def _close(got, expected):
     np.testing.assert_allclose(got, expected, rtol=1e-13, atol=1e-13 * scale)
 
 
+def _close_ledger(got, expected):
+    """(z, qv, compensator) of the ledger against the oracle's.
+
+    The compensator is a log weight, a sum of log cosh per cell; a cosh
+    near 1 rounds by an ulp of 1, so it is judged against 1, not against
+    its own (tiny) size.
+    """
+    (z, qv, comp), (z_ref, qv_ref, comp_ref) = got, expected
+    _close(z, z_ref)
+    _close(qv, qv_ref)
+    np.testing.assert_allclose(comp, comp_ref, rtol=1e-13, atol=1e-13)
+
+
 @pytest.mark.parametrize("model", ["novikov", "goy", "sabra", "goy_scaled"])
 def test_step_kernel_matches_einsum_oracle(model, request):
     spec = _kernel_model(model, request)
@@ -726,10 +768,7 @@ def test_step_kernel_matches_einsum_oracle(model, request):
                 got = st.step(X.transpose(2, 1, 0).copy(), target)
                 expected = oracle.step(table, X, slab.increments, slab.lo, dt, which, scheme, energy0)
                 _close(got.transpose(2, 1, 0), expected)
-    zinc, qvinc = st.ledger(X.transpose(2, 1, 0).copy())
-    z_ref, qv_ref = oracle.weight_increment(table, X, slab.increments, slab.lo, dt)
-    _close(zinc, z_ref)
-    _close(qvinc, qv_ref)
+    _close_ledger(st.ledger(X.transpose(2, 1, 0).copy()), oracle.weight_increment(table, X, slab.increments, slab.lo, dt))
     # a one-path stepper runs the same kernel with P = 1
     st = Stepper(table, dt, "em", "linear", False, 1)
     one = NoiseSlab(spec=spec, dt=dt, lo=slab.lo, increments=slab.increments[:1])
@@ -793,10 +832,9 @@ def test_packed_step_matches_einsum_oracle_at_every_N(model, N, weighted, scheme
     slab.load(stepper)
     assert stepper.dW.shape == (sum(stop - start for _, _, start, stop in stepper_layout(stepper)[2]), P)
     if weighted:
-        zinc, qvinc = stepper.ledger(X.transpose(2, 1, 0).copy())
-        z_ref, qv_ref = oracle.weight_increment(table, X, slab.increments, slab.lo, dt)
-        _close(zinc, z_ref)
-        _close(qvinc, qv_ref)
+        _close_ledger(
+            stepper.ledger(X.transpose(2, 1, 0).copy()), oracle.weight_increment(table, X, slab.increments, slab.lo, dt)
+        )
     got = stepper.step(X.transpose(2, 1, 0).copy(), e0)
     _close(got.transpose(2, 1, 0), oracle.step(table, X, slab.increments, slab.lo, dt, which, scheme, e0))
 
