@@ -44,6 +44,14 @@ CALLS = (
     + [(f"simulate-{model}-{weights}-split",
         ["simulate", "--model", model, "--weights", weights, "--scheme", "split", "--paths", "300", "--horizon", "0.2"])
        for model, weights in (("novikov", "QtoP"), ("goy", "PtoQ"))]
+    # the step kernel's other branches: the nonlinear system under each scheme, and a linear conservative run
+    + [(f"simulate-goy-nonlinear-{scheme}",
+        ["simulate", "--model", "goy", "--system", "nonlinear", "--scheme", scheme, "--paths", "300",
+         "--horizon", "0.05", *extra])
+       for scheme, extra in (("split", []), ("em", ["--shells", "6"]), ("conservative", ["--shells", "6"]))]
+    + [("simulate-novikov-conservative",
+        ["simulate", "--model", "novikov", "--scheme", "conservative", "--shells", "6", "--paths", "300",
+         "--horizon", "0.2"])]
     + [("dissipation-novikov-reweighted", ["dissipation", "--model", "novikov", "--paths", "200"])]
     + [(f"dissipation-{model}", ["dissipation", "--model", model, "--paths", "0"]) for model in PRESETS]
     # the shape of the dissipation benchmark, past the 25 rows where eigh changes method

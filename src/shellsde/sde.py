@@ -46,9 +46,11 @@ multiplies two row blocks, scales by its folded coefficient vector and adds
 into the destination rows, in place in preallocated buffers.  The Girsanov
 ledger reads each row's block of the slab as (d, shells, P).  A
 :class:`Stepper` binds this kernel to one table, time step, scheme and
-batch size: it owns the slab, the scratch buffers and the damping factors,
-and is the only way in, for an ensemble block and a single path (P = 1)
-alike.
+batch size: it owns the slab, the scratch buffers and the correction and
+damping factors, and is the only way in, for an ensemble block and a
+single path (P = 1) alike.  It binds the operand views of every term and
+ledger row once for each (X, dW), the paths and the slab it is given, and
+again when either is another array; an ensemble block binds once.
 
 Tolerances: the horizon and every record time t must be a step count k of
 dt, judged in step units: |t / dt - k| at most ``GRID_TOL`` times max(1, k).
@@ -82,33 +84,35 @@ GRID_TOL = 1e-9
 # ----------------------------------------------------------------------
 
 
-def _add_terms(terms, X: np.ndarray, V: np.ndarray, out: np.ndarray, tmp: np.ndarray) -> None:
-    """out[a, dst] += coef * X[b, src] * V[other] for every term of the list."""
-    for t in terms:
-        prod = tmp[: t.coef.shape[0]]
-        np.multiply(X[t.b, t.src], V[t.other], out=prod)
-        prod *= t.coef
-        out[t.a, t.dst] += prod
+def _bind_terms(terms, X: np.ndarray, V: np.ndarray, out: np.ndarray, tmp: np.ndarray) -> list[tuple]:
+    """The operand views (X[b, src], V[other], out[a, dst], tmp prefix, coef) of every term of the list."""
+    return [(X[t.b, t.src], V[t.other], out[t.a, t.dst], tmp[: t.coef.shape[0]], t.coef) for t in terms]
 
 
-def _shell_matmul(mats: np.ndarray, X: np.ndarray, out: np.ndarray) -> np.ndarray:
-    """out[:, n] = mats[n] @ X[:, n] for every shell and path."""
-    return np.einsum("nab,bnp->anp", mats, X, out=out)
+def _add_terms(bound: list[tuple]) -> None:
+    """out[a, dst] += coef * X[b, src] * V[other] for every term bound by :func:`_bind_terms`."""
+    for x, v, out, prod, coef in bound:
+        np.multiply(x, v, out=prod)
+        prod *= coef
+        out += prod
 
 
-def _sub_correction(table: CoefficientTable, X: np.ndarray, out: np.ndarray, buf: np.ndarray) -> None:
-    """out -= gamma X, the quadratic (Ito) drift correction."""
+def _shell_apply(op: np.ndarray, X: np.ndarray, out: np.ndarray) -> np.ndarray:
+    """out[:, n] = op[n] X[:, n] for every shell and path; ``op`` is an (N, 1) column of scalars or (N, d, d) matrices."""
+    if op.ndim == 2:
+        return np.multiply(X, op, out=out)
+    return np.einsum("nab,bnp->anp", op, X, out=out)
+
+
+def _correction_op(table: CoefficientTable) -> np.ndarray:
+    """gamma per shell, for :func:`_shell_apply`: the quadratic (Ito) drift correction is -gamma X."""
+    return (table.pi / 2.0)[:, None] if table.identity_grams else table.gamma
+
+
+def _half_damp_op(table: CoefficientTable, dt: float) -> np.ndarray:
+    """exp(-gamma * dt / 2) per shell, for :func:`_shell_apply`."""
     if table.identity_grams:
-        np.multiply(X, (table.pi / 2.0)[:, None], out=buf)
-    else:
-        _shell_matmul(table.gamma, X, buf)
-    out -= buf
-
-
-def _half_damp_factors(table: CoefficientTable, dt: float):
-    """exp(-gamma * dt / 2) per shell, scalar when every gram is the identity."""
-    if table.identity_grams:
-        return np.exp(-(table.pi / 2.0) * dt / 2.0)
+        return np.exp(-(table.pi / 2.0) * dt / 2.0)[:, None]
     out = np.empty_like(table.gamma)
     for n in range(table.N):
         w, V = np.linalg.eigh(table.gamma[n])
@@ -116,11 +120,11 @@ def _half_damp_factors(table: CoefficientTable, dt: float):
     return out
 
 
-def _damp(table: CoefficientTable, X: np.ndarray, fac, buf: np.ndarray) -> None:
-    if table.identity_grams:
-        X *= fac[:, None]
+def _damp(fac: np.ndarray, X: np.ndarray, buf: np.ndarray) -> None:
+    if fac.ndim == 2:
+        X *= fac
     else:
-        np.copyto(X, _shell_matmul(fac, X, buf))
+        np.copyto(X, _shell_apply(fac, X, buf))
 
 
 def _path_dot(A: np.ndarray, B: np.ndarray) -> np.ndarray:
@@ -133,24 +137,29 @@ def _step_batch(stepper: Stepper, X: np.ndarray, energy0: np.ndarray) -> np.ndar
 
     The step reads the stepper's slab ``dW`` and scratch buffers; batches
     stepped concurrently each need their own stepper.  ``energy0`` (P,) is
-    the energy the ``conservative`` scheme projects back to.
+    the energy the ``conservative`` scheme projects back to.  Every
+    operation acts path by path and keeps a non-finite path non-finite.
     """
-    table = stepper.table
-    split = stepper.scheme == "split"
-    if split:
-        _damp(table, X, stepper.half_fac, stepper.alt)
+    stepper._bind(X)
     incr = stepper.incr
-    incr.fill(0.0)
-    if stepper.system == "nonlinear":
-        _add_terms(table.transport_terms, X, X, incr, stepper.tmp)
-    if not split:
-        _sub_correction(table, X, incr, stepper.alt)
-    incr *= stepper.dt
-    _add_terms(stepper.noise_terms, X, stepper.dW, incr, stepper.tmp)
+    if stepper.split:
+        _damp(stepper.half_fac, X, stepper.alt)
+    if stepper.nonlinear:
+        incr.fill(0.0)
+        _add_terms(stepper.transport_ops)
+        if not stepper.split:
+            incr -= _shell_apply(stepper.gamma, X, stepper.alt)
+        incr *= stepper.dt
+    elif stepper.split:
+        incr.fill(0.0)
+    else:  # (0 - gamma X) dt and gamma X (-dt) are the same double
+        _shell_apply(stepper.gamma, X, incr)
+        incr *= stepper.neg_dt
+    _add_terms(stepper.noise_ops)
     X += incr
-    if split:
-        _damp(table, X, stepper.half_fac, stepper.alt)
-    elif stepper.scheme == "conservative":
+    if stepper.split:
+        _damp(stepper.half_fac, X, stepper.alt)
+    elif stepper.conservative:
         e = _path_dot(X, X)
         with np.errstate(divide="ignore", invalid="ignore"):
             fac = np.sqrt(energy0 / e)
@@ -168,21 +177,19 @@ def _weight_increment(stepper: Stepper, X: np.ndarray) -> tuple[np.ndarray, np.n
     cosh(X sqrt(dt) / sigma) over the cells, one log per path; it is inf
     when that product overflows.
     """
-    dW, (d, _, P) = stepper.dW, X.shape
-    sigma = stepper.table.spec.sigma
+    stepper._bind(X)
+    P = X.shape[2]
     zinc = np.zeros(P)
     qvinc = np.zeros(P)
     cosh = np.ones(P)
-    for shells, block, cells in stepper.ledger_rows:
-        Xm = X[:, shells]
-        zinc += _path_dot(Xm, dW[block].reshape(d, -1, P)[:, cells])
+    for Xm, Wm, buf in stepper.ledger_ops:
+        zinc += _path_dot(Xm, Wm)
         qvinc += _path_dot(Xm, Xm)
-        buf = stepper.alt[:, : Xm.shape[1]]
-        np.multiply(Xm, math.sqrt(stepper.dt) / sigma, out=buf)
+        np.multiply(Xm, stepper.cosh_scale, out=buf)
         np.cosh(buf, out=buf)
         cosh *= buf.prod(axis=(0, 1))
-    zinc /= sigma
-    qvinc *= stepper.dt / sigma**2
+    zinc /= stepper.table.spec.sigma
+    qvinc *= stepper.qv_scale
     return zinc, qvinc, np.log(cosh)
 
 
@@ -199,6 +206,15 @@ class Stepper:
     module's ``_step_batch`` and ``_weight_increment``, looked up at call
     time, so that a wrapper installed on either (as the benchmark's tracer
     does) sees every step.
+
+    Everything that is fixed between steps is computed here once: the
+    correction and half-damping factors per shell, and the scheme and
+    system as flags.  The operand views of every term and ledger row are
+    bound once for each pair of paths ``X`` and slab ``dW``:
+    passing another X, or setting ``dW`` to another array, binds them
+    again, while writing into either in place needs nothing.  An ensemble
+    block steps one X, and its stream returns the same slab every step, so
+    it binds once.
     """
 
     def __init__(
@@ -212,12 +228,37 @@ class Stepper:
         self.dt = dt
         self.scheme = scheme
         self.system = system
+        self.split = scheme == "split"
+        self.conservative = scheme == "conservative"
+        self.nonlinear = system == "nonlinear"
+        self.neg_dt = -dt
+        sigma = table.spec.sigma
+        self.cosh_scale = math.sqrt(dt) / sigma
+        self.qv_scale = dt / sigma**2
         cells, self.noise_terms, self.ledger_rows = table.slab(weighted)
-        self.half_fac = _half_damp_factors(table, dt) if scheme == "split" else None
+        self.gamma = _correction_op(table)
+        self.half_fac = _half_damp_op(table, dt) if self.split else None
         self.dW = np.zeros((cells, paths))
         self.incr = np.empty((table.d, table.N, paths))
         self.alt = np.empty((table.d, table.N, paths))
         self.tmp = np.empty((table.N, paths))
+        self._bound = (None, None)  # the (X, dW) that the views below read
+
+    def _bind(self, X: np.ndarray) -> None:
+        """Bind the term and ledger views to the paths ``X`` and the slab ``dW``, unless they already are."""
+        X0, dW0 = self._bound
+        if X is X0 and self.dW is dW0:
+            return
+        dW, (d, _, P) = self.dW, X.shape
+        self.transport_ops = (
+            _bind_terms(self.table.transport_terms, X, X, self.incr, self.tmp) if self.nonlinear else []
+        )
+        self.noise_ops = _bind_terms(self.noise_terms, X, dW, self.incr, self.tmp)
+        self.ledger_ops = [
+            (X[:, shells], dW[block].reshape(d, -1, P)[:, cells], self.alt[:, : shells.stop - shells.start])
+            for shells, block, cells in self.ledger_rows or ()
+        ]
+        self._bound = (X, dW)
 
     def step(self, X: np.ndarray, energy0: np.ndarray) -> np.ndarray:
         """Advance ``X`` (d, N, P) by one step in place and return it."""
@@ -312,12 +353,14 @@ def run_ensemble(
     random bit per cell the step reads, each cell +-sqrt(dt); so results
     are a pure function of (seed, block_size), independent of scheduling
     and of ``threads``, which steps that many blocks at once.  Failed paths
-    (a non-finite state after a step, or at a record time an energy so
-    large that the sums over the paths could overflow) are frozen, excluded
-    from that record time on and reported in ``aborted``.  A statistic that
-    still comes out non-finite (an overflowing Girsanov weight), or at a
-    record time a live path whose Girsanov compensator overflowed, raises
-    :class:`NumericalBlowupError`.
+    (a non-finite state, or an energy so large that the sums over the paths
+    could overflow) are found at the next record time, or at the end of
+    their block, not after every step: a step keeps a non-finite path
+    non-finite.  They are frozen, excluded from that record time on and
+    reported in ``aborted``.  At a record time, a live path whose Girsanov
+    compensator or weight overflowed raises :class:`NumericalBlowupError`,
+    and so does a statistic that still comes out non-finite (the square
+    of a large Girsanov weight).
     """
     for name, value in (("paths", paths), ("block_size", block_size), ("threads", threads)):
         if value < 1:
@@ -391,8 +434,11 @@ def run_ensemble(
                         "cosh(X sqrt(dt) / sigma)); reduce dt"
                     )
                 with np.errstate(over="ignore"):
-                    w = np.where(alive, np.exp(z - comp), 0.0)
-                w = np.where(np.isfinite(w), w, 0.0)
+                    w = np.where(alive, np.exp(z - comp), 0.0)  # a failed path's z may be NaN
+                if not np.isfinite(w).all():
+                    raise NumericalBlowupError(
+                        "a live path's Girsanov weight exp(z - compensator) overflowed; reduce dt"
+                    )
             else:
                 w = alive.astype(float)
             w2 = w * w
@@ -419,12 +465,10 @@ def run_ensemble(
                     qv += qvinc
                     comp += compinc
                 X = stepper.step(X, e0)
-                ok = np.isfinite(X).all(axis=(0, 1))
-                if not ok.all():
-                    alive &= ok
-                    X[:, :, ~alive] = 0.0
                 if (k + 1) in rec_index:
                     record(rec_index[k + 1])
+        # a path that failed after the last record time is still a failed path
+        alive &= np.isfinite(X).all(axis=(0, 1))
         return partial, int(P - alive.sum())
 
     if threads > 1 and len(blocks) > 1:

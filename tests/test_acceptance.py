@@ -18,7 +18,7 @@ from rates_oracle import k_eff, n0, r_max_abs
 from shellsde.algebra import CoefficientTable
 from shellsde.chain import ChainCaps
 from shellsde.moments import embedded_matrix
-from shellsde.sde import _add_terms
+from shellsde.sde import _add_terms, _bind_terms
 
 
 def report(num: int, passed: bool, detail: str):
@@ -72,7 +72,7 @@ def test_acceptance_2_drift_cancellation(novikov2):
             # the step kernel's transport terms on the one-path batch of x
             X = x.T[:, :, None].copy()
             t = np.zeros_like(X)
-            _add_terms(table.transport_terms, X, X, t, np.empty((N, 1)))
+            _add_terms(_bind_terms(table.transport_terms, X, X, t, np.empty((N, 1))))
             lhs = abs(float((x * t[:, :, 0].T.copy()).sum()))
             bound = 1e-10 * float((x * x).sum()) * pi_scale
             worst = max(worst, lhs / bound)

@@ -64,6 +64,17 @@ def test_window_overflow_rejected(novikov):
         check_shells(100)
 
 
+def test_slab_stream_fills_one_array_in_place(goy):
+    # the stepper binds its views to the slab once, so every step's slab must be the same array
+    st = stepper(goy, 6, 1e-3, paths=5)
+    stream = SlabStream(slab_rng(2, 0), st.dW.shape, st.dt)
+    first = stream.fill()
+    drawn = first.copy()
+    second = stream.fill()
+    assert second is first and first.shape == st.dW.shape
+    assert not np.array_equal(second, drawn)
+
+
 def test_every_increment_is_plus_or_minus_root_dt(goy):
     # 6 * 7 = 42 cells a step, so a step leaves 22 bits of its one word unused
     dt = 1e-3

@@ -15,7 +15,9 @@ from rates_oracle import k_eff, n0
 from shellsde.algebra import BilinearMap, CoefficientTable
 from shellsde import sde as sde_module
 from shellsde.noise import MAX_SHELLS, slab_rng
-from shellsde.sde import SCHEMES, SYSTEMS, NumericalBlowupError, Stepper, _add_terms, _sub_correction
+from shellsde.sde import (
+    SCHEMES, SYSTEMS, NumericalBlowupError, Stepper, _add_terms, _bind_terms, _correction_op, _shell_apply,
+)
 
 
 def random_state(spec, N, seed, sparse=False):
@@ -52,7 +54,7 @@ def transport(table, x):
     """The step kernel's bilinear transport at the (N, d) state x."""
     X = batch(x)
     out = np.zeros_like(X)
-    _add_terms(table.transport_terms, X, X, out, np.empty((table.N, 1)))
+    _add_terms(_bind_terms(table.transport_terms, X, X, out, np.empty((table.N, 1))))
     return path(out)
 
 
@@ -60,7 +62,7 @@ def drift(table, x, which):
     """Per-shell drift of the nonlinear (transport plus correction) or linear (correction) system."""
     X = batch(x)
     out = batch(transport(table, x)) if which == "nonlinear" else np.zeros_like(X)
-    _sub_correction(table, X, out, np.empty_like(X))
+    out -= _shell_apply(_correction_op(table), X, np.empty_like(X))
     return path(out)
 
 
@@ -68,7 +70,7 @@ def diffusion(stepper, x):
     """Noise increment of one step from the (N, d) state x with the stepper's slab."""
     X = batch(x)
     out = np.zeros_like(X)
-    _add_terms(stepper.noise_terms, X, stepper.dW, out, np.empty((stepper.table.N, 1)))
+    _add_terms(_bind_terms(stepper.noise_terms, X, stepper.dW, out, np.empty((stepper.table.N, 1))))
     return path(out)
 
 
@@ -571,6 +573,52 @@ def test_run_ensemble_counts_an_overflowing_energy_as_aborted(novikov, monkeypat
     assert list(hit.ess) == [10.0, 9.0, 9.0]
 
 
+def _fail_one_entry_at_step(step, value, at):
+    # after step ``at``, one entry of the first path becomes ``value``, and the others stay finite
+    calls = []
+
+    def wrapper(stepper, X, energy0):
+        X = step(stepper, X, energy0)
+        calls.append(None)
+        if len(calls) == at:
+            X[0, 2, 0] = value
+        return X
+
+    return wrapper
+
+
+@pytest.mark.parametrize("weights", [None, "QtoP"])
+@pytest.mark.parametrize("scheme", SCHEMES)
+@pytest.mark.parametrize("value", [math.nan, math.inf])
+def test_run_ensemble_aborts_a_non_finite_path_at_the_next_record_time(novikov, monkeypatch, value, scheme, weights):
+    # steps keep a non-finite path non-finite, so the record at step 10 finds the path failed at step 7
+    base = dict(
+        N=6, dt=1e-3, T=0.02, paths=10, which="linear", scheme=scheme, seed=3,
+        record_times=[0.005, 0.01, 0.02], weight_direction=weights,
+    )
+    plain = s.run_ensemble(novikov, [1.0], **base)
+    monkeypatch.setattr(sde_module, "_step_batch", _fail_one_entry_at_step(sde_module._step_batch, value, 7))
+    hit = s.run_ensemble(novikov, [1.0], **base)
+    assert plain.aborted == 0 and hit.aborted == 1
+    assert np.array_equal(hit.mean_sq[0], plain.mean_sq[0])
+    for field in dataclasses.fields(hit):
+        assert np.isfinite(getattr(hit, field.name)).all(), field.name
+    if weights is None:
+        assert list(hit.ess) == [10.0, 9.0, 9.0]
+    else:  # unequal weights: the effective size of 9 weighted paths is at most 9
+        assert hit.ess[0] == plain.ess[0] and (hit.ess[1:] <= 9.0 + 1e-12).all()
+
+
+@pytest.mark.parametrize("scheme", SCHEMES)
+def test_run_ensemble_aborts_a_path_that_fails_after_the_last_record_time(novikov, monkeypatch, scheme):
+    base = dict(N=6, dt=1e-3, T=0.01, paths=10, which="linear", scheme=scheme, seed=3, record_times=[0.005])
+    plain = s.run_ensemble(novikov, [1.0], **base)
+    monkeypatch.setattr(sde_module, "_step_batch", _fail_one_entry_at_step(sde_module._step_batch, math.nan, 7))
+    hit = s.run_ensemble(novikov, [1.0], **base)
+    assert plain.aborted == 0 and hit.aborted == 1
+    assert np.array_equal(hit.mean_sq, plain.mean_sq) and list(hit.ess) == [10.0]
+
+
 def _energy_to_1e154_at_step_10(step, columns):
     # after step 10, a record time below, the paths ``columns`` get energy 1e154: finite squares, overflowing sums
     calls = []
@@ -606,15 +654,17 @@ def test_run_ensemble_raises_when_every_path_of_a_block_reaches_1e154(novikov, m
         s.run_ensemble(novikov, [1.0], N=6, dt=1e-3, T=0.02, paths=10, which="linear", scheme="em", seed=3)
 
 
-def test_run_ensemble_raises_on_an_overflowing_weight(novikov, monkeypatch):
-    # the first path's log weight jumps by 400 at step 5: its weight is finite, its square is not
+@pytest.mark.parametrize("size", [400.0, 800.0])
+def test_run_ensemble_raises_on_an_overflowing_weight(novikov, monkeypatch, size):
+    # the first path's log weight jumps at step 5: by 400 its weight is finite and its square is not,
+    # by 800 the weight itself overflows, which must not read as a weight of 0
     increment, calls = sde_module._weight_increment, []
 
     def jump(stepper, X):
         z, qv, comp = increment(stepper, X)
         calls.append(None)
         if len(calls) == 5:
-            z[0] += 400.0
+            z[0] += size
         return z, qv, comp
 
     monkeypatch.setattr(sde_module, "_weight_increment", jump)
@@ -637,6 +687,42 @@ def test_run_ensemble_raises_on_an_overflowing_compensator(novikov):
     # at 1e4 every cosh is finite, and so is every statistic
     es = s.run_ensemble(novikov, [1e4], **run)
     assert all(np.isfinite(getattr(es, f.name)).all() for f in dataclasses.fields(es))
+
+
+@pytest.mark.parametrize("scheme", SCHEMES)
+@pytest.mark.parametrize("which", SYSTEMS)
+def test_stepper_rebinds_when_its_paths_or_slab_change(goy, scheme, which):
+    # one stepper steps two batches in turn, then a slab set to a new array, then that slab written
+    # in place; each step and ledger must equal a fresh stepper's, so no view of an old array leaks
+    N, P, dt = 6, 4, 1e-4
+    table = CoefficientTable(goy, N)
+    rng = np.random.default_rng(19)
+    slabs = [math.sqrt(dt) * rng.standard_normal((table.slab(True)[0], P)) for _ in range(3)]
+    A, B = (rng.standard_normal((goy.d, N, P)) for _ in range(2))
+    e0 = rng.uniform(0.5, 2.0, P)
+
+    def fresh(X, slab):
+        st = Stepper(table, dt, scheme, which, True, P)
+        st.dW[...] = slab
+        return st.ledger(X), st.step(X.copy(), e0)
+
+    st = Stepper(table, dt, scheme, which, True, P)
+
+    def same_as_fresh(X, k):
+        ledger, stepped = fresh(X, slabs[k])
+        for got, ref in zip(st.ledger(X), ledger):
+            assert np.array_equal(got, ref), k
+        assert st.step(X, e0) is X and np.array_equal(X, stepped), k
+
+    st.dW[...] = slabs[0]
+    for X in (A, B, A):  # two batches in turn
+        same_as_fresh(X, 0)
+    st.dW = slabs[1].copy()  # another slab array, first with the same batch
+    for X in (A, B):
+        same_as_fresh(X, 1)
+    st.dW[...] = slabs[2]  # that array written in place
+    for X in (B, A):
+        same_as_fresh(X, 2)
 
 
 # ----------------------------------------------------------------- noise stream
