@@ -49,6 +49,13 @@ CALLS = (
         ["simulate", "--model", "goy", "--system", "nonlinear", "--scheme", scheme, "--paths", "300",
          "--horizon", "0.05", *extra])
        for scheme, extra in (("split", []), ("em", ["--shells", "6"]), ("conservative", ["--shells", "6"]))]
+    # the fused kernel on the third preset, and a weighted nonlinear run, whose ledger reads the raw slab
+    + [("simulate-sabra-nonlinear-split",
+        ["simulate", "--model", "sabra", "--system", "nonlinear", "--scheme", "split", "--paths", "300",
+         "--horizon", "0.05"]),
+       ("simulate-goy-nonlinear-PtoQ-split",
+        ["simulate", "--model", "goy", "--system", "nonlinear", "--weights", "PtoQ", "--scheme", "split",
+         "--paths", "300", "--horizon", "0.05"])]
     + [("simulate-novikov-conservative",
         ["simulate", "--model", "novikov", "--scheme", "conservative", "--shells", "6", "--paths", "300",
          "--horizon", "0.2"])]

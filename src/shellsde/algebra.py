@@ -612,13 +612,14 @@ class KernelTerm(NamedTuple):
     """One non-zero ``B[j, a, b, c]`` of interaction j over its shell range.
 
     The step kernel adds ``coef * X[b, src] * V[other]`` to ``out[a, dst]``,
-    where X is a (d, N, P) batch of paths and V is either X itself, with
-    ``other = (c, shells)``, or the step's packed noise slab, with ``other``
-    a slice of its rows.  A noise term of a :class:`CoefficientTable` names
-    its cells as ``(channel row, c, noise shells)``, and
-    :meth:`CoefficientTable.slab` maps them into a slab.  ``coef`` has shape
-    (len, 1): the bilinear entry times ``keff[j]`` on the destination
-    shells, times sigma for noise terms.
+    where X is a (d, N, P) batch of paths and V the step's velocity: the
+    noise slab dW for the linear system, and dW + (dt / sigma) X for the
+    nonlinear one, whose transport rides on the same term.  A term of a
+    :class:`CoefficientTable` names its cells as ``(channel row, c, noise
+    shells)``; the noise shell m of component c pairs with the state entry
+    X[c, m], read as zero past N.  :meth:`CoefficientTable.slab` maps the
+    cells to slab rows.  ``coef`` has shape (len, 1): sigma times the
+    bilinear entry times ``keff[j]`` on the destination shells.
     """
 
     a: int
@@ -627,6 +628,20 @@ class KernelTerm(NamedTuple):
     src: slice
     other: tuple | slice
     coef: np.ndarray
+
+
+class SlabBlock(NamedTuple):
+    """One (channel row, component) run of slab rows, whose noise shells are consecutive.
+
+    ``rows`` are its slab rows, ``c`` the component and ``shells`` the
+    zero-based noise shells they hold, one per row; ``terms`` are the
+    kernel terms that read it, each ``other`` a slice of the block's rows.
+    """
+
+    rows: slice
+    c: int
+    shells: slice
+    terms: list[KernelTerm]
 
 
 class CoefficientTable:
@@ -638,12 +653,12 @@ class CoefficientTable:
     correction is ``-gamma[n-1] @ X_n``; when every gram is the identity it
     is the scalar ``pi[n-1] / 2``.
 
-    The step kernel's term lists are built here once: ``transport_terms``
-    (state times state), ``noise_terms`` (state times noise) and
-    ``ledger_rows``, the (channel row, shells) whose state and noise the
-    Girsanov ledger pairs.  Noise shells are zero-based shell indices, as
-    state shells are, and may pass N.  :meth:`slab` lays out the packed
-    slab that a step reads and maps both lists into it.
+    The step kernel's one term list is built here once: ``noise_terms``,
+    state times velocity, which both systems read, and ``ledger_rows``, the
+    (channel row, shells) whose state and noise the Girsanov ledger pairs.
+    Noise shells are zero-based shell indices, as state shells are, and may
+    pass N.  :meth:`slab` lays out the packed slab that a step reads and
+    maps both lists into it.
     """
 
     def __init__(self, spec: ModelSpec, N: int):
@@ -663,54 +678,50 @@ class CoefficientTable:
         self.gamma = 0.5 * np.einsum("jn,jab->nab", rates.rate, spec.grams())
         self.pi = rates.pi
         self.identity_grams = spec.has_identity_grams()
-        self.transport_terms, self.noise_terms = self._kernel_terms()
+        self.noise_terms = self._kernel_terms()
         self.ledger_rows = []
         for j, iid in enumerate(star):
             mlo = max(1, 1 + spec.interaction(iid).h)
             if mlo <= N:
                 self.ledger_rows.append((j, slice(mlo - 1, N)))
 
-    def _kernel_terms(self) -> tuple[list[KernelTerm], list[KernelTerm]]:
-        """Transport and noise terms of every non-zero bilinear entry.
+    def _kernel_terms(self) -> list[KernelTerm]:
+        """The term of every non-zero bilinear entry.
 
         A term covers the shells n where its interaction is active and the
-        transported shell n + r exists; a transport term also needs the
-        partner shell n + h.
+        transported shell n + r exists; its noise shell n + h may pass N.
         """
         N, sigma = self.N, self.spec.sigma
-        transport, noise = [], []
+        terms = []
         for j, it in enumerate(self.spec.interactions):
             nlo = max(1, 1 - it.r, 1 - it.h)
             nhi = min(N, N - it.r)
             if nlo > nhi or it.k == 0.0:
                 continue
-            top = min(nhi, N - it.h)  # last shell of the transport terms
-            keff = self.keff[j, nlo - 1 : nhi, None]
             B = it.B.entries
-            vals = B[B != 0.0][:, None, None]
-            noise_coef = (sigma * vals) * keff
-            transport_coef = vals * keff[: top - nlo + 1]
+            coef = (sigma * B[B != 0.0][:, None, None]) * self.keff[j, nlo - 1 : nhi, None]
             dst, src = slice(nlo - 1, nhi), slice(nlo - 1 + it.r, nhi + it.r)
-            dst_t, src_t = slice(nlo - 1, top), slice(nlo - 1 + it.r, top + it.r)
             row, shells = int(self.star_row[j]), slice(nlo - 1 + it.h, nhi + it.h)
             for i, (a, b, c) in enumerate(np.argwhere(B).tolist()):
-                noise.append(KernelTerm(a, dst, b, src, (row, c, shells), noise_coef[i]))
-                if nlo <= top:
-                    other = (c, slice(nlo - 1 + it.h, top + it.h))
-                    transport.append(KernelTerm(a, dst_t, b, src_t, other, transport_coef[i]))
-        return transport, noise
+                terms.append(KernelTerm(a, dst, b, src, (row, c, shells), coef[i]))
+        return terms
 
-    def slab(self, weighted: bool) -> tuple[int, list[KernelTerm], list[tuple[slice, slice, slice]] | None]:
-        """The packed slab a step reads: its row count, and the noise terms and ledger rows mapped into it.
+    def slab(
+        self, weighted: bool
+    ) -> tuple[int, list[KernelTerm], list[SlabBlock], list[tuple[slice, slice, slice]] | None]:
+        """The packed slab a step reads: its row count, its terms, its blocks and its ledger rows.
 
-        The slab holds, of each channel row, the noise shells that its noise
-        terms read and, with ``weighted``, those of its ledger row, for every
+        The slab holds, of each channel row, the noise shells that its terms
+        read and, with ``weighted``, those of its ledger row, for every
         component alike; rows run by channel row, then component, then
-        shell, which is the order a step draws them in.  A noise term's
-        ``other`` becomes its slice of slab rows.  A ledger row becomes
-        (shells, block, cells): ``block`` is the channel row's slab rows, its
-        d components one after another, and ``cells`` the ledger's part of
-        each component.  The ledger rows are None unless ``weighted``.
+        shell, which is the order a step draws them in.  The terms come in
+        table order, each ``other`` its slice of slab rows.  The blocks are
+        the slab's :class:`SlabBlock` runs that terms read, in row order,
+        each with the same terms, ``other`` taken relative to the block.  A
+        ledger row becomes (shells, block, cells): ``block`` is the channel
+        row's slab rows, its d components one after another, and ``cells``
+        the ledger's part of each component.  The ledger rows are None
+        unless ``weighted``.
         """
         reads = [(row, shells) for row, _, shells in (t.other for t in self.noise_terms)]
         if weighted:
@@ -723,16 +734,29 @@ class CoefficientTable:
             first[row], place[row] = size, {m: i for i, m in enumerate(sorted(read[row]))}
             size += self.d * len(read[row])
 
-        def cells(row, c, shells):
-            start = first[row] + c * len(place[row]) + place[row][shells.start]
-            return slice(start, start + shells.stop - shells.start)
-
-        noise = [t._replace(other=cells(*t.other)) for t in self.noise_terms]
+        blocks, home = [], {}  # home[row, c, m]: the block that holds noise shell m, and m's row in it
+        for row, shells in place.items():
+            for c in range(self.d):
+                for lo in (m for m in shells if m - 1 not in shells):
+                    hi = lo
+                    while hi in shells:
+                        home[row, c, hi] = (len(blocks), hi - lo)
+                        hi += 1
+                    start = first[row] + c * len(shells) + shells[lo]
+                    blocks.append(SlabBlock(slice(start, start + hi - lo), c, slice(lo, hi), []))
+        terms = []
+        for t in self.noise_terms:
+            row, c, shells = t.other
+            (k, at), n = home[row, c, shells.start], shells.stop - shells.start
+            blocks[k].terms.append(t._replace(other=slice(at, at + n)))
+            start = blocks[k].rows.start + at
+            terms.append(t._replace(other=slice(start, start + n)))
+        blocks = [b for b in blocks if b.terms]  # a run of ledger cells alone has no velocity to form
         if not weighted:
-            return size, noise, None
+            return size, terms, blocks, None
         ledger = []
         for row, shells in self.ledger_rows:
             start = place[row][shells.start]
             block = slice(first[row], first[row] + self.d * len(place[row]))
             ledger.append((shells, block, slice(start, start + shells.stop - shells.start)))
-        return size, noise, ledger
+        return size, terms, blocks, ledger

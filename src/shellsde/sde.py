@@ -36,21 +36,28 @@ Step kernel.  A batch of P paths is stored component-major, as a contiguous
 whole rows over the paths.  A step's noise slab is packed: a (cells, P)
 array that holds only the cells the kernel reads, by channel row, then
 component, then shell, as :meth:`CoefficientTable.slab` lays it out; the
-same call gives each noise term, and each Girsanov ledger row, as slices
+same call gives each kernel term, and each Girsanov ledger row, as slices
 of it.  An ensemble block's :class:`~shellsde.noise.SlabStream` writes
 each step's slab whole, one random bit per cell, so results depend only on
 (seed, block_size).
-Transport and diffusion are then sums of unrolled terms, one per non-zero
-``B[j, a, b, c]``, precomputed by :class:`CoefficientTable`: each term
-multiplies two row blocks, scales by its folded coefficient vector and adds
-into the destination rows, in place in preallocated buffers.  The Girsanov
-ledger reads each row's block of the slab as (d, shells, P).  A
-:class:`Stepper` binds this kernel to one table, time step, scheme and
-batch size: it owns the slab, the scratch buffers and the correction and
-damping factors, and is the only way in, for an ensemble block and a
-single path (P = 1) alike.  It binds the operand views of every term and
-ledger row once for each (X, dW), the paths and the slab it is given, and
-again when either is another array; an ensemble block binds once.
+The noise rides on the transport term, so one Euler increment of the
+nonlinear system is the bilinear sum B(X, X dt + sigma dW): both systems
+run one list of unrolled terms, one per non-zero ``B[j, a, b, c]``,
+precomputed by :class:`CoefficientTable`.  Each term multiplies a row block
+of X by a row block of the velocity V, scales by its folded coefficient
+vector (which carries sigma) and adds into the destination rows, in place
+in preallocated buffers.  The linear system reads V = dW, the slab itself.
+The nonlinear system reads V = dW + (dt / sigma) X, with X read as zero
+past N, one slab block at a time: the step writes a block's velocity into
+one buffer of the widest block's rows and runs the terms that read it
+while it is in cache, and never writes dW.  The Girsanov ledger reads each
+row's block of the slab as (d, shells, P).  A :class:`Stepper` binds this
+kernel to one table, time step, scheme and batch size: it owns the slab,
+the scratch buffers and the correction and damping factors, and is the
+only way in, for an ensemble block and a single path (P = 1) alike.  It
+binds the operand views of every term, block and ledger row once for each
+(X, dW), the paths and the slab it is given, and again when either is
+another array; an ensemble block binds once.
 
 Tolerances: the horizon and every record time t must be a step count k of
 dt, judged in step units: |t / dt - k| at most ``GRID_TOL`` times max(1, k).
@@ -95,6 +102,34 @@ def _add_terms(bound: list[tuple]) -> None:
         np.multiply(x, v, out=prod)
         prod *= coef
         out += prod
+
+
+def _bind_blocks(
+    blocks, X: np.ndarray, dW: np.ndarray, V: np.ndarray, out: np.ndarray, tmp: np.ndarray
+) -> list[tuple]:
+    """The views of every slab block and its terms, for :func:`_add_velocity_terms`.
+
+    Per block: X[c] on its shells in 1..N, the block's dW and its prefix of
+    the velocity buffer ``V`` on those rows, the same two on the rows past
+    N, and the block's terms bound to that prefix.
+    """
+    N, bound = X.shape[1], []
+    for rows, c, shells, terms in blocks:
+        inside = max(0, min(shells.stop, N) - shells.start)
+        W, Vb = dW[rows], V[: rows.stop - rows.start]
+        x = X[c, shells.start : shells.start + inside]
+        terms = _bind_terms(terms, X, Vb, out, tmp)
+        bound.append((x, W[:inside], Vb[:inside], W[inside:], Vb[inside:], terms))
+    return bound
+
+
+def _add_velocity_terms(bound: list[tuple], scale: float) -> None:
+    """out[a, dst] += coef * X[b, src] * V[other], V = dW + scale X, per block bound by :func:`_bind_blocks`."""
+    for x, w_in, v_in, w_past, v_past, terms in bound:
+        np.multiply(x, scale, out=v_in)
+        v_in += w_in
+        np.copyto(v_past, w_past)
+        _add_terms(terms)
 
 
 def _shell_apply(op: np.ndarray, X: np.ndarray, out: np.ndarray) -> np.ndarray:
@@ -144,18 +179,14 @@ def _step_batch(stepper: Stepper, X: np.ndarray, energy0: np.ndarray) -> np.ndar
     incr = stepper.incr
     if stepper.split:
         _damp(stepper.half_fac, X, stepper.alt)
-    if stepper.nonlinear:
-        incr.fill(0.0)
-        _add_terms(stepper.transport_ops)
-        if not stepper.split:
-            incr -= _shell_apply(stepper.gamma, X, stepper.alt)
-        incr *= stepper.dt
-    elif stepper.split:
         incr.fill(0.0)
     else:  # (0 - gamma X) dt and gamma X (-dt) are the same double
         _shell_apply(stepper.gamma, X, incr)
         incr *= stepper.neg_dt
-    _add_terms(stepper.noise_ops)
+    if stepper.nonlinear:
+        _add_velocity_terms(stepper.noise_ops, stepper.v_scale)
+    else:
+        _add_terms(stepper.noise_ops)
     X += incr
     if stepper.split:
         _damp(stepper.half_fac, X, stepper.alt)
@@ -163,7 +194,8 @@ def _step_batch(stepper: Stepper, X: np.ndarray, energy0: np.ndarray) -> np.ndar
         e = _path_dot(X, X)
         with np.errstate(divide="ignore", invalid="ignore"):
             fac = np.sqrt(energy0 / e)
-        X *= np.where(e > 0.0, fac, 0.0)
+        # a zero path stays zero; a path whose energy overflowed, finite entries and all, becomes NaN
+        X *= np.where(np.isinf(e), np.nan, np.where(e > 0.0, fac, 0.0))
     return X
 
 
@@ -198,23 +230,26 @@ class Stepper:
 
     Paths are stored (d, N, P).  The step's noise slab ``dW`` is packed
     (cells, P), as ``table.slab(weighted)`` lays it out, and zero until
-    set; ``noise_terms`` and ``ledger_rows`` (None unless ``weighted``)
-    come from the same call.  :meth:`step` advances paths in place and
-    :meth:`ledger` returns the Girsanov increments of the pre-step paths;
-    both read ``dW``, so an ensemble step sets ``dW`` to the noise
-    stream's next slab, then calls ``ledger``, then ``step``.  They run the
+    set; ``noise_terms``, ``blocks`` and ``ledger_rows`` (None unless
+    ``weighted``) come from the same call.  :meth:`step` advances paths in
+    place and :meth:`ledger` returns the Girsanov increments of the
+    pre-step paths; both read ``dW`` and neither writes it, so an ensemble
+    step sets ``dW`` to the noise stream's next slab, then calls
+    ``ledger``, then ``step``.  The linear system's terms read ``dW``; the
+    nonlinear system's read the velocity dW + (dt / sigma) X, which the
+    step writes block by block into the buffer ``velocity``.  They run the
     module's ``_step_batch`` and ``_weight_increment``, looked up at call
     time, so that a wrapper installed on either (as the benchmark's tracer
     does) sees every step.
 
     Everything that is fixed between steps is computed here once: the
-    correction and half-damping factors per shell, and the scheme and
-    system as flags.  The operand views of every term and ledger row are
-    bound once for each pair of paths ``X`` and slab ``dW``:
-    passing another X, or setting ``dW`` to another array, binds them
-    again, while writing into either in place needs nothing.  An ensemble
-    block steps one X, and its stream returns the same slab every step, so
-    it binds once.
+    correction and half-damping factors per shell, the velocity scale
+    dt / sigma, and the scheme and system as flags.  The operand views of
+    every term, block and ledger row are bound once for each pair of
+    paths ``X`` and slab ``dW``: passing another X, or setting ``dW`` to
+    another array, binds them again, while writing into either in place
+    needs nothing.  An ensemble block steps one X, and its stream returns
+    the same slab every step, so it binds once.
     """
 
     def __init__(
@@ -235,10 +270,13 @@ class Stepper:
         sigma = table.spec.sigma
         self.cosh_scale = math.sqrt(dt) / sigma
         self.qv_scale = dt / sigma**2
-        cells, self.noise_terms, self.ledger_rows = table.slab(weighted)
+        cells, self.noise_terms, self.blocks, self.ledger_rows = table.slab(weighted)
+        self.v_scale = dt / sigma
         self.gamma = _correction_op(table)
         self.half_fac = _half_damp_op(table, dt) if self.split else None
         self.dW = np.zeros((cells, paths))
+        widest = max((b.rows.stop - b.rows.start for b in self.blocks), default=0) if self.nonlinear else 0
+        self.velocity = np.empty((widest, paths))
         self.incr = np.empty((table.d, table.N, paths))
         self.alt = np.empty((table.d, table.N, paths))
         self.tmp = np.empty((table.N, paths))
@@ -250,10 +288,10 @@ class Stepper:
         if X is X0 and self.dW is dW0:
             return
         dW, (d, _, P) = self.dW, X.shape
-        self.transport_ops = (
-            _bind_terms(self.table.transport_terms, X, X, self.incr, self.tmp) if self.nonlinear else []
-        )
-        self.noise_ops = _bind_terms(self.noise_terms, X, dW, self.incr, self.tmp)
+        if self.nonlinear:
+            self.noise_ops = _bind_blocks(self.blocks, X, dW, self.velocity, self.incr, self.tmp)
+        else:
+            self.noise_ops = _bind_terms(self.noise_terms, X, dW, self.incr, self.tmp)
         self.ledger_ops = [
             (X[:, shells], dW[block].reshape(d, -1, P)[:, cells], self.alt[:, : shells.stop - shells.start])
             for shells, block, cells in self.ledger_rows or ()

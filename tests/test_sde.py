@@ -12,11 +12,12 @@ from goy_oracle import NoiseSlab, embed_complex, goy_complex_em_step, keyed_slab
 from noise_oracle import PerStepStream, fill_stepper, pack, stepper_layout, window_layout
 import shellsde as s
 from rates_oracle import k_eff, n0
-from shellsde.algebra import BilinearMap, CoefficientTable
+from shellsde.algebra import BilinearMap, CoefficientTable, Interaction
 from shellsde import sde as sde_module
 from shellsde.noise import MAX_SHELLS, slab_rng
 from shellsde.sde import (
-    SCHEMES, SYSTEMS, NumericalBlowupError, Stepper, _add_terms, _bind_terms, _correction_op, _shell_apply,
+    SCHEMES, SYSTEMS, NumericalBlowupError, Stepper, _add_terms, _add_velocity_terms, _bind_terms, _correction_op,
+    _shell_apply,
 )
 
 
@@ -51,11 +52,12 @@ def energy(x):
 
 
 def transport(table, x):
-    """The step kernel's bilinear transport at the (N, d) state x."""
-    X = batch(x)
-    out = np.zeros_like(X)
-    _add_terms(_bind_terms(table.transport_terms, X, X, out, np.empty((table.N, 1))))
-    return path(out)
+    """The step kernel's bilinear transport at the (N, d) state x: its fused terms at a zero slab and dt = 1."""
+    st = Stepper(table, 1.0, "em", "nonlinear", False, 1)
+    st._bind(batch(x))
+    st.incr.fill(0.0)
+    _add_velocity_terms(st.noise_ops, st.v_scale)
+    return path(st.incr)
 
 
 def drift(table, x, which):
@@ -573,6 +575,29 @@ def test_run_ensemble_counts_an_overflowing_energy_as_aborted(novikov, monkeypat
     assert list(hit.ess) == [10.0, 9.0, 9.0]
 
 
+@pytest.mark.parametrize("which", SYSTEMS)
+def test_conservative_aborts_a_path_whose_energy_overflows(novikov, monkeypatch, which):
+    # the projection must not rescale a path of energy inf onto the zero state and keep it alive
+    base = dict(
+        N=6, dt=1e-3, T=0.02, paths=10, which=which, scheme="conservative", seed=3, record_times=[0.005, 0.01, 0.02]
+    )
+    plain = s.run_ensemble(novikov, [1.0], **base)
+    step, calls = sde_module._step_batch, []
+
+    def inflate_first_path_at_step_7(stepper, X, energy0):
+        X = step(stepper, X, energy0)
+        calls.append(None)
+        if len(calls) == 7:
+            X[:, :, 0] *= 1e160
+        return X
+
+    monkeypatch.setattr(sde_module, "_step_batch", inflate_first_path_at_step_7)
+    hit = s.run_ensemble(novikov, [1.0], **base)
+    assert plain.aborted == 0 and hit.aborted == 1
+    assert np.array_equal(hit.mean_sq[0], plain.mean_sq[0])
+    assert list(hit.ess) == [10.0, 9.0, 9.0]
+
+
 def _fail_one_entry_at_step(step, value, at):
     # after step ``at``, one entry of the first path becomes ``value``, and the others stay finite
     calls = []
@@ -804,6 +829,12 @@ def test_no_stream_thread_outlives_run_ensemble(novikov, monkeypatch, failure, t
 
 
 def _kernel_model(name, request):
+    if name == "gapped":
+        # at N = 6 the ledger reads noise shells 4..6 of the channel and the terms shell 9 alone,
+        # so a weighted slab holds two runs of one (channel row, component)
+        B = BilinearMap(np.ones((1, 1, 1)))
+        inters = (Interaction("1", -5, 3, 1 / 32, B), Interaction("2", 5, 8, -1.0, B))
+        return s.ModelSpec(d=1, lam=2.0, sigma=1.0, interactions=inters, pairing={"1": "2", "2": "1"}, istar={"1"})
     if name != "goy_scaled":
         return request.getfixturevalue(name)
     goy = request.getfixturevalue("goy")
@@ -834,7 +865,7 @@ def _close_ledger(got, expected):
     np.testing.assert_allclose(comp, comp_ref, rtol=1e-13, atol=1e-13)
 
 
-@pytest.mark.parametrize("model", ["novikov", "goy", "sabra", "goy_scaled"])
+@pytest.mark.parametrize("model", ["novikov", "goy", "sabra", "goy_scaled", "gapped"])
 def test_step_kernel_matches_einsum_oracle(model, request):
     spec = _kernel_model(model, request)
     N, P, dt = 6, 7, 1e-4
@@ -866,7 +897,38 @@ def test_step_kernel_matches_einsum_oracle(model, request):
     _close(path(got), oracle.step(table, X[:1], one.increments, one.lo, dt, "linear", "em")[0])
 
 
-@pytest.mark.parametrize("model", ["novikov", "goy", "sabra", "goy_scaled"])
+@pytest.mark.parametrize("model", ["sabra", "goy_scaled"])
+def test_fused_transport_is_orthogonal_to_the_state(model, request):
+    # acceptance 2 on the other two bilinear maps, through the fused kernel at a zero slab and dt = 1
+    spec = _kernel_model(model, request)
+    N = 20
+    table = CoefficientTable(spec, N)
+    pi_scale = spec.pi_n(N) / spec.sigma**2
+    rng = np.random.default_rng(271828)
+    for _ in range(100):
+        x = rng.standard_normal((N, spec.d))
+        x[rng.random(N) < 0.3] = 0.0
+        assert abs(float((x * transport(table, x)).sum())) <= 1e-10 * energy(x) * pi_scale
+
+
+@pytest.mark.parametrize("weighted", [False, True])
+@pytest.mark.parametrize("scheme", SCHEMES)
+def test_nonlinear_step_leaves_the_slab_as_it_found_it(goy, scheme, weighted):
+    # the velocity dW + (dt / sigma) X goes into the stepper's own buffer: a stepper or an oracle
+    # that steps the same slab again must read the same increments
+    N, P, dt = 6, 4, 1e-3
+    rng = np.random.default_rng(31)
+    st = Stepper(CoefficientTable(goy, N), dt, scheme, "nonlinear", weighted, P)
+    st.dW[...] = math.sqrt(dt) * rng.standard_normal(st.dW.shape)
+    before = st.dW.copy()
+    X = rng.standard_normal((goy.d, N, P))
+    if weighted:
+        st.ledger(X)
+    st.step(X, rng.uniform(0.5, 2.0, P))
+    assert np.array_equal(st.dW, before)
+
+
+@pytest.mark.parametrize("model", ["novikov", "goy", "sabra", "goy_scaled", "gapped"])
 def test_step_reads_no_undrawn_slab_cell(model, request):
     # NaN in every cell outside the drawn runs would reach the result if read
     spec = _kernel_model(model, request)
