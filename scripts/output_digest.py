@@ -59,6 +59,13 @@ CALLS = (
     + [("simulate-novikov-conservative",
         ["simulate", "--model", "novikov", "--scheme", "conservative", "--shells", "6", "--paths", "300",
          "--horizon", "0.2"])]
+    # either side of the block size (half numpy's buffer size) up to which a step stores its per-shell factors
+    # at full size over the paths
+    + [(f"simulate-novikov-{scheme}-{paths}",
+        ["simulate", "--model", "novikov", "--scheme", scheme, "--shells", "6", "--paths", str(paths),
+         "--horizon", "0.02"])
+       for scheme in ("em", "split") for paths in (4096, 4097)]
+    + [("simulate-novikov-defaults", ["simulate", "--model", "novikov"])]
     + [("dissipation-novikov-reweighted", ["dissipation", "--model", "novikov", "--paths", "200"])]
     + [(f"dissipation-{model}", ["dissipation", "--model", model, "--paths", "0"]) for model in PRESETS]
     # the shape of the dissipation benchmark, past the 25 rows where eigh changes method

@@ -478,7 +478,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--dt", type=_finite_float, default=1e-4)
     p.add_argument("--horizon", type=_finite_float, default=1.0)
     p.add_argument("--paths", type=int, default=1000)
-    p.add_argument("--scheme", choices=sde.SCHEMES, default="em")
+    # em blows up at the default 10 shells and dt; split is stable at any dt
+    p.add_argument("--scheme", choices=sde.SCHEMES, default="split")
     p.add_argument("--record", type=int, default=11, help="number of record times")
     p.add_argument("--weights", choices=["PtoQ", "QtoP"], default=None)
     p.add_argument("--start-shell", type=int, default=1)

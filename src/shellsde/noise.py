@@ -76,5 +76,5 @@ class SlabStream:
     def fill(self) -> np.ndarray:
         """The next step's slab, valid until the next call."""
         words = self._bits.random_raw(self._words).astype("<u8", copy=False)
-        np.take(self._table, words.view(np.uint8), axis=0, out=self._rows, mode="wrap")
+        self._table.take(words.view(np.uint8), axis=0, out=self._rows, mode="wrap")
         return self._slab

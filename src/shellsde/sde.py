@@ -133,7 +133,11 @@ def _add_velocity_terms(bound: list[tuple], scale: float) -> None:
 
 
 def _shell_apply(op: np.ndarray, X: np.ndarray, out: np.ndarray) -> np.ndarray:
-    """out[:, n] = op[n] X[:, n] for every shell and path; ``op`` is an (N, 1) column of scalars or (N, d, d) matrices."""
+    """out[:, n] = op[n] X[:, n] for every shell and path.
+
+    ``op`` holds a scalar per shell, as an (N, 1) column or at full size
+    (N, P), or is (N, d, d) matrices.
+    """
     if op.ndim == 2:
         return np.multiply(X, op, out=out)
     return np.einsum("nab,bnp->anp", op, X, out=out)
@@ -153,6 +157,24 @@ def _half_damp_op(table: CoefficientTable, dt: float) -> np.ndarray:
         w, V = np.linalg.eigh(table.gamma[n])
         out[n] = (V * np.exp(-w * dt / 2.0)) @ V.T
     return out
+
+
+def _over_paths(op: np.ndarray, paths: int, shared: dict) -> np.ndarray:
+    """A per-shell factor ``op`` in the form that numpy multiplies fastest over a block of ``paths`` paths.
+
+    numpy sends an (rows, 1) column broadcast over at most half its buffer
+    size of paths through its buffered iterator, which costs more than the
+    product itself; for such a block the column is stored at full size,
+    (rows, paths), one contiguous array per distinct column in ``shared``.
+    Wider blocks keep the column, and per-shell matrices are returned as
+    they are.  Both forms give the same products.
+    """
+    if op.ndim != 2 or paths > np.getbufsize() // 2:
+        return op
+    key = (op.shape, op.tobytes())
+    if key not in shared:
+        shared[key] = np.ascontiguousarray(np.broadcast_to(op, (op.shape[0], paths)))
+    return shared[key]
 
 
 def _damp(fac: np.ndarray, X: np.ndarray, buf: np.ndarray) -> None:
@@ -243,8 +265,11 @@ class Stepper:
     does) sees every step.
 
     Everything that is fixed between steps is computed here once: the
-    correction and half-damping factors per shell, the velocity scale
-    dt / sigma, and the scheme and system as flags.  The operand views of
+    correction or half-damping factor per shell, the velocity scale
+    dt / sigma, and the scheme and system as flags.  The per-shell factors
+    and the terms' coefficients take the form that numpy multiplies
+    fastest over P paths (:func:`_over_paths`): full size for a small
+    block, (rows, 1) columns for a wide one.  The operand views of
     every term, block and ledger row are bound once for each pair of
     paths ``X`` and slab ``dW``: passing another X, or setting ``dW`` to
     another array, binds them again, while writing into either in place
@@ -270,10 +295,17 @@ class Stepper:
         sigma = table.spec.sigma
         self.cosh_scale = math.sqrt(dt) / sigma
         self.qv_scale = dt / sigma**2
-        cells, self.noise_terms, self.blocks, self.ledger_rows = table.slab(weighted)
+        cells, terms, blocks, self.ledger_rows = table.slab(weighted)
         self.v_scale = dt / sigma
-        self.gamma = _correction_op(table)
-        self.half_fac = _half_damp_op(table, dt) if self.split else None
+        shared: dict = {}  # equal coefficients share one full-size array
+
+        def fit(op):
+            return _over_paths(op, paths, shared)
+
+        self.noise_terms = [t._replace(coef=fit(t.coef)) for t in terms]
+        self.blocks = [b._replace(terms=[t._replace(coef=fit(t.coef)) for t in b.terms]) for b in blocks]
+        self.gamma = None if self.split else fit(_correction_op(table))
+        self.half_fac = fit(_half_damp_op(table, dt)) if self.split else None
         self.dW = np.zeros((cells, paths))
         widest = max((b.rows.stop - b.rows.start for b in self.blocks), default=0) if self.nonlinear else 0
         self.velocity = np.empty((widest, paths))

@@ -263,9 +263,20 @@ def test_route_rejects_model_file_failing_validation(command, tmp_path, capsys):
     assert captured.err.startswith("error: ") and "noise_amplitude" in captured.err
 
 
+@pytest.mark.parametrize("model", ["novikov", "goy", "sabra"])
+def test_simulate_runs_at_its_defaults(model, capsys):
+    # the default 10 shells at dt = 1e-4: every default but the horizon, which em could not pass either
+    assert main(["simulate", "--model", model, "--horizon", "0.01"]) == 0
+    captured = capsys.readouterr()
+    assert captured.err == ""
+    rows = [line.split(",") for line in captured.out.splitlines()[2:]]
+    assert len(rows) == 11 * 10 and all(math.isfinite(float(v)) for row in rows for v in row)
+
+
 def test_simulate_blowup_is_an_error_line(capsys):
     # N = 10 under em at dt = 1e-4 aborts every path
-    assert main(["simulate", "--model", "novikov", "--record", "3", "--paths", "200", "--horizon", "0.1"]) == 2
+    argv = ["simulate", "--model", "novikov", "--scheme", "em", "--record", "3", "--paths", "200", "--horizon", "0.1"]
+    assert main(argv) == 2
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err.startswith("error: ") and "split" in captured.err
@@ -273,7 +284,7 @@ def test_simulate_blowup_is_an_error_line(capsys):
 
 def test_simulate_overflow_is_not_a_row_of_numbers(capsys):
     # em at N = 10, dt = 1e-4: the squared energies overflow before the states do
-    code = main(["simulate", "--model", "novikov", "--paths", "10", "--horizon", "0.01"])
+    code = main(["simulate", "--model", "novikov", "--scheme", "em", "--paths", "10", "--horizon", "0.01"])
     captured = capsys.readouterr()
     if code == 2:
         assert captured.out == ""

@@ -14,7 +14,7 @@ import shellsde as s
 from rates_oracle import k_eff, n0
 from shellsde.algebra import BilinearMap, CoefficientTable, Interaction
 from shellsde import sde as sde_module
-from shellsde.noise import MAX_SHELLS, slab_rng
+from shellsde.noise import MAX_SHELLS, SlabStream, slab_rng
 from shellsde.sde import (
     SCHEMES, SYSTEMS, NumericalBlowupError, Stepper, _add_terms, _add_velocity_terms, _bind_terms, _correction_op,
     _shell_apply,
@@ -985,6 +985,92 @@ def test_packed_step_matches_einsum_oracle_at_every_N(model, N, weighted, scheme
         )
     got = stepper.step(X.transpose(2, 1, 0).copy(), e0)
     _close(got.transpose(2, 1, 0), oracle.step(table, X, slab.increments, slab.lo, dt, which, scheme, e0))
+
+
+# ----------------------------------------------------------------- per-shell factors over the paths
+
+
+def _columns_stepper(table, dt, scheme, which, weighted, P):
+    """A stepper of P > 8 paths built under a buffer size that keeps its factors as (rows, 1) columns."""
+    with np.errstate():  # the buffer size is restored on exit
+        np.setbufsize(16)  # a multiple of 16, as numpy requires
+        return Stepper(table, dt, scheme, which, weighted, P)
+
+
+def _column_factors(st):
+    ops = [t.coef for t in st.noise_terms] + [t.coef for b in st.blocks for t in b.terms]
+    ops += [op for op in (st.gamma, st.half_fac) if op is not None and op.ndim == 2]
+    return {op.shape[1] for op in ops} == {1}
+
+
+@pytest.mark.parametrize("model", ["novikov", "goy", "sabra", "goy_scaled"])
+def test_full_size_and_column_factors_step_bit_for_bit(model, request):
+    # a block of at most half numpy's buffer size stores its per-shell factors at full size;
+    # stepped from the same paths and slabs, its paths and ledger increments equal the columns' exactly
+    spec = _kernel_model(model, request)
+    N, P, dt = 6, 50, 1e-3
+    table = CoefficientTable(spec, N)
+    rng = np.random.default_rng(47)
+    X0 = rng.standard_normal((spec.d, N, P))
+    e0 = (X0 * X0).sum(axis=(0, 1))
+    for weighted in (False, True):
+        for scheme in SCHEMES:
+            for which in SYSTEMS:
+                full = Stepper(table, dt, scheme, which, weighted, P)
+                column = _columns_stepper(table, dt, scheme, which, weighted, P)
+                assert _column_factors(column) and not _column_factors(full)
+                if model == "goy_scaled":  # the per-shell matrices stay matrices
+                    assert (full.half_fac if scheme == "split" else full.gamma).shape == (N, spec.d, spec.d)
+                # equal coefficients share one full-size array
+                assert len({id(t.coef) for t in full.noise_terms}) == len({t.coef.tobytes() for t in column.noise_terms})
+                stream = SlabStream(slab_rng(53, 0), full.dW.shape, dt)
+                X, Y = X0.copy(), X0.copy()
+                for _ in range(4):
+                    full.dW = column.dW = stream.fill()
+                    if weighted:
+                        for got, ref in zip(full.ledger(X), column.ledger(Y)):
+                            assert np.array_equal(got, ref)
+                    full.step(X, e0)
+                    column.step(Y, e0)
+                    assert np.array_equal(X, Y, equal_nan=True), (weighted, scheme, which)
+
+
+def test_block_forms_switch_at_half_numpys_buffer_size(goy):
+    # 4096 paths is half the default 8192: full size up to it, columns past it and at 10^4 paths
+    table = CoefficientTable(goy, 10)
+    assert np.getbufsize() == 8192
+    for P, columns in ((4096, False), (4097, True), (10_000, True)):
+        for scheme in ("em", "split"):
+            st = Stepper(table, 1e-4, scheme, "nonlinear", True, P)
+            assert _column_factors(st) == columns, (P, scheme)
+
+
+@pytest.mark.parametrize(
+    "model,x0,kw",
+    [
+        ("novikov", [1.0], dict(N=6, which="linear", scheme="em", weight_direction="QtoP")),
+        ("goy", [[1.0, 0.0]], dict(N=6, which="nonlinear", scheme="split")),
+    ],
+)
+def test_run_ensemble_is_the_same_on_both_sides_of_the_cutoff(model, x0, kw, request, monkeypatch):
+    # one 4097-path block with column factors (the default buffer size) and with full-size ones
+    spec = request.getfixturevalue(model)
+    built = []
+
+    class Recording(Stepper):
+        def __init__(self, *args):
+            super().__init__(*args)
+            built.append(_column_factors(self))
+
+    monkeypatch.setattr(sde_module, "Stepper", Recording)
+    args = dict(dt=1e-3, T=0.02, paths=4097, block_size=4097, seed=5, record_times=[0.01, 0.02], **kw)
+    columns = s.run_ensemble(spec, x0, **args)
+    with np.errstate():
+        np.setbufsize(8208)  # the least multiple of 16 past 2 * 4097
+        full = s.run_ensemble(spec, x0, **args)
+    assert built == [True, False]
+    for field in dataclasses.fields(columns):
+        assert np.array_equal(getattr(columns, field.name), getattr(full, field.name)), field.name
 
 
 # ----------------------------------------------------------------- conjugacy
