@@ -398,19 +398,6 @@ def cmd_dissipation(args) -> int:
             "energy_se": [float(v) for v in stats.energy_se],
             "ess": [float(v) for v in stats.ess],
         }
-        ctrl = sde.run_ensemble(
-            spec,
-            _start_vector(spec, args.sde_shells, args.start_shell, args.energy),
-            N=args.sde_shells,
-            dt=args.dt,
-            T=max(rec),
-            paths=1,
-            which="nonlinear",
-            scheme="conservative",
-            seed=args.seed + 1,
-            record_times=rec,
-        )
-        reweight["conservative_control_energy"] = [float(v) for v in ctrl.energy_mean]
     doc = {
         "config": _config_of(args),
         "constants": dc.as_dict(),

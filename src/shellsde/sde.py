@@ -59,6 +59,19 @@ binds the operand views of every term, block and ledger row once for each
 (X, dW), the paths and the slab it is given, and again when either is
 another array; an ensemble block binds once.
 
+Tiles.  At 10^4 paths a row of the batch is 80 kB, and a step's cost
+follows how many distinct rows each numpy call touches, not its
+arithmetic.  A block of at least 2 (np.getbufsize() // 2 + 1) paths
+(8,194 at numpy's default buffer size) is therefore stepped as tiles of
+nearly equal width, each wider than half the buffer size
+(:func:`_tile_paths`), whose paths are each one contiguous (d, N, w)
+array.  One step runs every tile in turn, through one set of
+tile-wide scratch buffers, each tile reading its columns of the block's
+one slab; every operation acts path by path, and the per-shell squares
+at a record time are joined in path order before any sum over the paths,
+so results are bit for bit those of one tile and still depend only on
+(seed, block_size).
+
 Tolerances: the horizon and every record time t must be a step count k of
 dt, judged in step units: |t / dt - k| at most ``GRID_TOL`` times max(1, k).
 """
@@ -66,7 +79,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Optional, Sequence
+from typing import NamedTuple, Optional, Sequence
 
 import numpy as np
 
@@ -189,70 +202,113 @@ def _path_dot(A: np.ndarray, B: np.ndarray) -> np.ndarray:
     return np.einsum("dnp,dnp->p", A, B)
 
 
-def _step_batch(stepper: Stepper, X: np.ndarray, energy0: np.ndarray) -> np.ndarray:
-    """Advance the paths ``X`` (d, N, P) by one step of ``stepper``, in place, and return X.
+def _tile_paths(paths: int) -> list[slice]:
+    """The path ranges, in path order, of the tiles that a block of ``paths`` paths steps one after another.
 
-    The step reads the stepper's slab ``dW`` and scratch buffers; batches
-    stepped concurrently each need their own stepper.  ``energy0`` (P,) is
-    the energy the ``conservative`` scheme projects back to.  Every
-    operation acts path by path and keeps a non-finite path non-finite.
+    A block is split into T = max(1, paths // (np.getbufsize() // 2 + 1))
+    tiles of nearly equal width.  A block of more than one tile therefore
+    has every tile wider than half numpy's buffer size, where its per-shell
+    factors keep their (rows, 1) columns (:func:`_over_paths`), and a block
+    of fewer than 2 (np.getbufsize() // 2 + 1) paths is one tile.
+    """
+    count = max(1, paths // (np.getbufsize() // 2 + 1))
+    edges = [paths * t // count for t in range(count + 1)]
+    return [slice(a, b) for a, b in zip(edges, edges[1:])]
+
+
+def _leading(buf: np.ndarray, width: int) -> np.ndarray:
+    """The C-contiguous (..., width) array over the leading elements of the C-contiguous ``buf`` (..., W >= width)."""
+    return buf.reshape(-1)[: buf.size // buf.shape[-1] * width].reshape(*buf.shape[:-1], width)
+
+
+class _Tile(NamedTuple):
+    """One tile of a block, bound by :meth:`Stepper._bind`.
+
+    ``paths`` is its range of the block's paths, ``X`` its (d, N, w)
+    paths, ``incr`` and ``alt`` its views of the stepper's scratch, and
+    ``noise_ops`` and ``ledger_ops`` the views of every term (or slab
+    block) and ledger row over its paths.
+    """
+
+    paths: slice
+    X: np.ndarray
+    incr: np.ndarray
+    alt: np.ndarray
+    noise_ops: list
+    ledger_ops: list
+
+
+def _step_batch(stepper: Stepper, X, energy0: np.ndarray):
+    """Advance the block's paths ``X`` by one step of ``stepper``, in place, and return X.
+
+    ``X`` is the sequence of the block's tile arrays, or one (d, N, P)
+    array; the tiles step one after another.  The step reads the stepper's
+    slab ``dW`` and scratch buffers; batches stepped concurrently each need
+    their own stepper.  ``energy0`` (P,) is the energy the ``conservative``
+    scheme projects back to.  Every operation acts path by path and keeps a
+    non-finite path non-finite.
     """
     stepper._bind(X)
-    incr = stepper.incr
-    if stepper.split:
-        _damp(stepper.half_fac, X, stepper.alt)
-        incr.fill(0.0)
-    else:  # (0 - gamma X) dt and gamma X (-dt) are the same double
-        _shell_apply(stepper.gamma, X, incr)
-        incr *= stepper.neg_dt
-    if stepper.nonlinear:
-        _add_velocity_terms(stepper.noise_ops, stepper.v_scale)
-    else:
-        _add_terms(stepper.noise_ops)
-    X += incr
-    if stepper.split:
-        _damp(stepper.half_fac, X, stepper.alt)
-    elif stepper.conservative:
-        e = _path_dot(X, X)
-        with np.errstate(divide="ignore", invalid="ignore"):
-            fac = np.sqrt(energy0 / e)
-        # a zero path stays zero; a path whose energy overflowed, finite entries and all, becomes NaN
-        X *= np.where(np.isinf(e), np.nan, np.where(e > 0.0, fac, 0.0))
+    for paths, Xt, incr, alt, noise_ops, _ in stepper.tiles:
+        if stepper.split:
+            _damp(stepper.half_fac, Xt, alt)
+            incr.fill(0.0)
+        else:  # (0 - gamma X) dt and gamma X (-dt) are the same double
+            _shell_apply(stepper.gamma, Xt, incr)
+            incr *= stepper.neg_dt
+        if stepper.nonlinear:
+            _add_velocity_terms(noise_ops, stepper.v_scale)
+        else:
+            _add_terms(noise_ops)
+        Xt += incr
+        if stepper.split:
+            _damp(stepper.half_fac, Xt, alt)
+        elif stepper.conservative:
+            e = _path_dot(Xt, Xt)
+            with np.errstate(divide="ignore", invalid="ignore"):
+                fac = np.sqrt(energy0[paths] / e)
+            # a zero path stays zero; a path whose energy overflowed, finite entries and all, becomes NaN
+            Xt *= np.where(np.isinf(e), np.nan, np.where(e > 0.0, fac, 0.0))
     return X
 
 
-def _weight_increment(stepper: Stepper, X: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+def _weight_increment(stepper: Stepper, X) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Per-path increments of the log integrand, its quadratic variation and its compensator.
 
     Sums over the representative channels only; their increments are
     mutually independent, which the exponential martingale requires.
-    Reads the stepper's slab at the pre-step paths ``X``, and writes its
-    scratch buffer ``alt``.  The compensator is the log of the product of
+    Reads the stepper's slab at the pre-step paths ``X`` (as for
+    :func:`_step_batch`), tile by tile, and writes its scratch buffer
+    ``alt``.  The compensator is the log of the product of
     cosh(X sqrt(dt) / sigma) over the cells, one log per path; it is inf
     when that product overflows.
     """
     stepper._bind(X)
-    P = X.shape[2]
+    P = stepper.dW.shape[1]
     zinc = np.zeros(P)
     qvinc = np.zeros(P)
     cosh = np.ones(P)
-    for Xm, Wm, buf in stepper.ledger_ops:
-        zinc += _path_dot(Xm, Wm)
-        qvinc += _path_dot(Xm, Xm)
-        np.multiply(Xm, stepper.cosh_scale, out=buf)
-        np.cosh(buf, out=buf)
-        cosh *= buf.prod(axis=(0, 1))
+    for paths, *_, ledger_ops in stepper.tiles:
+        z, qv, prod = zinc[paths], qvinc[paths], cosh[paths]
+        for Xm, Wm, buf in ledger_ops:
+            z += _path_dot(Xm, Wm)
+            qv += _path_dot(Xm, Xm)
+            np.multiply(Xm, stepper.cosh_scale, out=buf)
+            np.cosh(buf, out=buf)
+            prod *= buf.prod(axis=(0, 1))
     zinc /= stepper.table.spec.sigma
     qvinc *= stepper.qv_scale
     return zinc, qvinc, np.log(cosh)
 
 
 class Stepper:
-    """One time step of a truncated system, bound to a table and a batch of P paths.
+    """One time step of a truncated system, bound to a table and a block of P paths.
 
-    Paths are stored (d, N, P).  The step's noise slab ``dW`` is packed
-    (cells, P), as ``table.slab(weighted)`` lays it out, and zero until
-    set; ``noise_terms``, ``blocks`` and ``ledger_rows`` (None unless
+    Paths are stored (d, N, P), or as the block's tiles: ``tile_paths``
+    splits the P paths into ranges (:func:`_tile_paths`), and each tile's
+    paths are one contiguous (d, N, w) array.  The step's noise slab ``dW``
+    is packed (cells, P), as ``table.slab(weighted)`` lays it out, and zero
+    until set; ``noise_terms``, ``blocks`` and ``ledger_rows`` (None unless
     ``weighted``) come from the same call.  :meth:`step` advances paths in
     place and :meth:`ledger` returns the Girsanov increments of the
     pre-step paths; both read ``dW`` and neither writes it, so an ensemble
@@ -269,12 +325,15 @@ class Stepper:
     dt / sigma, and the scheme and system as flags.  The per-shell factors
     and the terms' coefficients take the form that numpy multiplies
     fastest over P paths (:func:`_over_paths`): full size for a small
-    block, (rows, 1) columns for a wide one.  The operand views of
-    every term, block and ledger row are bound once for each pair of
-    paths ``X`` and slab ``dW``: passing another X, or setting ``dW`` to
-    another array, binds them again, while writing into either in place
-    needs nothing.  An ensemble block steps one X, and its stream returns
-    the same slab every step, so it binds once.
+    block, (rows, 1) columns for a wide one; every tile reads the same
+    ones.  The scratch buffers (``incr``, ``alt``, ``tmp``, ``velocity``)
+    are one tile wide, and each tile steps in a contiguous view of them.
+    The operand views of every tile's terms, blocks and ledger rows, with
+    the tile's columns of ``dW``, are bound once for each set of paths and
+    slab: passing other path arrays, or setting ``dW`` to another array,
+    binds them again, while writing into either in place needs nothing.
+    An ensemble block steps the same tiles, and its stream returns the same
+    slab every step, so it binds once.
     """
 
     def __init__(
@@ -307,35 +366,54 @@ class Stepper:
         self.gamma = None if self.split else fit(_correction_op(table))
         self.half_fac = fit(_half_damp_op(table, dt)) if self.split else None
         self.dW = np.zeros((cells, paths))
+        self.tile_paths = _tile_paths(paths)
+        width = max(s.stop - s.start for s in self.tile_paths)
         widest = max((b.rows.stop - b.rows.start for b in self.blocks), default=0) if self.nonlinear else 0
-        self.velocity = np.empty((widest, paths))
-        self.incr = np.empty((table.d, table.N, paths))
-        self.alt = np.empty((table.d, table.N, paths))
-        self.tmp = np.empty((table.N, paths))
-        self._bound = (None, None)  # the (X, dW) that the views below read
+        self.velocity = np.empty((widest, width))
+        self.incr = np.empty((table.d, table.N, width))
+        self.alt = np.empty((table.d, table.N, width))
+        self.tmp = np.empty((table.N, width))
+        self.tiles: list[_Tile] = []
+        self._bound: tuple = (None, None)  # the slab and the paths that the tiles read
 
-    def _bind(self, X: np.ndarray) -> None:
-        """Bind the term and ledger views to the paths ``X`` and the slab ``dW``, unless they already are."""
-        X0, dW0 = self._bound
-        if X is X0 and self.dW is dW0:
+    def _bind(self, X) -> None:
+        """Bind each tile's views to its paths and to the slab ``dW``, unless they already are.
+
+        ``X`` is the sequence of the block's tile arrays, one per range of
+        ``tile_paths``, or one (d, N, P) array, whose column views are then
+        the tiles.  An array or a tuple is bound once; any other sequence
+        is bound again at every call.
+        """
+        key = X if isinstance(X, np.ndarray) else tuple(X)  # tuple(X) is X itself for a tuple
+        if self.dW is self._bound[0] and key is self._bound[1]:
             return
-        dW, (d, _, P) = self.dW, X.shape
-        if self.nonlinear:
-            self.noise_ops = _bind_blocks(self.blocks, X, dW, self.velocity, self.incr, self.tmp)
-        else:
-            self.noise_ops = _bind_terms(self.noise_terms, X, dW, self.incr, self.tmp)
-        self.ledger_ops = [
-            (X[:, shells], dW[block].reshape(d, -1, P)[:, cells], self.alt[:, : shells.stop - shells.start])
-            for shells, block, cells in self.ledger_rows or ()
-        ]
-        self._bound = (X, dW)
+        if isinstance(X, np.ndarray):
+            X = [X[:, :, s] for s in self.tile_paths]
+        got, want = [Xt.shape[2] for Xt in X], [s.stop - s.start for s in self.tile_paths]
+        if got != want:
+            raise ValueError(f"the tiles hold {got} paths, not the {want} of the stepper's tiles")
+        dW, d, P = self.dW, self.table.d, self.dW.shape[1]
+        self.tiles = []
+        for s, Xt in zip(self.tile_paths, X):
+            w = s.stop - s.start
+            W, incr, alt, tmp = dW[:, s], _leading(self.incr, w), _leading(self.alt, w), _leading(self.tmp, w)
+            if self.nonlinear:
+                ops = _bind_blocks(self.blocks, Xt, W, _leading(self.velocity, w), incr, tmp)
+            else:
+                ops = _bind_terms(self.noise_terms, Xt, W, incr, tmp)
+            ledger = [  # reshaped at full width, where the block's rows are contiguous, so the views stay views
+                (Xt[:, shells], dW[block].reshape(d, -1, P)[:, cells, s], alt[:, : shells.stop - shells.start])
+                for shells, block, cells in self.ledger_rows or ()
+            ]
+            self.tiles.append(_Tile(s, Xt, incr, alt, ops, ledger))
+        self._bound = (dW, key)
 
-    def step(self, X: np.ndarray, energy0: np.ndarray) -> np.ndarray:
-        """Advance ``X`` (d, N, P) by one step in place and return it."""
+    def step(self, X, energy0: np.ndarray):
+        """Advance the paths ``X`` (the block's tile arrays, or one (d, N, P) array) one step in place; return X."""
         return _step_batch(self, X, energy0)
 
-    def ledger(self, X: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """Increments (z, qv, log cosh compensator) of the Girsanov ledger at the pre-step paths ``X``."""
+    def ledger(self, X) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """Increments (z, qv, log cosh compensator), each (P,), of the Girsanov ledger at the pre-step paths ``X``."""
         if self.ledger_rows is None:
             raise ValueError("a stepper built with weighted=False has no ledger cells in its slab")
         return _weight_increment(self, X)
@@ -476,9 +554,14 @@ def run_ensemble(
     ]
 
     def run_block(b: int, P: int):
-        X = np.empty((spec.d, N, P))
-        X[...] = x0arr.T[:, :, None]
+        # the paths are allocated before the stepper's buffers: the other order moved a one-tile
+        # block's time by 3-9% (slower on the girsanov shape, faster on GOY's) at 8,192 paths
+        spans = _tile_paths(P)
+        tiles = [np.empty((spec.d, N, s.stop - s.start)) for s in spans]
+        for Xt in tiles:
+            Xt[...] = x0arr.T[:, :, None]
         stepper = Stepper(table, dt, scheme, which, weighted, P)
+        X = tiles[0] if len(tiles) == 1 else tuple(tiles)  # a one-tile block steps its bare array
         stream = SlabStream(slab_rng(seed, b), stepper.dW.shape, dt)
         alive = np.ones(P, dtype=bool)
         z = np.zeros(P)
@@ -488,13 +571,14 @@ def run_ensemble(
         partial = {k: np.zeros_like(v) for k, v in sums.items()}
 
         def record(idx_list):
-            vals = (X * X).sum(axis=0)  # (N, P)
+            vals = np.concatenate([(Xt * Xt).sum(axis=0) for Xt in tiles], axis=1)  # (N, P)
             energy = vals.sum(axis=0)
             # unweighted, the variance sums below, over all paths, stay within 4 * paths * energy**2
             lost = ~np.isfinite(energy * energy * (4 * paths))
             if lost.any():
                 alive[lost] = False
-                X[:, :, lost] = 0.0
+                for s, Xt in zip(spans, tiles):
+                    Xt[:, :, lost[s]] = 0.0
                 vals[:, lost] = 0.0
                 energy[lost] = 0.0
             if weighted:
@@ -534,11 +618,12 @@ def run_ensemble(
                     z += sign * zinc
                     qv += qvinc
                     comp += compinc
-                X = stepper.step(X, e0)
+                stepper.step(X, e0)
                 if (k + 1) in rec_index:
                     record(rec_index[k + 1])
         # a path that failed after the last record time is still a failed path
-        alive &= np.isfinite(X).all(axis=(0, 1))
+        for s, Xt in zip(spans, tiles):
+            alive[s] &= np.isfinite(Xt).all(axis=(0, 1))
         return partial, int(P - alive.sum())
 
     if threads > 1 and len(blocks) > 1:

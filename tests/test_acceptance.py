@@ -74,7 +74,7 @@ def test_acceptance_2_drift_cancellation(novikov2):
             X = x.T[:, :, None].copy()
             st._bind(X)
             st.incr.fill(0.0)
-            _add_velocity_terms(st.noise_ops, st.v_scale)
+            _add_velocity_terms(st.tiles[0].noise_ops, st.v_scale)
             lhs = abs(float((x * st.incr[:, :, 0].T.copy()).sum()))
             bound = 1e-10 * float((x * x).sum()) * pi_scale
             worst = max(worst, lhs / bound)

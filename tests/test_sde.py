@@ -56,7 +56,7 @@ def transport(table, x):
     st = Stepper(table, 1.0, "em", "nonlinear", False, 1)
     st._bind(batch(x))
     st.incr.fill(0.0)
-    _add_velocity_terms(st.noise_ops, st.v_scale)
+    _add_velocity_terms(st.tiles[0].noise_ops, st.v_scale)
     return path(st.incr)
 
 
@@ -679,35 +679,44 @@ def test_run_ensemble_raises_when_every_path_of_a_block_reaches_1e154(novikov, m
         s.run_ensemble(novikov, [1.0], N=6, dt=1e-3, T=0.02, paths=10, which="linear", scheme="em", seed=3)
 
 
+@pytest.mark.parametrize("paths", [10, 10_000], ids=["one_tile", "two_tiles"])
 @pytest.mark.parametrize("size", [400.0, 800.0])
-def test_run_ensemble_raises_on_an_overflowing_weight(novikov, monkeypatch, size):
-    # the first path's log weight jumps at step 5: by 400 its weight is finite and its square is not,
+def test_run_ensemble_raises_on_an_overflowing_weight(novikov, monkeypatch, size, paths):
+    # the last path's log weight jumps at step 5: by 400 its weight is finite and its square is not,
     # by 800 the weight itself overflows, which must not read as a weight of 0
+    message = {
+        400.0: "an ensemble statistic overflowed",
+        800.0: r"a live path's Girsanov weight exp\(z - compensator\) overflowed",
+    }[size]
     increment, calls = sde_module._weight_increment, []
 
     def jump(stepper, X):
         z, qv, comp = increment(stepper, X)
         calls.append(None)
         if len(calls) == 5:
-            z[0] += size
+            z[-1] += size
         return z, qv, comp
 
     monkeypatch.setattr(sde_module, "_weight_increment", jump)
-    with pytest.raises(NumericalBlowupError, match="overflowed"):
+    with pytest.raises(NumericalBlowupError, match=message):
         s.run_ensemble(
-            novikov, [1.0], N=6, dt=1e-3, T=0.01, paths=10, which="linear", scheme="split",
+            novikov, [1.0], N=6, dt=1e-3, T=0.01, paths=paths, block_size=paths, which="linear", scheme="split",
             weight_direction="QtoP", seed=3,
         )
 
 
-def test_run_ensemble_raises_on_an_overflowing_compensator(novikov):
+@pytest.mark.parametrize("paths", [4, 10_000], ids=["one_tile", "two_tiles"])
+def test_run_ensemble_raises_on_an_overflowing_compensator(novikov, paths):
     # at x = 1e5 and dt = 1e-3, x sqrt(dt) / sigma = 3162: cosh overflows, while the state, z and qv stay finite
-    run = dict(N=6, dt=1e-3, T=2e-3, paths=4, which="linear", scheme="split", weight_direction="QtoP", seed=3)
+    run = dict(
+        N=6, dt=1e-3, T=2e-3, paths=paths, block_size=paths, which="linear", scheme="split",
+        weight_direction="QtoP", seed=3,
+    )
     st = one_path(novikov, 6, 1e-3, weighted=True)
     with np.errstate(over="ignore"):
         z, qv, comp = (float(v[0]) for v in st.ledger(batch(start(6, [1e5]))))
     assert math.isfinite(z) and math.isfinite(qv) and comp == math.inf
-    with pytest.raises(NumericalBlowupError, match="overflowed"):
+    with pytest.raises(NumericalBlowupError, match="a Girsanov compensator overflowed"):
         s.run_ensemble(novikov, [1e5], **run)
     # at 1e4 every cosh is finite, and so is every statistic
     es = s.run_ensemble(novikov, [1e4], **run)
@@ -1071,6 +1080,103 @@ def test_run_ensemble_is_the_same_on_both_sides_of_the_cutoff(model, x0, kw, req
     assert built == [True, False]
     for field in dataclasses.fields(columns):
         assert np.array_equal(getattr(columns, field.name), getattr(full, field.name)), field.name
+
+
+# ----------------------------------------------------------------- tiles
+
+
+def _one_tile(monkeypatch):
+    # every block steps its paths as one tile, as blocks of at most twice the cutoff do
+    monkeypatch.setattr(sde_module, "_tile_paths", lambda paths: [slice(0, paths)])
+
+
+def _same_stats(a, b):
+    for field in dataclasses.fields(a):
+        assert np.array_equal(getattr(a, field.name), getattr(b, field.name)), field.name
+
+
+@pytest.mark.parametrize("paths", [9000, 10_001, 20_000])
+@pytest.mark.parametrize("model,x0", [("novikov", [1.0]), ("goy", [[1.0, 0.0]]), ("goy_scaled", [[1.0, 0.0]])])
+def test_tiled_blocks_run_bit_for_bit_as_one_tile(model, x0, paths, request, monkeypatch):
+    # 9000 and 20,000 paths split into equal tiles, 10,001 into 5000 and 5001
+    spec = _kernel_model(model, request)
+    base = dict(N=6, dt=1e-3, T=3e-3, paths=paths, block_size=paths, seed=17, record_times=[2e-3, 3e-3])
+    cases = [(scheme, which, weights) for scheme in SCHEMES for which in SYSTEMS for weights in (None, "PtoQ")]
+    tiled = [s.run_ensemble(spec, x0, scheme=c[0], which=c[1], weight_direction=c[2], **base) for c in cases]
+    _one_tile(monkeypatch)
+    for case, got in zip(cases, tiled):
+        scheme, which, weights = case
+        ref = s.run_ensemble(spec, x0, scheme=scheme, which=which, weight_direction=weights, **base)
+        assert got.aborted == 0, case
+        _same_stats(got, ref)
+
+
+def test_a_tiled_block_aborts_the_same_paths_as_one_tile(goy, monkeypatch):
+    # em at dt = 0.05 overflows some of these 10^4 GOY paths by the second record time, not all
+    base = dict(N=6, dt=0.05, T=0.5, paths=10_000, block_size=10_000, which="nonlinear", scheme="em", seed=3,
+                record_times=[0.25, 0.5])
+    tiled = s.run_ensemble(goy, [[1.0, 0.0]], **base)
+    _one_tile(monkeypatch)
+    ref = s.run_ensemble(goy, [[1.0, 0.0]], **base)
+    assert 0 < tiled.aborted < base["paths"]
+    _same_stats(tiled, ref)
+
+
+def test_tiled_blocks_on_two_threads_equal_one_thread(novikov):
+    base = dict(N=6, dt=1e-3, T=5e-3, paths=20_000, block_size=10_000, which="linear", scheme="split",
+                weight_direction="QtoP", seed=23, record_times=[5e-3])
+    _same_stats(s.run_ensemble(novikov, [1.0], threads=1, **base), s.run_ensemble(novikov, [1.0], threads=2, **base))
+
+
+def test_the_tile_rule_and_contiguous_tiles(novikov, monkeypatch):
+    # half the default buffer size is 4096: a block is one tile up to twice that, and tiles are wider than it
+    assert np.getbufsize() == 8192
+    counts = {900: 1, 4096: 1, 8192: 1, 8193: 1, 8194: 2, 10_000: 2, 10_001: 2, 12_291: 3, 20_000: 4}
+    for paths, count in counts.items():
+        spans = sde_module._tile_paths(paths)
+        assert len(spans) == count, paths
+        assert [s.start for s in spans] == [0] + [s.stop for s in spans[:-1]] and spans[-1].stop == paths
+        widths = {s.stop - s.start for s in spans}
+        assert max(widths) - min(widths) <= 1 and (count == 1 or min(widths) > 4096), paths
+    seen = []
+    step = sde_module._step_batch
+
+    def recording(stepper, X, energy0):
+        seen.append(X)
+        return step(stepper, X, energy0)
+
+    monkeypatch.setattr(sde_module, "_step_batch", recording)
+    for paths in (900, 20_000):
+        seen.clear()
+        s.run_ensemble(novikov, [1.0], N=6, dt=1e-3, T=2e-3, paths=paths, block_size=paths, scheme="em")
+        tiles = [seen[0]] if isinstance(seen[0], np.ndarray) else list(seen[0])
+        assert [X.shape for X in tiles] == [(1, 6, w) for w in ([900] if paths == 900 else [5000] * 4)]
+        assert all(X.flags.c_contiguous for X in tiles)
+        assert all(X is seen[0] for X in seen)  # the same paths every step, so the stepper binds once
+
+
+def test_a_stepper_steps_tiles_or_one_array_alike(goy):
+    # a bare (d, N, P) array is stepped through column views of the stepper's tiles
+    N, P, dt = 6, 10_000, 1e-4
+    table = CoefficientTable(goy, N)
+    rng = np.random.default_rng(61)
+    X0 = rng.standard_normal((goy.d, N, P))
+    e0 = (X0 * X0).sum(axis=(0, 1))
+    for scheme in SCHEMES:
+        for which in SYSTEMS:
+            st = Stepper(table, dt, scheme, which, True, P)
+            assert len(st.tile_paths) == 2
+            stream = SlabStream(slab_rng(67, 0), st.dW.shape, dt)
+            X = X0.copy()
+            tiles = tuple(np.ascontiguousarray(X0[:, :, span]) for span in st.tile_paths)
+            for _ in range(3):
+                st.dW = stream.fill()
+                for got, ref in zip(st.ledger(tiles), st.ledger(X)):
+                    assert got.shape == (P,) and np.array_equal(got, ref)
+                assert st.step(tiles, e0) is tiles and st.step(X, e0) is X
+                assert np.array_equal(np.concatenate(tiles, axis=2), X), (scheme, which)
+            with pytest.raises(ValueError, match="tiles"):
+                st.step(tiles[:1], e0)
 
 
 # ----------------------------------------------------------------- conjugacy
