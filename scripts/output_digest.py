@@ -66,6 +66,14 @@ CALLS = (
          "--horizon", "0.02"])
        for scheme in ("em", "split") for paths in (4096, 4097)]
     + [("simulate-novikov-defaults", ["simulate", "--model", "novikov"])]
+    # two blocks at the default block size, 8,192 paths and 1: a weighted linear run and a nonlinear one,
+    # whose step loop writes every array the ensemble aligns
+    + [("simulate-novikov-QtoP-8193",
+        ["simulate", "--model", "novikov", "--weights", "QtoP", "--scheme", "split", "--shells", "6",
+         "--paths", "8193", "--horizon", "0.02"]),
+       ("simulate-goy-nonlinear-8193",
+        ["simulate", "--model", "goy", "--system", "nonlinear", "--scheme", "split", "--shells", "6",
+         "--paths", "8193", "--horizon", "0.02"])]
     + [("dissipation-novikov-reweighted", ["dissipation", "--model", "novikov", "--paths", "200"])]
     + [(f"dissipation-{model}", ["dissipation", "--model", model, "--paths", "0"]) for model in PRESETS]
     # the shape of the dissipation benchmark, past the 25 rows where eigh changes method

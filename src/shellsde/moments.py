@@ -51,16 +51,13 @@ TAIL_TOL = 1e-3
 class QMatrix:
     """Absorbing truncation of the second-moment rate matrix.
 
-    ``matrix[n-1, m-1]`` holds the jump rate n -> m inside 1..N, the
-    diagonal holds the full exit rate -pi_n, and ``escape[n-1]`` the rate
-    leaking past the truncation: the sum of the rates n -> m with m > N,
-    never negative, and exactly zero on a row whose targets all lie inside.
+    ``matrix[n-1, m-1]`` holds the jump rate n -> m inside 1..N, and the
+    diagonal the full exit rate -pi_n, rates past the truncation included.
     """
 
     N: int
     matrix: np.ndarray
     pi: np.ndarray
-    escape: np.ndarray
 
 
 def build_qmatrix(spec: ModelSpec, N: int) -> QMatrix:
@@ -68,8 +65,7 @@ def build_qmatrix(spec: ModelSpec, N: int) -> QMatrix:
 
     Off-diagonal entries are the in-range rates of :func:`jump_rates`,
     sigma**2 * k_eff(i, n)**2 summed over interactions with shell offset
-    m - n; the pairing makes the result symmetric.  ``escape`` sums the
-    grouped rates whose target n + offset lies past N.  Rates that are not
+    m - n; the pairing makes the result symmetric.  Rates that are not
     finite through shell N are a ``ValueError``.
     """
     require_identity_grams(spec)
@@ -81,12 +77,7 @@ def build_qmatrix(spec: ModelSpec, N: int) -> QMatrix:
     Q = rates.inside()
     pi = rates.pi
     np.fill_diagonal(Q, -pi)
-    escape = np.zeros(N)
-    for off, grouped in zip(rates.offsets.tolist(), rates.grouped):
-        if off > 0:  # rows n > N - off jump past N
-            past = slice(max(0, N - off), N)
-            escape[past] += grouped[past]
-    return QMatrix(N=N, matrix=Q, pi=pi, escape=escape)
+    return QMatrix(N=N, matrix=Q, pi=pi)
 
 
 @dataclass(frozen=True, eq=False)

@@ -19,6 +19,12 @@ step after another, into one slab that the block's stepper reads:
 ensembles are a pure function of (seed, block size) and can be split
 across workers without shared state.  Increments, not path values, are the primitive: integrators
 only ever consume increments.
+
+Every array that an ensemble's step loop writes, the stream's slab among
+them, comes from :func:`aligned`, which starts it on an ``ALIGN``-byte
+boundary: numpy's allocator aligns to only 16 bytes, and a vectorised
+multiply into an output that starts off a cache line runs about twice
+as slow.  Elementwise results do not depend on addresses.
 """
 from __future__ import annotations
 
@@ -28,6 +34,7 @@ import numpy as np
 
 __all__ = [
     "MAX_SHELLS",
+    "aligned",
     "check_shells",
     "slab_rng",
     "SlabStream",
@@ -36,11 +43,24 @@ __all__ = [
 # Guard against overflow of lambda**(2N) scales downstream.
 MAX_SHELLS = 64
 
+ALIGN = 64  # bytes: one cache line, and one AVX-512 vector of 8 doubles
+
 
 def check_shells(N: int) -> None:
     """Reject truncation levels beyond :data:`MAX_SHELLS`."""
     if N > MAX_SHELLS:
         raise ValueError(f"N = {N} exceeds MAX_SHELLS = {MAX_SHELLS}")
+
+
+def aligned(shape: tuple[int, ...], alloc=np.empty) -> np.ndarray:
+    """A C-contiguous float64 array of ``shape`` whose first element sits on an ``ALIGN``-byte boundary.
+
+    ``alloc`` (``np.empty``, ``np.zeros`` or ``np.ones``) makes a flat buffer
+    ALIGN / 8 - 1 doubles longer than the array, which starts at the first
+    boundary in it; an array of no elements too.
+    """
+    buf = alloc(math.prod(shape) + ALIGN // 8 - 1)
+    return np.ndarray(shape, buffer=buf, offset=-buf.ctypes.data % ALIGN)
 
 
 def slab_rng(seed: int, stream: int = 0, step: int = 0) -> np.random.Generator:
@@ -67,7 +87,7 @@ class SlabStream:
         self._bits = rng.bit_generator
         cells = math.prod(shape)
         self._words = -(-cells // 64)
-        self._rows = np.empty((8 * self._words, 8))  # one row per drawn byte
+        self._rows = aligned((8 * self._words, 8))  # one row per drawn byte
         self._slab = self._rows.reshape(-1)[:cells].reshape(shape)
         root = math.sqrt(dt)
         bits = np.unpackbits(np.arange(256, dtype=np.uint8)[:, None], axis=1, bitorder="little")

@@ -72,6 +72,17 @@ at a record time are joined in path order before any sum over the paths,
 so results are bit for bit those of one tile and still depend only on
 (seed, block_size).
 
+Alignment.  Every array that the step loop writes starts on a 64-byte
+boundary (:func:`shellsde.noise.aligned`): each tile's paths, the
+stepper's scratch buffers, the stream's slab, the ledger's per-path sums
+and the block's z, qv and compensator.  numpy's allocator aligns to only
+16 bytes, and a vectorised multiply into an output that starts off a
+cache line runs about twice as slow, by an amount that changes with the
+heap from run to run.  Elementwise results do not depend on addresses,
+so every output is the same either way.  The slab a stepper starts with
+stays ``np.zeros``, whose pages stay untouched: an ensemble block
+replaces it with its stream's slab before the first step.
+
 Tolerances: the horizon and every record time t must be a step count k of
 dt, judged in step units: |t / dt - k| at most ``GRID_TOL`` times max(1, k).
 """
@@ -84,7 +95,7 @@ from typing import NamedTuple, Optional, Sequence
 import numpy as np
 
 from .algebra import CoefficientTable, ModelSpec, NumericalBlowupError
-from .noise import SlabStream, check_shells, slab_rng
+from .noise import SlabStream, aligned, check_shells, slab_rng
 
 __all__ = [
     "NumericalBlowupError",
@@ -285,9 +296,9 @@ def _weight_increment(stepper: Stepper, X) -> tuple[np.ndarray, np.ndarray, np.n
     """
     stepper._bind(X)
     P = stepper.dW.shape[1]
-    zinc = np.zeros(P)
-    qvinc = np.zeros(P)
-    cosh = np.ones(P)
+    zinc = aligned((P,), np.zeros)
+    qvinc = aligned((P,), np.zeros)
+    cosh = aligned((P,), np.ones)
     for paths, *_, ledger_ops in stepper.tiles:
         z, qv, prod = zinc[paths], qvinc[paths], cosh[paths]
         for Xm, Wm, buf in ledger_ops:
@@ -298,7 +309,7 @@ def _weight_increment(stepper: Stepper, X) -> tuple[np.ndarray, np.ndarray, np.n
             prod *= buf.prod(axis=(0, 1))
     zinc /= stepper.table.spec.sigma
     qvinc *= stepper.qv_scale
-    return zinc, qvinc, np.log(cosh)
+    return zinc, qvinc, np.log(cosh, out=cosh)
 
 
 class Stepper:
@@ -369,10 +380,10 @@ class Stepper:
         self.tile_paths = _tile_paths(paths)
         width = max(s.stop - s.start for s in self.tile_paths)
         widest = max((b.rows.stop - b.rows.start for b in self.blocks), default=0) if self.nonlinear else 0
-        self.velocity = np.empty((widest, width))
-        self.incr = np.empty((table.d, table.N, width))
-        self.alt = np.empty((table.d, table.N, width))
-        self.tmp = np.empty((table.N, width))
+        self.velocity = aligned((widest, width))
+        self.incr = aligned((table.d, table.N, width))
+        self.alt = aligned((table.d, table.N, width))
+        self.tmp = aligned((table.N, width))
         self.tiles: list[_Tile] = []
         self._bound: tuple = (None, None)  # the slab and the paths that the tiles read
 
@@ -457,6 +468,12 @@ def _grid_steps(times: Sequence[float], dt: float) -> list[int]:
             raise ValueError(f"time {t} is not a multiple of dt={dt}; the horizon and every record time must be")
         steps.append(k)
     return steps
+
+
+def _advice(scheme: str, weight: bool = False) -> str:
+    """What to change after an overflow: dt, also the horizon for a Girsanov weight, and the scheme unless it is ``split``."""
+    *first, last = ["shorten the horizon"] * weight + ["reduce dt"] + ["use scheme='split'"] * (scheme != "split")
+    return f"{', '.join(first)} or {last}" if first else last
 
 
 def _start_state(x0, N: int, d: int) -> np.ndarray:
@@ -554,19 +571,17 @@ def run_ensemble(
     ]
 
     def run_block(b: int, P: int):
-        # the paths are allocated before the stepper's buffers: the other order moved a one-tile
-        # block's time by 3-9% (slower on the girsanov shape, faster on GOY's) at 8,192 paths
-        spans = _tile_paths(P)
-        tiles = [np.empty((spec.d, N, s.stop - s.start)) for s in spans]
+        stepper = Stepper(table, dt, scheme, which, weighted, P)
+        spans = stepper.tile_paths
+        tiles = [aligned((spec.d, N, s.stop - s.start)) for s in spans]
         for Xt in tiles:
             Xt[...] = x0arr.T[:, :, None]
-        stepper = Stepper(table, dt, scheme, which, weighted, P)
         X = tiles[0] if len(tiles) == 1 else tuple(tiles)  # a one-tile block steps its bare array
         stream = SlabStream(slab_rng(seed, b), stepper.dW.shape, dt)
         alive = np.ones(P, dtype=bool)
-        z = np.zeros(P)
-        qv = np.zeros(P)
-        comp = np.zeros(P)
+        z = aligned((P,), np.zeros)
+        qv = aligned((P,), np.zeros)
+        comp = aligned((P,), np.zeros)
         e0 = np.full(P, float((x0arr * x0arr).sum()))
         partial = {k: np.zeros_like(v) for k, v in sums.items()}
 
@@ -591,7 +606,7 @@ def run_ensemble(
                     w = np.where(alive, np.exp(z - comp), 0.0)  # a failed path's z may be NaN
                 if not np.isfinite(w).all():
                     raise NumericalBlowupError(
-                        "a live path's Girsanov weight exp(z - compensator) overflowed; reduce dt"
+                        f"a live path's Girsanov weight exp(z - compensator) overflowed; {_advice(scheme, True)}"
                     )
             else:
                 w = alive.astype(float)
@@ -645,7 +660,7 @@ def run_ensemble(
     S0 = sums["S0"]
     if np.any(S0 <= 0.0):
         raise NumericalBlowupError(
-            f"all {paths} paths aborted before some record time; reduce dt or use scheme='split'"
+            f"all {paths} paths aborted before some record time; {_advice(scheme)}"
         )
     with np.errstate(over="ignore", invalid="ignore"):  # a non-finite statistic raises below
         mean = sums["S1"] / S0[:, None]
@@ -662,7 +677,7 @@ def run_ensemble(
     if not all(np.isfinite(v).all() for v in derived):
         raise NumericalBlowupError(
             "an ensemble statistic overflowed (a Girsanov weight or the quadratic variation); "
-            "reduce dt or use scheme='split'"
+            + _advice(scheme, weighted)
         )
     return EnsembleStats(
         times=np.array([k * dt for k in rec_steps]),

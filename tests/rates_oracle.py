@@ -79,6 +79,22 @@ def qmatrix(spec, N):
     return Q, pi, escape
 
 
+def escape_past(rates):
+    """The rate at which each shell of the ``jump_rates`` table ``rates`` jumps past its last shell N.
+
+    Sums the grouped rates whose target n + offset lies past N, in offset
+    order; it must equal the ``escape`` of :func:`qmatrix`.  No route reads
+    this rate, so the package does not keep it.
+    """
+    N = len(rates.pi)
+    escape = np.zeros(N)
+    for off, grouped in zip(rates.offsets.tolist(), rates.grouped):
+        if off > 0:  # rows n > N - off jump past N
+            past = slice(max(0, N - off), N)
+            escape[past] += grouped[past]
+    return escape
+
+
 def embedded_matrix(spec, N):
     """Embedded-chain transition matrix from the squared coefficients, sigma cancelled."""
     P = np.zeros((N, N))

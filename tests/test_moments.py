@@ -6,8 +6,8 @@ import numpy as np
 import pytest
 
 import shellsde as s
-from rates_oracle import expm_oracle, forward_contraction, n0, r_max_abs, radau_oracle
-from shellsde.algebra import BilinearMap, IdentityGramError
+from rates_oracle import escape_past, expm_oracle, forward_contraction, n0, qmatrix, r_max_abs, radau_oracle
+from shellsde.algebra import BilinearMap, IdentityGramError, jump_rates
 from shellsde.cli import _time_grid
 from shellsde.modelio import load_model
 from shellsde.moments import MASS_TOL, embedded_matrix
@@ -42,14 +42,16 @@ def test_row_sums_and_escape(novikov, goy):
         N = 18
         Q = s.build_qmatrix(spec, N)
         rows = Q.matrix.sum(axis=1)
+        _, _, escape = qmatrix(spec, N)
+        assert np.array_equal(escape_past(jump_rates(spec, N)), escape)
         interior = N - r_max_abs(spec)
         for n in range(1, N + 1):
             if n <= interior:
                 assert abs(rows[n - 1]) <= 1e-12 * Q.pi[n - 1]
-                assert Q.escape[n - 1] == 0.0
+                assert escape[n - 1] == 0.0
             else:
-                assert Q.escape[n - 1] >= 0.0
-        assert Q.escape[-1] > 0.0
+                assert escape[n - 1] >= 0.0
+        assert escape[-1] > 0.0
 
 
 def test_zero_sigma_like_rates():

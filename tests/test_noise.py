@@ -7,7 +7,7 @@ import shellsde as s
 from goy_oracle import goy_inverse_bridge, goy_noise_bridge, goy_noise_bridge_pair, keyed_slab
 from noise_oracle import window_layout
 from shellsde.algebra import CoefficientTable
-from shellsde.noise import MAX_SHELLS, SlabStream, check_shells, slab_rng
+from shellsde.noise import ALIGN, MAX_SHELLS, SlabStream, aligned, check_shells, slab_rng
 
 
 def stepper(spec, N, dt, paths=1):
@@ -73,6 +73,29 @@ def test_slab_stream_fills_one_array_in_place(goy):
     second = stream.fill()
     assert second is first and first.shape == st.dW.shape
     assert not np.array_equal(second, drawn)
+
+
+@pytest.mark.parametrize("alloc", [np.empty, np.zeros, np.ones])
+def test_aligned_arrays_start_on_a_64_byte_boundary(alloc):
+    # the shapes of a linear stepper's velocity (no rows), a ledger sum, a tile's paths and a slab;
+    # all arrays are kept, so that the allocator hands out different offsets
+    assert ALIGN == 64
+    shapes = [(0, 5000), (0,), (1,), (7,), (10_001,), (2, 10, 5001), (1, 6, 900), (4500, 900), (9, 5000)]
+    kept = [(shape, aligned(shape, alloc)) for _ in range(8) for shape in shapes]
+    for shape, a in kept:
+        assert a.shape == shape and a.dtype == np.float64, shape
+        assert a.flags.c_contiguous and a.flags.writeable and a.ctypes.data % 64 == 0, shape
+        if alloc is not np.empty:
+            assert (a == alloc(1)[0]).all(), shape
+
+
+def test_the_stream_fills_an_aligned_slab(goy):
+    for paths in (1, 900, 4097, 10_001):
+        st = stepper(goy, 6, 1e-3, paths)
+        stream = SlabStream(slab_rng(5, 0), st.dW.shape, st.dt)
+        slab = stream.fill()
+        assert slab.shape == st.dW.shape and slab.ctypes.data % 64 == 0, paths
+        assert stream.fill() is slab and slab.ctypes.data % 64 == 0, paths
 
 
 def test_every_increment_is_plus_or_minus_root_dt(goy):

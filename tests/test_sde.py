@@ -13,6 +13,7 @@ from noise_oracle import PerStepStream, fill_stepper, pack, stepper_layout, wind
 import shellsde as s
 from rates_oracle import k_eff, n0
 from shellsde.algebra import BilinearMap, CoefficientTable, Interaction
+from shellsde import noise as noise_module
 from shellsde import sde as sde_module
 from shellsde.noise import MAX_SHELLS, SlabStream, slab_rng
 from shellsde.sde import (
@@ -545,7 +546,7 @@ def test_run_ensemble_rejects_bad_start_state(goy, x0):
 
 
 def test_run_ensemble_all_aborted_raises(novikov):
-    with pytest.raises(NumericalBlowupError):
+    with pytest.raises(NumericalBlowupError, match=r"all 50 paths aborted .*; reduce dt or use scheme='split'$"):
         s.run_ensemble(
             novikov, [1.0], N=14, dt=1e-3, T=1.0, paths=50, which="linear", scheme="em",
             seed=2, record_times=[1.0],
@@ -679,15 +680,9 @@ def test_run_ensemble_raises_when_every_path_of_a_block_reaches_1e154(novikov, m
         s.run_ensemble(novikov, [1.0], N=6, dt=1e-3, T=0.02, paths=10, which="linear", scheme="em", seed=3)
 
 
-@pytest.mark.parametrize("paths", [10, 10_000], ids=["one_tile", "two_tiles"])
-@pytest.mark.parametrize("size", [400.0, 800.0])
-def test_run_ensemble_raises_on_an_overflowing_weight(novikov, monkeypatch, size, paths):
-    # the last path's log weight jumps at step 5: by 400 its weight is finite and its square is not,
-    # by 800 the weight itself overflows, which must not read as a weight of 0
-    message = {
-        400.0: "an ensemble statistic overflowed",
-        800.0: r"a live path's Girsanov weight exp\(z - compensator\) overflowed",
-    }[size]
+def _jump_the_last_log_weight(monkeypatch, size):
+    # the last path's log weight jumps by ``size`` at step 5: by 400 its weight is finite and its square
+    # is not, by 800 the weight itself overflows, which must not read as a weight of 0
     increment, calls = sde_module._weight_increment, []
 
     def jump(stepper, X):
@@ -698,11 +693,41 @@ def test_run_ensemble_raises_on_an_overflowing_weight(novikov, monkeypatch, size
         return z, qv, comp
 
     monkeypatch.setattr(sde_module, "_weight_increment", jump)
-    with pytest.raises(NumericalBlowupError, match=message):
+
+
+WEIGHT_OVERFLOWS = {
+    400.0: "an ensemble statistic overflowed",
+    800.0: r"a live path's Girsanov weight exp\(z - compensator\) overflowed",
+}
+
+
+@pytest.mark.parametrize("paths", [10, 10_000], ids=["one_tile", "two_tiles"])
+@pytest.mark.parametrize("size", [400.0, 800.0])
+def test_run_ensemble_raises_on_an_overflowing_weight(novikov, monkeypatch, size, paths):
+    _jump_the_last_log_weight(monkeypatch, size)
+    with pytest.raises(NumericalBlowupError, match=WEIGHT_OVERFLOWS[size]):
         s.run_ensemble(
             novikov, [1.0], N=6, dt=1e-3, T=0.01, paths=paths, block_size=paths, which="linear", scheme="split",
             weight_direction="QtoP", seed=3,
         )
+
+
+@pytest.mark.parametrize("scheme", ["split", "em"])
+@pytest.mark.parametrize("size", [400.0, 800.0])
+def test_an_overflowing_weight_names_the_horizon_and_offers_split_only_to_another_scheme(
+    novikov, monkeypatch, size, scheme
+):
+    _jump_the_last_log_weight(monkeypatch, size)
+    with pytest.raises(NumericalBlowupError, match=WEIGHT_OVERFLOWS[size]) as info:
+        s.run_ensemble(
+            novikov, [1.0], N=4, dt=1e-3, T=0.01, paths=10, which="linear", scheme=scheme,
+            weight_direction="QtoP", seed=3,
+        )
+    advice = str(info.value).rsplit("; ", 1)[1]
+    assert advice == {
+        "split": "shorten the horizon or reduce dt",
+        "em": "shorten the horizon, reduce dt or use scheme='split'",
+    }[scheme]
 
 
 @pytest.mark.parametrize("paths", [4, 10_000], ids=["one_tile", "two_tiles"])
@@ -1177,6 +1202,75 @@ def test_a_stepper_steps_tiles_or_one_array_alike(goy):
                 assert np.array_equal(np.concatenate(tiles, axis=2), X), (scheme, which)
             with pytest.raises(ValueError, match="tiles"):
                 st.step(tiles[:1], e0)
+
+
+# ----------------------------------------------------------------- alignment
+
+
+def _starts_on_a_line(a):
+    return a.ctypes.data % noise_module.ALIGN == 0
+
+
+@pytest.mark.parametrize("which", SYSTEMS)
+@pytest.mark.parametrize("paths", [1, 900, 4097, 10_000, 10_001, 20_000])
+def test_every_array_the_step_loop_writes_starts_on_a_line(goy, monkeypatch, paths, which):
+    steps, ledgers = [], []
+    step, increment = sde_module._step_batch, sde_module._weight_increment
+
+    def stepping(stepper, X, energy0):
+        steps.append((stepper, X))
+        return step(stepper, X, energy0)
+
+    def weighing(stepper, X):
+        out = increment(stepper, X)
+        ledgers.append(out)
+        return out
+
+    monkeypatch.setattr(sde_module, "_step_batch", stepping)
+    monkeypatch.setattr(sde_module, "_weight_increment", weighing)
+    s.run_ensemble(
+        goy, [[1.0, 0.0]], N=6, dt=1e-3, T=3e-3, paths=paths, block_size=paths, which=which, scheme="split",
+        weight_direction="PtoQ", seed=29,
+    )
+    assert len(steps) == len(ledgers) == 3
+    for stepper, X in steps:
+        tiles = [X] if isinstance(X, np.ndarray) else list(X)
+        assert len(tiles) == len(stepper.tiles) == len(sde_module._tile_paths(paths))
+        scratch = [stepper.incr, stepper.alt, stepper.tmp, stepper.velocity]
+        assert stepper.velocity.size > 0 if which == "nonlinear" else stepper.velocity.size == 0
+        views = [a for tile in stepper.tiles for a in (tile.incr, tile.alt)]
+        for a in tiles + scratch + views + [stepper.dW]:  # dW is the stream's slab
+            assert _starts_on_a_line(a), a.shape
+    for zinc, qvinc, comp in ledgers:
+        assert all(a.shape == (paths,) and _starts_on_a_line(a) for a in (zinc, qvinc, comp))
+
+
+def _aligned_off_a_line(offset):
+    # the helper's arrays, but ``offset`` bytes past a 64-byte boundary
+    def off(shape, alloc=np.empty):
+        buf = alloc(math.prod(shape) + 16)
+        return np.ndarray(shape, buffer=buf, offset=-buf.ctypes.data % 64 + offset)
+
+    return off
+
+
+@pytest.mark.parametrize("paths", [900, 10_001])
+@pytest.mark.parametrize("model,x0", [("novikov", [1.0]), ("goy", [[1.0, 0.0]]), ("goy_scaled", [[1.0, 0.0]])])
+def test_run_ensemble_does_not_depend_on_where_its_arrays_start(model, x0, paths, request, monkeypatch):
+    spec = _kernel_model(model, request)
+    base = dict(N=6, dt=1e-3, T=3e-3, paths=paths, block_size=paths, seed=31, record_times=[2e-3, 3e-3])
+    cases = [(scheme, which, weights) for scheme in SCHEMES for which in SYSTEMS for weights in (None, "QtoP")]
+    on_a_line = [s.run_ensemble(spec, x0, scheme=c[0], which=c[1], weight_direction=c[2], **base) for c in cases]
+    for offset in (8, 16, 32):
+        off = _aligned_off_a_line(offset)
+        assert off((3, 5)).ctypes.data % 64 == offset
+        monkeypatch.setattr(noise_module, "aligned", off)
+        monkeypatch.setattr(sde_module, "aligned", off)
+        for case, ref in zip(cases, on_a_line):
+            scheme, which, weights = case
+            got = s.run_ensemble(spec, x0, scheme=scheme, which=which, weight_direction=weights, **base)
+            assert got.aborted == 0, (offset, case)
+            _same_stats(got, ref)
 
 
 # ----------------------------------------------------------------- conjugacy
