@@ -85,8 +85,6 @@ def _start_vector(spec: algebra.ModelSpec, N: int, shell: int, energy: float) ->
 
 def _record_times(horizon: float, fractions: Sequence[float], dt: float, flag: str) -> list[float]:
     """Times k * dt, k the step count nearest each fraction of ``horizon``; two equal counts are an error naming ``flag``."""
-    if not dt > 0.0:
-        raise ValueError(f"--dt must be positive, got {dt}")
     steps = [round(f * horizon / dt) for f in fractions]
     for k0, k1 in zip(steps, steps[1:]):
         if k0 == k1:
@@ -427,14 +425,16 @@ def cmd_dissipation(args) -> int:
 # ----------------------------------------------------------------------
 
 
-def _finite_float(text: str) -> float:
-    """argparse type of every float flag: NaN and +-inf are usage errors."""
+def _positive_float(text: str) -> float:
+    """argparse type of every float flag (dt, a horizon, an energy): NaN, +-inf and values <= 0 are usage errors."""
     try:
         value = float(text)
     except ValueError:
         raise argparse.ArgumentTypeError(f"invalid float value: {text!r}") from None
     if not math.isfinite(value):
         raise argparse.ArgumentTypeError(f"expected a finite number, got {text!r}")
+    if value <= 0.0:
+        raise argparse.ArgumentTypeError(f"expected a positive number, got {text!r}")
     return value
 
 
@@ -462,31 +462,31 @@ def build_parser() -> argparse.ArgumentParser:
     _add_common(p, seed=True, threads=True)
     p.add_argument("--system", choices=sde.SYSTEMS, default="linear")
     p.add_argument("--shells", type=int, default=10)
-    p.add_argument("--dt", type=_finite_float, default=1e-4)
-    p.add_argument("--horizon", type=_finite_float, default=1.0)
+    p.add_argument("--dt", type=_positive_float, default=1e-4)
+    p.add_argument("--horizon", type=_positive_float, default=1.0)
     p.add_argument("--paths", type=int, default=1000)
     # em blows up at the default 10 shells and dt; split is stable at any dt
     p.add_argument("--scheme", choices=sde.SCHEMES, default="split")
     p.add_argument("--record", type=int, default=11, help="number of record times")
     p.add_argument("--weights", choices=["PtoQ", "QtoP"], default=None)
     p.add_argument("--start-shell", type=int, default=1)
-    p.add_argument("--energy", type=_finite_float, default=1.0)
+    p.add_argument("--energy", type=_positive_float, default=1.0)
     p.set_defaults(func=cmd_simulate)
 
     p = sub.add_parser("moments", help="solve the second-moment forward equation")
     _add_common(p)
     p.add_argument("--shells", type=int, default=20)
-    p.add_argument("--horizon", type=_finite_float, default=3.0)
+    p.add_argument("--horizon", type=_positive_float, default=3.0)
     p.add_argument("--grid", choices=["geometric", "linear"], default="geometric")
     p.add_argument("--points", type=int, default=60)
     p.add_argument("--start-shell", type=int, default=1)
-    p.add_argument("--energy", type=_finite_float, default=1.0)
+    p.add_argument("--energy", type=_positive_float, default=1.0)
     p.set_defaults(func=cmd_moments)
 
     p = sub.add_parser("chain", help="simulate the jump chain and survival curve")
     _add_common(p, seed=True)
     p.add_argument("--replicates", type=int, default=2000)
-    p.add_argument("--horizon", type=_finite_float, default=2.0)
+    p.add_argument("--horizon", type=_positive_float, default=2.0)
     p.add_argument("--points", type=int, default=9)
     p.add_argument("--max-level", type=int, default=60)
     p.add_argument("--max-jumps", type=int, default=100_000)
@@ -496,14 +496,14 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("constants", help="exponential-decay constants")
     _add_common(p)
     p.add_argument("--shells", type=int, default=30)
-    p.add_argument("--energy", type=_finite_float, default=1.0, help="initial squared norm")
+    p.add_argument("--energy", type=_positive_float, default=1.0, help="initial squared norm")
     p.set_defaults(func=cmd_constants)
 
     p = sub.add_parser("triangulate", help="compare SDE, forward-ODE and chain moments")
     _add_common(p, seed=True, threads=True)
     p.add_argument("--shells", type=int, default=15)
     p.add_argument("--sde-shells", type=int, default=0, help="SDE truncation (0 = deepest resolvable at dt)")
-    p.add_argument("--dt", type=_finite_float, default=1e-4)
+    p.add_argument("--dt", type=_positive_float, default=1e-4)
     p.add_argument("--paths", type=int, default=10_000)
     p.add_argument("--replicates", type=int, default=10_000)
     p.add_argument("--times", default="0.25,0.5,1.0")
@@ -512,20 +512,20 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--max-level", type=int, default=40)
     p.add_argument("--max-jumps", type=int, default=200_000)
     p.add_argument("--start-shell", type=int, default=1)
-    p.add_argument("--energy", type=_finite_float, default=1.0)
+    p.add_argument("--energy", type=_positive_float, default=1.0)
     p.set_defaults(func=cmd_triangulate)
 
     p = sub.add_parser("dissipation", help="mass-loss evidence and decay-rate bound")
     _add_common(p, seed=True, threads=True)
     p.add_argument("--shells-list", default="10,15,20")
-    p.add_argument("--horizon", type=_finite_float, default=3.0)
+    p.add_argument("--horizon", type=_positive_float, default=3.0)
     p.add_argument("--points", type=int, default=80)
     p.add_argument("--start-shell", type=int, default=1)
-    p.add_argument("--energy", type=_finite_float, default=1.0)
+    p.add_argument("--energy", type=_positive_float, default=1.0)
     p.add_argument("--paths", type=int, default=0, help="reweighted SDE paths (0 disables)")
     p.add_argument("--sde-shells", type=int, default=8)
-    p.add_argument("--dt", type=_finite_float, default=1e-4)
-    p.add_argument("--reweight-horizon", type=_finite_float, default=0.6)
+    p.add_argument("--dt", type=_positive_float, default=1e-4)
+    p.add_argument("--reweight-horizon", type=_positive_float, default=0.6)
     p.add_argument("--curves-out", default=None)
     p.set_defaults(func=cmd_dissipation)
 

@@ -46,18 +46,25 @@ run one list of unrolled terms, one per non-zero ``B[j, a, b, c]``,
 precomputed by :class:`CoefficientTable`.  Each term multiplies a row block
 of X by a row block of the velocity V, scales by its folded coefficient
 vector (which carries sigma) and adds into the destination rows, in place
-in preallocated buffers.  The linear system reads V = dW, the slab itself.
-The nonlinear system reads V = dW + (dt / sigma) X, with X read as zero
-past N, one slab block at a time: the step writes a block's velocity into
-one buffer of the widest block's rows and runs the terms that read it
+in preallocated buffers.  A ``split`` step's increment starts from zero, so
+it follows a write plan, built once from the terms in the order the step
+runs them: a term whose destination rows no earlier term touched writes its
+product there instead, and only the rows that no writing term covers are
+zeroed first (``em`` and ``conservative`` start the increment from the
+correction and add every term).  The linear system reads V = dW, the slab
+itself.  The nonlinear system reads V = dW + (dt / sigma) X, with X read as
+zero past N, one slab block at a time: the step writes a block's velocity
+into one buffer of the widest block's rows and runs the terms that read it
 while it is in cache, and never writes dW.  The Girsanov ledger reads each
-row's block of the slab as (d, shells, P).  A :class:`Stepper` binds this
-kernel to one table, time step, scheme and batch size: it owns the slab,
-the scratch buffers and the correction and damping factors, and is the
-only way in, for an ensemble block and a single path (P = 1) alike.  It
-binds the operand views of every term, block and ledger row once for each
-(X, dW), the paths and the slab it is given, and again when either is
-another array; an ensemble block binds once.
+row's block of the slab as (d, shells, P); each tile's first row writes the
+ledger's three per-path sums, which the stepper owns and returns, valid
+until its next call.  A :class:`Stepper` binds this kernel to one table,
+time step, scheme and batch size: it owns the slab, the scratch buffers and
+the correction and damping factors, and is the only way in, for an ensemble
+block and a single path (P = 1) alike.  It binds the operand views of every
+term, block and ledger row once for each (X, dW), the paths and the slab it
+is given, and again when either is another array; an ensemble block binds
+once.
 
 Tiles.  At 10^4 paths a row of the batch is 80 kB, and a step's cost
 follows how many distinct rows each numpy call touches, not its
@@ -115,35 +122,67 @@ GRID_TOL = 1e-9
 # ----------------------------------------------------------------------
 
 
-def _bind_terms(terms, X: np.ndarray, V: np.ndarray, out: np.ndarray, tmp: np.ndarray) -> list[tuple]:
-    """The operand views (X[b, src], V[other], out[a, dst], tmp prefix, coef) of every term of the list."""
-    return [(X[t.b, t.src], V[t.other], out[t.a, t.dst], tmp[: t.coef.shape[0]], t.coef) for t in terms]
+def _bind_terms(terms, X: np.ndarray, V: np.ndarray, out: np.ndarray, tmp: np.ndarray, writes=None) -> list[tuple]:
+    """The operand views (X[b, src], V[other], out[a, dst], prod, coef) of every term of the list.
+
+    ``prod`` is the term's prefix of ``tmp``, or, for a term whose flag in
+    ``writes`` (one per term; none by default) is set, ``out[a, dst]``
+    itself, into which :func:`_add_terms` then writes the product.
+    """
+    bound = []
+    for t, write in zip(terms, writes or [False] * len(terms)):
+        dst = out[t.a, t.dst]
+        bound.append((X[t.b, t.src], V[t.other], dst, dst if write else tmp[: t.coef.shape[0]], t.coef))
+    return bound
 
 
 def _add_terms(bound: list[tuple]) -> None:
-    """out[a, dst] += coef * X[b, src] * V[other] for every term bound by :func:`_bind_terms`."""
+    """out[a, dst] += coef * X[b, src] * V[other] per term bound by :func:`_bind_terms`; a writing term assigns."""
     for x, v, out, prod, coef in bound:
         np.multiply(x, v, out=prod)
         prod *= coef
-        out += prod
+        if prod is not out:
+            out += prod
+
+
+def _write_plan(terms, d: int, N: int) -> tuple[list[bool], list[slice]]:
+    """Which of ``terms``, in the order a step runs them, write their product, and the rows left to zero.
+
+    A term whose destination rows (a, n) no earlier term touched writes
+    into them; every other term adds.  The rows of the flat (d * N, P)
+    increment that no writing term covers come back as runs of
+    consecutive rows, which the step zeroes before the terms run.
+    """
+    touched = np.zeros(d * N, dtype=bool)
+    covered = touched.copy()
+    writes = []
+    for t in terms:
+        rows = slice(t.a * N + t.dst.start, t.a * N + t.dst.stop)
+        writes.append(not touched[rows].any())
+        covered[rows] |= writes[-1]
+        touched[rows] = True
+    edges = np.flatnonzero(np.diff(np.concatenate(([0], ~covered, [0])).astype(int))).tolist()  # starts, stops
+    return writes, [slice(a, b) for a, b in zip(edges[::2], edges[1::2])]
 
 
 def _bind_blocks(
-    blocks, X: np.ndarray, dW: np.ndarray, V: np.ndarray, out: np.ndarray, tmp: np.ndarray
+    blocks, X: np.ndarray, dW: np.ndarray, V: np.ndarray, out: np.ndarray, tmp: np.ndarray, writes: list[bool]
 ) -> list[tuple]:
     """The views of every slab block and its terms, for :func:`_add_velocity_terms`.
 
     Per block: X[c] on its shells in 1..N, the block's dW and its prefix of
     the velocity buffer ``V`` on those rows, the same two on the rows past
-    N, and the block's terms bound to that prefix.
+    N, and the block's terms bound to that prefix, each writing as its
+    flag in ``writes`` (the blocks' terms in order) says.
     """
-    N, bound = X.shape[1], []
+    N, bound, at = X.shape[1], [], 0
     for rows, c, shells, terms in blocks:
         inside = max(0, min(shells.stop, N) - shells.start)
         W, Vb = dW[rows], V[: rows.stop - rows.start]
         x = X[c, shells.start : shells.start + inside]
-        terms = _bind_terms(terms, X, Vb, out, tmp)
-        bound.append((x, W[:inside], Vb[:inside], W[inside:], Vb[inside:], terms))
+        ops = _bind_terms(terms, X, Vb, out, tmp, writes[at : at + len(terms)])
+        at += len(terms)
+        bound.append((x, W[:inside], Vb[:inside], W[inside:], Vb[inside:], ops))
     return bound
 
 
@@ -208,9 +247,9 @@ def _damp(fac: np.ndarray, X: np.ndarray, buf: np.ndarray) -> None:
         np.copyto(X, _shell_apply(fac, X, buf))
 
 
-def _path_dot(A: np.ndarray, B: np.ndarray) -> np.ndarray:
+def _path_dot(A: np.ndarray, B: np.ndarray, out: Optional[np.ndarray] = None) -> np.ndarray:
     """Per-path sum of A * B over components and shells."""
-    return np.einsum("dnp,dnp->p", A, B)
+    return np.einsum("dnp,dnp->p", A, B, out=out)
 
 
 def _tile_paths(paths: int) -> list[slice]:
@@ -236,7 +275,8 @@ class _Tile(NamedTuple):
     """One tile of a block, bound by :meth:`Stepper._bind`.
 
     ``paths`` is its range of the block's paths, ``X`` its (d, N, w)
-    paths, ``incr`` and ``alt`` its views of the stepper's scratch, and
+    paths, ``incr`` and ``alt`` its views of the stepper's scratch,
+    ``zero`` the runs of ``incr`` rows that a ``split`` step zeroes, and
     ``noise_ops`` and ``ledger_ops`` the views of every term (or slab
     block) and ledger row over its paths.
     """
@@ -245,6 +285,7 @@ class _Tile(NamedTuple):
     X: np.ndarray
     incr: np.ndarray
     alt: np.ndarray
+    zero: list
     noise_ops: list
     ledger_ops: list
 
@@ -260,10 +301,11 @@ def _step_batch(stepper: Stepper, X, energy0: np.ndarray):
     non-finite path non-finite.
     """
     stepper._bind(X)
-    for paths, Xt, incr, alt, noise_ops, _ in stepper.tiles:
+    for paths, Xt, incr, alt, zero, noise_ops, _ in stepper.tiles:
         if stepper.split:
             _damp(stepper.half_fac, Xt, alt)
-            incr.fill(0.0)
+            for rows in zero:  # the write plan's terms write every other row
+                rows.fill(0.0)
         else:  # (0 - gamma X) dt and gamma X (-dt) are the same double
             _shell_apply(stepper.gamma, Xt, incr)
             incr *= stepper.neg_dt
@@ -290,23 +332,31 @@ def _weight_increment(stepper: Stepper, X) -> tuple[np.ndarray, np.ndarray, np.n
     mutually independent, which the exponential martingale requires.
     Reads the stepper's slab at the pre-step paths ``X`` (as for
     :func:`_step_batch`), tile by tile, and writes its scratch buffer
-    ``alt``.  The compensator is the log of the product of
+    ``alt`` and its three per-path sums ``ledger_sums``, which it returns.
+    Each tile's first ledger row writes the sums, and later rows add to or
+    multiply them.  The compensator is the log of the product of
     cosh(X sqrt(dt) / sigma) over the cells, one log per path; it is inf
     when that product overflows.
     """
     stepper._bind(X)
-    P = stepper.dW.shape[1]
-    zinc = aligned((P,), np.zeros)
-    qvinc = aligned((P,), np.zeros)
-    cosh = aligned((P,), np.ones)
+    zinc, qvinc, cosh = stepper.ledger_sums
+    if not stepper.ledger_rows:  # no cell to weigh
+        zinc.fill(0.0)
+        qvinc.fill(0.0)
+        cosh.fill(1.0)
     for paths, *_, ledger_ops in stepper.tiles:
         z, qv, prod = zinc[paths], qvinc[paths], cosh[paths]
-        for Xm, Wm, buf in ledger_ops:
-            z += _path_dot(Xm, Wm)
-            qv += _path_dot(Xm, Xm)
+        for i, (Xm, Wm, buf) in enumerate(ledger_ops):
             np.multiply(Xm, stepper.cosh_scale, out=buf)
             np.cosh(buf, out=buf)
-            prod *= buf.prod(axis=(0, 1))
+            if i == 0:  # 0 + p, 0 + q and 1 * c are p, q and c exactly
+                _path_dot(Xm, Wm, out=z)
+                _path_dot(Xm, Xm, out=qv)
+                np.multiply.reduce(buf, axis=(0, 1), out=prod)
+            else:
+                z += _path_dot(Xm, Wm)
+                qv += _path_dot(Xm, Xm)
+                prod *= buf.prod(axis=(0, 1))
     zinc /= stepper.table.spec.sigma
     qvinc *= stepper.qv_scale
     return zinc, qvinc, np.log(cosh, out=cosh)
@@ -337,8 +387,13 @@ class Stepper:
     and the terms' coefficients take the form that numpy multiplies
     fastest over P paths (:func:`_over_paths`): full size for a small
     block, (rows, 1) columns for a wide one; every tile reads the same
-    ones.  The scratch buffers (``incr``, ``alt``, ``tmp``, ``velocity``)
-    are one tile wide, and each tile steps in a contiguous view of them.
+    ones.  A ``split`` stepper's write plan (:func:`_write_plan`) is
+    ``writes``, a flag per term in the order the step runs them (the
+    linear system's ``noise_terms``, or each of ``blocks`` in turn), and
+    ``zero_rows``, the runs of (d * N) rows that the step zeroes.  The
+    scratch buffers (``incr``, ``alt``, ``tmp``, ``velocity``) are one tile
+    wide, and each tile steps in a contiguous view of them; the ledger's
+    per-path sums ``ledger_sums`` are P wide.
     The operand views of every tile's terms, blocks and ledger rows, with
     the tile's columns of ``dW``, are bound once for each set of paths and
     slab: passing other path arrays, or setting ``dW`` to another array,
@@ -376,6 +431,8 @@ class Stepper:
         self.blocks = [b._replace(terms=[t._replace(coef=fit(t.coef)) for t in b.terms]) for b in blocks]
         self.gamma = None if self.split else fit(_correction_op(table))
         self.half_fac = fit(_half_damp_op(table, dt)) if self.split else None
+        order = [t for b in self.blocks for t in b.terms] if self.nonlinear else self.noise_terms  # as a step runs them
+        self.writes, self.zero_rows = _write_plan(order, table.d, table.N) if self.split else ([], [])
         self.dW = np.zeros((cells, paths))
         self.tile_paths = _tile_paths(paths)
         width = max(s.stop - s.start for s in self.tile_paths)
@@ -384,6 +441,7 @@ class Stepper:
         self.incr = aligned((table.d, table.N, width))
         self.alt = aligned((table.d, table.N, width))
         self.tmp = aligned((table.N, width))
+        self.ledger_sums = tuple(aligned((paths,)) for _ in range(3)) if weighted else None
         self.tiles: list[_Tile] = []
         self._bound: tuple = (None, None)  # the slab and the paths that the tiles read
 
@@ -409,14 +467,15 @@ class Stepper:
             w = s.stop - s.start
             W, incr, alt, tmp = dW[:, s], _leading(self.incr, w), _leading(self.alt, w), _leading(self.tmp, w)
             if self.nonlinear:
-                ops = _bind_blocks(self.blocks, Xt, W, _leading(self.velocity, w), incr, tmp)
+                ops = _bind_blocks(self.blocks, Xt, W, _leading(self.velocity, w), incr, tmp, self.writes)
             else:
-                ops = _bind_terms(self.noise_terms, Xt, W, incr, tmp)
+                ops = _bind_terms(self.noise_terms, Xt, W, incr, tmp, self.writes)
+            zero = [incr.reshape(-1, w)[rows] for rows in self.zero_rows]
             ledger = [  # reshaped at full width, where the block's rows are contiguous, so the views stay views
                 (Xt[:, shells], dW[block].reshape(d, -1, P)[:, cells, s], alt[:, : shells.stop - shells.start])
                 for shells, block, cells in self.ledger_rows or ()
             ]
-            self.tiles.append(_Tile(s, Xt, incr, alt, ops, ledger))
+            self.tiles.append(_Tile(s, Xt, incr, alt, zero, ops, ledger))
         self._bound = (dW, key)
 
     def step(self, X, energy0: np.ndarray):
@@ -424,7 +483,10 @@ class Stepper:
         return _step_batch(self, X, energy0)
 
     def ledger(self, X) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """Increments (z, qv, log cosh compensator), each (P,), of the Girsanov ledger at the pre-step paths ``X``."""
+        """Increments (z, qv, log cosh compensator), each (P,), of the Girsanov ledger at the pre-step paths ``X``.
+
+        They are the stepper's own ``ledger_sums``, valid until the next call.
+        """
         if self.ledger_rows is None:
             raise ValueError("a stepper built with weighted=False has no ledger cells in its slab")
         return _weight_increment(self, X)
@@ -549,7 +611,7 @@ def run_ensemble(
     x0arr = _start_state(x0, N, spec.d)
     table = CoefficientTable(spec, N)
     weighted = weight_direction is not None
-    sign = 1.0 if weight_direction == "QtoP" else -1.0
+    shift = np.add if weight_direction == "QtoP" else np.subtract  # z +- zinc, in place
 
     nrec = len(rec_steps)
     sums = {
@@ -630,7 +692,7 @@ def run_ensemble(
                 stepper.dW = stream.fill()
                 if weighted:
                     zinc, qvinc, compinc = stepper.ledger(X)
-                    z += sign * zinc
+                    shift(z, zinc, out=z)
                     qv += qvinc
                     comp += compinc
                 stepper.step(X, e0)

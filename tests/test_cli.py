@@ -216,7 +216,10 @@ def test_bad_ensemble_size_is_usage_error(argv, name, capsys):
     assert main(argv + ["--model", "novikov"]) == 2
     captured = capsys.readouterr()
     assert captured.out == ""
-    assert captured.err.startswith("error: ") and name in captured.err
+    if name == "dt":  # the parser's type refuses a float flag <= 0, after its usage line
+        assert "error: argument --dt: expected a positive number" in captured.err
+    else:
+        assert captured.err.startswith("error: ") and name in captured.err
 
 
 # the float flags of each subcommand, after arguments that keep a run short
@@ -230,16 +233,18 @@ FLOAT_FLAGS = {
 }
 
 
-@pytest.mark.parametrize("value", ["nan", "inf"])
+@pytest.mark.parametrize("value", ["nan", "inf", "0", "-1"])
 @pytest.mark.parametrize(
     "command,flag", [(command, flag) for command, (_, flags) in FLOAT_FLAGS.items() for flag in flags]
 )
 def test_non_finite_float_flag_is_usage_error(command, flag, value, capsys):
+    # every float flag is a time step, a horizon or an energy, so 0 and below are usage errors too
     argv = [command, "--model", "novikov", *FLOAT_FLAGS[command][0], flag, value]
     assert main(argv) == 2
     captured = capsys.readouterr()
     assert captured.out == ""
-    assert f"error: argument {flag}: expected a finite number, got '{value}'" in captured.err
+    expected = "a finite number" if value in ("nan", "inf") else "a positive number"
+    assert f"error: argument {flag}: expected {expected}, got '{value}'" in captured.err
 
 
 # short runs of each route subcommand, after --model

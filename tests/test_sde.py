@@ -976,7 +976,7 @@ def test_step_reads_no_undrawn_slab_cell(model, request):
                 st = Stepper(table, dt, scheme, which, weighted, P)
                 drawn = fill_stepper(st, slab_rng(37, 0))
                 ref = st.step(X.copy(), e0)
-                ref_ledger = st.ledger(X) if weighted else None
+                ref_ledger = [a.copy() for a in st.ledger(X)] if weighted else None
                 slab = np.full_like(drawn, np.nan)
                 for row, c, start, stop in stepper_layout(st)[2]:
                     slab[row, c, start:stop] = drawn[row, c, start:stop]
@@ -1196,7 +1196,7 @@ def test_a_stepper_steps_tiles_or_one_array_alike(goy):
             tiles = tuple(np.ascontiguousarray(X0[:, :, span]) for span in st.tile_paths)
             for _ in range(3):
                 st.dW = stream.fill()
-                for got, ref in zip(st.ledger(tiles), st.ledger(X)):
+                for got, ref in zip([a.copy() for a in st.ledger(tiles)], st.ledger(X)):
                     assert got.shape == (P,) and np.array_equal(got, ref)
                 assert st.step(tiles, e0) is tiles and st.step(X, e0) is X
                 assert np.array_equal(np.concatenate(tiles, axis=2), X), (scheme, which)
@@ -1236,7 +1236,7 @@ def test_every_array_the_step_loop_writes_starts_on_a_line(goy, monkeypatch, pat
     for stepper, X in steps:
         tiles = [X] if isinstance(X, np.ndarray) else list(X)
         assert len(tiles) == len(stepper.tiles) == len(sde_module._tile_paths(paths))
-        scratch = [stepper.incr, stepper.alt, stepper.tmp, stepper.velocity]
+        scratch = [stepper.incr, stepper.alt, stepper.tmp, stepper.velocity, *stepper.ledger_sums]
         assert stepper.velocity.size > 0 if which == "nonlinear" else stepper.velocity.size == 0
         views = [a for tile in stepper.tiles for a in (tile.incr, tile.alt)]
         for a in tiles + scratch + views + [stepper.dW]:  # dW is the stream's slab
@@ -1271,6 +1271,111 @@ def test_run_ensemble_does_not_depend_on_where_its_arrays_start(model, x0, paths
             got = s.run_ensemble(spec, x0, scheme=scheme, which=which, weight_direction=weights, **base)
             assert got.aborted == 0, (offset, case)
             _same_stats(got, ref)
+
+
+# ----------------------------------------------------------------- write plan and the ledger's own sums
+
+
+def _run_order(st):
+    """The stepper's terms in the order a step runs them."""
+    return [t for b in st.blocks for t in b.terms] if st.nonlinear else st.noise_terms
+
+
+@pytest.mark.parametrize("N", [2, 3, 6, 10, 64])
+@pytest.mark.parametrize("model", ["novikov", "goy", "sabra", "goy_scaled", "gapped"])
+def test_the_write_plan_writes_untouched_rows_and_zeroes_the_rest(model, N, request):
+    spec = _kernel_model(model, request)
+    table = CoefficientTable(spec, N)
+    every_row = {(a, n) for a in range(spec.d) for n in range(N)}
+    rng = np.random.default_rng(N)
+    X0 = rng.standard_normal((spec.d, N, 3))
+    for which in SYSTEMS:
+        for scheme in SCHEMES:
+            st = Stepper(table, 1e-4, scheme, which, False, 3)
+            if scheme != "split":  # the increment starts from the correction, and every term adds
+                assert not any(st.writes) and st.zero_rows == [], (scheme, which)
+                continue
+            terms = _run_order(st)
+            assert len(st.writes) == len(terms)
+            touched, written = set(), set()
+            for t, write in zip(terms, st.writes):
+                rows = {(t.a, n) for n in range(t.dst.start, t.dst.stop)}
+                assert write == (not rows & touched), (which, t)
+                written |= rows if write else set()
+                touched |= rows
+            zeroed = [divmod(r, N) for run in st.zero_rows for r in range(run.start, run.stop)]
+            assert not set(zeroed) & written and set(zeroed) | written == every_row and len(set(zeroed)) == len(zeroed)
+            assert all(a.stop < b.start for a, b in zip(st.zero_rows, st.zero_rows[1:])), "runs of consecutive rows"
+            # against a stepper that zeroes every row and adds every term
+            plain = Stepper(table, 1e-4, scheme, which, False, 3)
+            plain.writes, plain.zero_rows = [], [slice(0, spec.d * N)]
+            plain.dW = st.dW = math.sqrt(1e-4) * rng.standard_normal(st.dW.shape)
+            e0 = (X0 * X0).sum(axis=(0, 1))
+            assert np.array_equal(st.step(X0.copy(), e0), plain.step(X0.copy(), e0)), which
+
+
+def _poison_scratch(monkeypatch):
+    # NaN in every scratch array of the stepper before each step and ledger call: a call that read a
+    # scratch cell it had not written first would pass the NaN on
+    step, increment = sde_module._step_batch, sde_module._weight_increment
+
+    def poison(stepper):
+        for a in (stepper.incr, stepper.alt, stepper.tmp, stepper.velocity, *(stepper.ledger_sums or ())):
+            a.fill(np.nan)
+
+    def stepping(stepper, X, energy0):
+        poison(stepper)
+        return step(stepper, X, energy0)
+
+    def weighing(stepper, X):
+        poison(stepper)
+        return increment(stepper, X)
+
+    monkeypatch.setattr(sde_module, "_step_batch", stepping)
+    monkeypatch.setattr(sde_module, "_weight_increment", weighing)
+
+
+@pytest.mark.parametrize("paths", [900, 10_001], ids=["one_tile", "two_tiles"])
+@pytest.mark.parametrize(
+    "model,x0", [("novikov", [1.0]), ("goy", [[1.0, 0.0]]), ("goy_scaled", [[1.0, 0.0]]), ("gapped", [1.0])]
+)
+def test_run_ensemble_reads_no_scratch_cell_that_it_did_not_write(model, x0, paths, request, monkeypatch):
+    # a split step whose plan left a row unzeroed would read the previous step's increment there
+    spec = _kernel_model(model, request)
+    base = dict(N=6, dt=1e-3, T=3e-3, paths=paths, block_size=paths, seed=41, record_times=[2e-3, 3e-3])
+    cases = [(scheme, which, weights) for scheme in SCHEMES for which in SYSTEMS for weights in (None, "QtoP")]
+    clean = [s.run_ensemble(spec, x0, scheme=c[0], which=c[1], weight_direction=c[2], **base) for c in cases]
+    _poison_scratch(monkeypatch)
+    for case, ref in zip(cases, clean):
+        scheme, which, weights = case
+        got = s.run_ensemble(spec, x0, scheme=scheme, which=which, weight_direction=weights, **base)
+        assert got.aborted == 0, case
+        _same_stats(got, ref)
+
+
+@pytest.mark.parametrize("paths", [5, 10_001], ids=["one_tile", "two_tiles"])
+@pytest.mark.parametrize("model,N", [("novikov", 6), ("goy", 6), ("gapped", 3)])
+def test_the_ledger_returns_its_own_sums_until_its_next_call(model, N, paths, request):
+    # gapped at N = 3 has no ledger cell: its sums must still read 0, 0 and log 1
+    spec, dt = _kernel_model(model, request), 1e-3
+    table = CoefficientTable(spec, N)
+    assert (table.ledger_rows == []) == (model == "gapped")
+    rng = np.random.default_rng(73)
+    st = Stepper(table, dt, "split", "linear", True, paths)
+    for k in range(3):
+        X = rng.standard_normal((spec.d, N, paths))
+        st.dW = math.sqrt(dt) * rng.standard_normal(st.dW.shape)
+        for a in st.ledger_sums:
+            a.fill(np.nan)
+        first = st.ledger(X)
+        again = st.ledger(X)
+        assert all(a is b is c for a, b, c in zip(first, again, st.ledger_sums)), k
+        fresh = Stepper(table, dt, "split", "linear", True, paths)
+        fresh.dW = st.dW.copy()
+        for got, ref in zip(first, fresh.ledger(X)):
+            assert got.shape == (paths,) and np.isfinite(got).all() and np.array_equal(got, ref), k
+        if model == "gapped":
+            assert all((a == 0.0).all() for a in first)
 
 
 # ----------------------------------------------------------------- conjugacy
