@@ -38,6 +38,9 @@ FILE_FLAGS = ("--curves-out",)
 CALLS = (
     [(f"triangulate-seed{seed}", ["triangulate", "--model", "novikov", "--paths", "900", "--seed", str(seed)])
      for seed in (1, 2, 102)]
+    # record times out of order and repeated: each index gets its time's row
+    + [("triangulate-times-unsorted",
+        ["triangulate", "--model", "novikov", "--paths", "900", "--times", "0.5,0.25,0.5"])]
     + [(f"chain-{model}", ["chain", "--model", model]) for model in ("novikov", "goy")]
     + [("simulate-goy-split", ["simulate", "--model", "goy", "--scheme", "split"])]
     # Girsanov-weighted ensembles: the ledger's cells join the slab, and GOY's shift its second channel row

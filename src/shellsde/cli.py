@@ -77,6 +77,14 @@ def _check_shell(flag: str, shell: int, *levels: int) -> None:
         raise ValueError(f"{flag} must be in 1..{top}, got {shell}")
 
 
+def _list_flag(flag: str, text: str, kind: type) -> list:
+    """The comma-separated items of ``text`` (the value of ``flag``) as ``kind``; an empty item is an error."""
+    try:
+        return [kind(item) for item in text.split(",")]
+    except ValueError:
+        raise ValueError(f"{flag} must be a comma-separated list of {kind.__name__} values, got {text!r}") from None
+
+
 def _start_vector(spec: algebra.ModelSpec, N: int, shell: int, energy: float) -> np.ndarray:
     x0 = np.zeros((N, spec.d))
     x0[shell - 1, 0] = math.sqrt(energy)
@@ -267,7 +275,11 @@ def cmd_triangulate(args) -> int:
     spec = _load(args.model)
     algebra.require_identity_grams(spec)
     caps = chain.ChainCaps(max_jumps=args.max_jumps, max_level=args.max_level)
-    times = [float(s) for s in args.times.split(",")]
+    if args.replicates < 1:  # before the SDE leg runs
+        raise ValueError(f"--replicates must be at least 1, got {args.replicates}")
+    times = _list_flag("--times", args.times, float)
+    if not all(math.isfinite(t) and t >= 0.0 for t in times):
+        raise ValueError(f"--times must be finite and nonnegative, got {args.times!r}")
     N = args.shells
     _check_shell("--shells", N, MAX_SHELLS)
     if args.sde_shells:
@@ -334,7 +346,7 @@ def cmd_dissipation(args) -> int:
     if args.paths < 0:
         raise ValueError(f"--paths must be >= 0 (0 disables the reweighted ensemble), got {args.paths}")
     spec = _load(args.model)
-    Ns = [int(s) for s in args.shells_list.split(",")]
+    Ns = _list_flag("--shells-list", args.shells_list, int)
     Nmax = max(Ns)
     for N in Ns:
         _check_shell("--shells-list", N, MAX_SHELLS)

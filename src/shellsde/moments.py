@@ -40,7 +40,6 @@ __all__ = [
     "DecayConstants",
     "decay_constants",
     "smallness_threshold_goy_sabra",
-    "embedded_matrix",
 ]
 
 MASS_TOL = 1e-10  # relative to the initial mass
@@ -125,19 +124,6 @@ def solve_forward(Q: QMatrix, u0: Sequence[float], tgrid: Sequence[float]) -> Mo
 # ----------------------------------------------------------------------
 
 
-def embedded_matrix(spec: ModelSpec, N: int) -> np.ndarray:
-    """Transition matrix of the embedded jump chain on 1..N, absorbing outside.
-
-    Rows are the in-range rates of :func:`jump_rates` over pi_n; a row
-    without rates stays zero.
-    """
-    require_identity_grams(spec)
-    rates = jump_rates(spec, N)
-    pi = rates.pi[:, None]
-    with np.errstate(invalid="ignore"):  # a row without rates is 0 / 0
-        return np.where(pi > 0.0, rates.inside() / pi, 0.0)
-
-
 @dataclass(frozen=True, eq=False)
 class DecayConstants:
     """Occupation-time constants of the embedded chain and derived bounds.
@@ -169,20 +155,23 @@ def _occupation_times(spec: ModelSpec, N: int) -> tuple[np.ndarray, np.ndarray]:
     """nu_n at N and at N + 5 from one inverse, at N, bordered out to N + 5.
 
     nu_n = diag((I - P)^-1)_n / pi_n, the diagonal of the embedded chain's
-    fundamental matrix over the exit rates.  With I - P at N + 5 written as
+    fundamental matrix over the exit rates; P's rows are the in-range rates
+    of :func:`jump_rates` over pi_n.  With I - P at N + 5 written as
     blocks [[A, B], [C, D]], A the leading N x N block (I - P at N) and
     S = D - C A^-1 B (5 x 5), the diagonal at N + 5 is
     diag(A^-1) + diag(A^-1 B S^-1 C A^-1) on shells 1..N and diag(S^-1) on
     the five shells past N.  I - P is an M-matrix, so the correction is
     entrywise >= 0 and adds to diag(A^-1) without cancellation.
     """
-    pi = jump_rates(spec, N + 5).pi
+    rates = jump_rates(spec, N + 5)
+    pi = rates.pi
     reader = f"the decay constants at N = {N} read shells 1..{N + 5}"
     require_finite_rates(pi, reader)
     stuck = np.flatnonzero(pi == 0.0)
     if stuck.size:
         raise ValueError(f"exit rate pi_n = 0 at shell {stuck[0] + 1}, which has no occupation time; {reader}")
-    K = np.eye(N + 5) - embedded_matrix(spec, N + 5)
+    require_identity_grams(spec)  # the embedded chain closes only then
+    K = np.eye(N + 5) - rates.inside() / pi[:, None]
     A_inv = np.linalg.inv(K[:N, :N])
     A_inv_B = A_inv @ K[:N, N:]
     C_A_inv = K[N:, :N] @ A_inv

@@ -79,6 +79,13 @@ at a record time are joined in path order before any sum over the paths,
 so results are bit for bit those of one tile and still depend only on
 (seed, block_size).
 
+Ensemble.  Each block of :func:`run_ensemble` is a :class:`_Block`, which
+owns its stepper, tiles, stream and Girsanov ledger.  It is advanced from
+one distinct record step to the next and recorded once there, as one
+tuple of the nine values it adds to that time's sums; the blocks' tuples
+merge in block order, each sum added from 0 and the largest qv by
+Python's ``max`` over 0.0 and the blocks' values.
+
 Alignment.  Every array that the step loop writes starts on a 64-byte
 boundary (:func:`shellsde.noise.aligned`): each tile's paths, the
 stepper's scratch buffers, the stream's slab, the ledger's per-path sums
@@ -558,6 +565,99 @@ def _start_state(x0, N: int, d: int) -> np.ndarray:
     return x
 
 
+class _Block:
+    """One ensemble block of P paths, stepped by :meth:`advance` and summed by :meth:`record`.
+
+    It owns its :class:`Stepper`, its tiles (each path started at ``x0``),
+    its stream ``slab_rng(seed, b)``, ``alive``, and per path the ledger's
+    z, qv and compensator and the start energy.  ``shift`` moves z by a
+    step's increment (None unweighted); ``paths``, the ensemble's, bounds
+    its variance sums.
+    """
+
+    def __init__(self, table: CoefficientTable, x0, dt, scheme, which, shift, seed: int, b: int, P: int, paths: int):
+        self.stepper = Stepper(table, dt, scheme, which, shift is not None, P)
+        self.tiles = tuple(aligned((table.d, table.N, s.stop - s.start)) for s in self.stepper.tile_paths)
+        for Xt in self.tiles:
+            Xt[...] = x0.T[:, :, None]
+        self.X = self.tiles[0] if len(self.tiles) == 1 else self.tiles  # a one-tile block steps its bare array
+        self.stream = SlabStream(slab_rng(seed, b), self.stepper.dW.shape, dt)
+        self.shift, self.paths = shift, paths
+        self.alive = np.ones(P, dtype=bool)
+        self.z, self.qv, self.comp = (aligned((P,), np.zeros) for _ in range(3))
+        self.e0 = np.full(P, float((x0 * x0).sum()))
+
+    def advance(self, steps: int) -> None:
+        """Run ``steps`` steps, each: the stream's next slab, the ledger at the pre-step paths, then the step."""
+        stepper, stream, X, e0 = self.stepper, self.stream, self.X, self.e0
+        shift, z, qv, comp = self.shift, self.z, self.qv, self.comp
+        for _ in range(steps):
+            stepper.dW = stream.fill()
+            if shift is not None:
+                zinc, qvinc, compinc = stepper.ledger(X)
+                shift(z, zinc, out=z)
+                qv += qvinc
+                comp += compinc
+            stepper.step(X, e0)
+
+    def record(self) -> tuple:
+        """The nine values the block adds to a record time's sums, as one tuple.
+
+        With w the live paths' weights and vals their (N, P) squares: sum w,
+        vals @ w, sum w**2, vals @ w**2, vals**2 @ w**2, w @ energy,
+        w**2 @ energy, w**2 @ energy**2 and the largest live qv.  A path found
+        failed is frozen at zero and dropped, so a step records once.
+        """
+        alive, tiles = self.alive, self.tiles
+        vals = np.concatenate([(Xt * Xt).sum(axis=0) for Xt in tiles], axis=1)  # (N, P)
+        energy = vals.sum(axis=0)
+        # unweighted, the ensemble's variance sums over all paths stay within 4 * paths * energy**2
+        lost = ~np.isfinite(energy * energy * (4 * self.paths))
+        if lost.any():
+            alive[lost] = False
+            for s, Xt in zip(self.stepper.tile_paths, tiles):
+                Xt[:, :, lost[s]] = 0.0
+            vals[:, lost] = 0.0
+            energy[lost] = 0.0
+        if self.shift is not None:
+            if np.isinf(self.comp[alive]).any():
+                raise NumericalBlowupError("a Girsanov compensator overflowed (the product over a path's cells "
+                                           "of cosh(X sqrt(dt) / sigma)); reduce dt")
+            w = np.where(alive, np.exp(self.z - self.comp), 0.0)  # a failed path's z may be NaN
+            if not np.isfinite(w).all():
+                raise NumericalBlowupError("a live path's Girsanov weight exp(z - compensator) overflowed; "
+                                           + _advice(self.stepper.scheme, True))
+        else:
+            w = alive.astype(float)
+        w2 = w * w
+        qv = float(self.qv[alive].max()) if alive.any() else 0.0
+        return (w.sum(), vals @ w, w2.sum(), vals @ w2, (vals * vals) @ w2, w @ energy, w2 @ energy,
+                w2 @ (energy * energy), qv)
+
+    def failed(self) -> int:
+        """How many paths failed, each tile checked once more: a path that failed after the last record time did too."""
+        for s, Xt in zip(self.stepper.tile_paths, self.tiles):
+            self.alive[s] &= np.isfinite(Xt).all(axis=(0, 1))
+        return int(self.alive.size - self.alive.sum())
+
+
+def _run_block(run: tuple) -> tuple[dict, int]:
+    """One block of :func:`run_ensemble`, ``run`` = (the :class:`_Block`'s arguments, the record steps, the steps).
+
+    Records the block once at each distinct record step, with numpy's
+    overflow warnings off (the record judges overflows itself); returns its
+    records by step and its count of failed paths.
+    """
+    args, rec_steps, nsteps = run
+    block, rows, done = _Block(*args), {}, 0
+    with np.errstate(over="ignore", invalid="ignore"):
+        for k in sorted(set(rec_steps)):
+            block.advance(k - done)
+            rows[k], done = block.record(), k
+        block.advance(nsteps - done)
+    return rows, block.failed()
+
+
 def run_ensemble(
     spec: ModelSpec,
     x0,
@@ -575,19 +675,19 @@ def run_ensemble(
 ) -> EnsembleStats:
     """Monte Carlo ensemble of truncated-system paths.
 
-    Paths are organised in blocks.  Block b draws its slabs, in step order,
-    from its own SFC64 generator ``slab_rng(seed, b)``, keyed once, one
-    random bit per cell the step reads, each cell +-sqrt(dt); so results
-    are a pure function of (seed, block_size), independent of scheduling
-    and of ``threads``, which steps that many blocks at once.  Failed paths
-    (a non-finite state, or an energy so large that the sums over the paths
-    could overflow) are found at the next record time, or at the end of
-    their block, not after every step: a step keeps a non-finite path
-    non-finite.  They are frozen, excluded from that record time on and
-    reported in ``aborted``.  At a record time, a live path whose Girsanov
-    compensator or weight overflowed raises :class:`NumericalBlowupError`,
-    and so does a statistic that still comes out non-finite (the square
-    of a large Girsanov weight).
+    Paths are organised in blocks (:class:`_Block`).  Block b draws its
+    slabs, in step order, from its own SFC64 generator ``slab_rng(seed, b)``,
+    keyed once, one random bit per cell the step reads, each cell
+    +-sqrt(dt); so results are a pure function of (seed, block_size),
+    independent of scheduling and of ``threads``, which steps that many
+    blocks at once.  Failed paths (a non-finite state, or an energy so large
+    that the sums over the paths could overflow) are found at the next
+    record time, or at the end of their block, not after every step: a step
+    keeps a non-finite path non-finite.  They are frozen, excluded from
+    that record time on and reported in ``aborted``.  At a record time, a
+    live path whose Girsanov compensator or weight overflowed raises
+    :class:`NumericalBlowupError`, and so does a statistic that still comes
+    out non-finite (the square of a large Girsanov weight).
     """
     for name, value in (("paths", paths), ("block_size", block_size), ("threads", threads)):
         if value < 1:
@@ -603,144 +703,44 @@ def run_ensemble(
     nsteps, *rec_steps = _grid_steps([T, *record_times], dt)
     if not all(0 <= k <= nsteps for k in rec_steps):
         raise ValueError(f"record times must lie in [0, T] = [0, {T}]")
-    rec_index = {}
-    for idx, k in enumerate(rec_steps):
-        rec_index.setdefault(k, []).append(idx)
 
     check_shells(N)
     x0arr = _start_state(x0, N, spec.d)
     table = CoefficientTable(spec, N)
     weighted = weight_direction is not None
-    shift = np.add if weight_direction == "QtoP" else np.subtract  # z +- zinc, in place
-
-    nrec = len(rec_steps)
-    sums = {
-        "S0": np.zeros(nrec),
-        "S1": np.zeros((nrec, N)),
-        "T0": np.zeros(nrec),
-        "T1": np.zeros((nrec, N)),
-        "T2": np.zeros((nrec, N)),
-        "E1": np.zeros(nrec),
-        "ET1": np.zeros(nrec),
-        "ET2": np.zeros(nrec),
-        "QVMAX": np.zeros(nrec),
-    }
-    aborted = 0
-
-    blocks = [
-        (b, min(block_size, paths - b * block_size))
-        for b in range((paths + block_size - 1) // block_size)
-    ]
-
-    def run_block(b: int, P: int):
-        stepper = Stepper(table, dt, scheme, which, weighted, P)
-        spans = stepper.tile_paths
-        tiles = [aligned((spec.d, N, s.stop - s.start)) for s in spans]
-        for Xt in tiles:
-            Xt[...] = x0arr.T[:, :, None]
-        X = tiles[0] if len(tiles) == 1 else tuple(tiles)  # a one-tile block steps its bare array
-        stream = SlabStream(slab_rng(seed, b), stepper.dW.shape, dt)
-        alive = np.ones(P, dtype=bool)
-        z = aligned((P,), np.zeros)
-        qv = aligned((P,), np.zeros)
-        comp = aligned((P,), np.zeros)
-        e0 = np.full(P, float((x0arr * x0arr).sum()))
-        partial = {k: np.zeros_like(v) for k, v in sums.items()}
-
-        def record(idx_list):
-            vals = np.concatenate([(Xt * Xt).sum(axis=0) for Xt in tiles], axis=1)  # (N, P)
-            energy = vals.sum(axis=0)
-            # unweighted, the variance sums below, over all paths, stay within 4 * paths * energy**2
-            lost = ~np.isfinite(energy * energy * (4 * paths))
-            if lost.any():
-                alive[lost] = False
-                for s, Xt in zip(spans, tiles):
-                    Xt[:, :, lost[s]] = 0.0
-                vals[:, lost] = 0.0
-                energy[lost] = 0.0
-            if weighted:
-                if np.isinf(comp[alive]).any():
-                    raise NumericalBlowupError(
-                        "a Girsanov compensator overflowed (the product over a path's cells of "
-                        "cosh(X sqrt(dt) / sigma)); reduce dt"
-                    )
-                with np.errstate(over="ignore"):
-                    w = np.where(alive, np.exp(z - comp), 0.0)  # a failed path's z may be NaN
-                if not np.isfinite(w).all():
-                    raise NumericalBlowupError(
-                        f"a live path's Girsanov weight exp(z - compensator) overflowed; {_advice(scheme, True)}"
-                    )
-            else:
-                w = alive.astype(float)
-            w2 = w * w
-            qv_alive = float(qv[alive].max()) if alive.any() else 0.0
-            for idx in idx_list:
-                partial["S0"][idx] += w.sum()
-                partial["S1"][idx] += vals @ w
-                partial["T0"][idx] += w2.sum()
-                partial["T1"][idx] += vals @ w2
-                partial["T2"][idx] += (vals * vals) @ w2
-                partial["E1"][idx] += w @ energy
-                partial["ET1"][idx] += w2 @ energy
-                partial["ET2"][idx] += w2 @ (energy * energy)
-                partial["QVMAX"][idx] = max(partial["QVMAX"][idx], qv_alive)
-
-        with np.errstate(over="ignore", invalid="ignore"):
-            if 0 in rec_index:
-                record(rec_index[0])
-            for k in range(nsteps):
-                stepper.dW = stream.fill()
-                if weighted:
-                    zinc, qvinc, compinc = stepper.ledger(X)
-                    shift(z, zinc, out=z)
-                    qv += qvinc
-                    comp += compinc
-                stepper.step(X, e0)
-                if (k + 1) in rec_index:
-                    record(rec_index[k + 1])
-        # a path that failed after the last record time is still a failed path
-        for s, Xt in zip(spans, tiles):
-            alive[s] &= np.isfinite(Xt).all(axis=(0, 1))
-        return partial, int(P - alive.sum())
-
-    if threads > 1 and len(blocks) > 1:
+    shift = {"QtoP": np.add, "PtoQ": np.subtract}.get(weight_direction)  # z +- zinc, in place; None unweighted
+    runs = [((table, x0arr, dt, scheme, which, shift, seed, b, min(block_size, paths - b * block_size), paths),
+             rec_steps, nsteps) for b in range((paths + block_size - 1) // block_size)]
+    if threads > 1 and len(runs) > 1:
         from concurrent.futures import ThreadPoolExecutor
 
         with ThreadPoolExecutor(max_workers=threads) as ex:
-            results = list(ex.map(lambda arg: run_block(*arg), blocks))
+            results = list(ex.map(_run_block, runs))
     else:
-        results = [run_block(b, P) for b, P in blocks]
+        results = list(map(_run_block, runs))
 
-    for partial, dead in results:
-        aborted += dead
-        for key in sums:
-            if key == "QVMAX":
-                sums[key] = np.maximum(sums[key], partial[key])
-            else:
-                sums[key] += partial[key]
-
-    S0 = sums["S0"]
+    # per record time, the blocks' tuples merged in block order: each sum added from 0, qv by Python's max
+    merged = [list(zip(*(rows[k] for rows, _ in results))) for k in rec_steps]
+    S0, S1, T0, T1, T2, E1, ET1, ET2 = (np.array([sum(m[j]) for m in merged]) for j in range(8))
+    S1, T1, T2 = (a.reshape(-1, N) for a in (S1, T1, T2))  # (times, N), also for no record time
+    qv_max = np.array([max([0.0, *m[8]]) for m in merged])
     if np.any(S0 <= 0.0):
-        raise NumericalBlowupError(
-            f"all {paths} paths aborted before some record time; {_advice(scheme)}"
-        )
+        raise NumericalBlowupError(f"all {paths} paths aborted before some record time; {_advice(scheme)}")
     with np.errstate(over="ignore", invalid="ignore"):  # a non-finite statistic raises below
-        mean = sums["S1"] / S0[:, None]
-        var_num = sums["T2"] - 2.0 * mean * sums["T1"] + mean**2 * sums["T0"][:, None]
+        mean = S1 / S0[:, None]
+        var_num = T2 - 2.0 * mean * T1 + mean**2 * T0[:, None]
         se = np.sqrt(np.maximum(var_num, 0.0)) / S0[:, None]
-        emean = sums["E1"] / S0
-        evar = sums["ET2"] - 2.0 * emean * sums["ET1"] + emean**2 * sums["T0"]
+        emean = E1 / S0
+        evar = ET2 - 2.0 * emean * ET1 + emean**2 * T0
         ese = np.sqrt(np.maximum(evar, 0.0)) / S0
-        ess = np.where(sums["T0"] > 0, S0**2 / sums["T0"], 0.0)
+        ess = np.where(T0 > 0, S0**2 / T0, 0.0)
         wmean = S0 / paths
-        wvar = np.maximum(sums["T0"] / paths - wmean**2, 0.0)
+        wvar = np.maximum(T0 / paths - wmean**2, 0.0)
         wse = np.sqrt(wvar / paths)
-    derived = (mean, se, emean, ese, ess, wmean, wse, sums["QVMAX"])
+    derived = (mean, se, emean, ese, ess, wmean, wse, qv_max)
     if not all(np.isfinite(v).all() for v in derived):
-        raise NumericalBlowupError(
-            "an ensemble statistic overflowed (a Girsanov weight or the quadratic variation); "
-            + _advice(scheme, weighted)
-        )
+        raise NumericalBlowupError("an ensemble statistic overflowed (a Girsanov weight or the quadratic "
+                                   "variation); " + _advice(scheme, weighted))
     return EnsembleStats(
         times=np.array([k * dt for k in rec_steps]),
         mean_sq=mean,
@@ -750,8 +750,8 @@ def run_ensemble(
         ess=ess,
         weight_mean=wmean,
         weight_se=wse,
-        qv_max=sums["QVMAX"],
+        qv_max=qv_max,
         paths=paths,
-        aborted=aborted,
+        aborted=sum(dead for _, dead in results),
         weighted=weighted,
     )

@@ -19,9 +19,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from rates_oracle import embedded_matrix
 from shellsde.algebra import TINY, jump_rates
 from shellsde.chain import ChainTrajectory, _RateTable, simulate_chain
-from shellsde.moments import embedded_matrix
 
 SERIES_TOL = 1e-12  # relative size of the last term summed by explosion_tail_bound
 

@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import os
 import sys
@@ -26,6 +27,14 @@ def goy():
 @pytest.fixture(scope="session")
 def sabra():
     return s.build_sabra(1.0, -1.25, 0.25, 2.0, 1.0, 0.125)
+
+
+@pytest.fixture(scope="session")
+def goy_scaled(goy):
+    """GOY with every B scaled by 1.1: still conservative, but its grams B B^T are not the identity."""
+    return dataclasses.replace(
+        goy, interactions=tuple(dataclasses.replace(it, B=s.BilinearMap(1.1 * it.B.entries)) for it in goy.interactions)
+    )
 
 
 def spec_to_dict(spec):

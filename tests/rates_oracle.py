@@ -6,11 +6,14 @@ interactions act.  The rest are the earlier bodies of the package's rate
 code: one Python loop over (shell, interaction) calling :func:`k_eff`, in
 each of
 ``ModelSpec.pi_n``, :func:`shellsde.moments.build_qmatrix`,
-:func:`shellsde.moments.embedded_matrix` and the rows of
+the embedded chain (:func:`embedded_matrix_loop`) and the rows of
 ``shellsde.chain._RateTable``, plus the single-jump embedded step and two
 independent propagations of the forward equation: a dense ``expm`` and an
 implicit Radau integration.  The package now reads all of these from
 :func:`shellsde.algebra.jump_rates`; the tests hold it to these loops.
+:func:`embedded_matrix` is the earlier ``shellsde.moments.embedded_matrix``,
+the embedded chain read from that table, which the decay constants now
+build inline.
 :func:`forward_contraction` is the earlier assembly of the forward solve,
 u(t) as a three-operand ``einsum`` over the same eigenpairs.
 :func:`nu_vector` is the earlier body of the decay constants' occupation
@@ -22,8 +25,7 @@ import numpy as np
 import scipy.integrate
 import scipy.linalg
 
-from shellsde import moments
-from shellsde.algebra import TINY, jump_rates
+from shellsde.algebra import TINY, jump_rates, require_identity_grams
 
 
 def is_active(spec, iid, n):
@@ -96,6 +98,19 @@ def escape_past(rates):
 
 
 def embedded_matrix(spec, N):
+    """Transition matrix of the embedded jump chain on 1..N, absorbing outside.
+
+    Rows are the in-range rates of :func:`jump_rates` over pi_n; a row
+    without rates stays zero.
+    """
+    require_identity_grams(spec)
+    rates = jump_rates(spec, N)
+    pi = rates.pi[:, None]
+    with np.errstate(invalid="ignore"):  # a row without rates is 0 / 0
+        return np.where(pi > 0.0, rates.inside() / pi, 0.0)
+
+
+def embedded_matrix_loop(spec, N):
     """Embedded-chain transition matrix from the squared coefficients, sigma cancelled."""
     P = np.zeros((N, N))
     for n in range(1, N + 1):
@@ -210,7 +225,7 @@ def forward_contraction(Q, u0, t):
 
 def nu_vector(spec, N):
     """nu_n = diag((I - P)^-1)_n / pi_n at N from its own N x N inverse of the package's embedded chain."""
-    M = np.linalg.inv(np.eye(N) - moments.embedded_matrix(spec, N))
+    M = np.linalg.inv(np.eye(N) - embedded_matrix(spec, N))
     return np.diag(M) / jump_rates(spec, N).pi
 
 

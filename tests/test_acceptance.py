@@ -14,10 +14,9 @@ import pytest
 import shellsde as s
 from chain_oracle import chain_rng, increment_distribution
 from goy_oracle import embed_complex, goy_complex_em_step, keyed_slab
-from rates_oracle import k_eff, n0, r_max_abs
+from rates_oracle import embedded_matrix, k_eff, n0, r_max_abs
 from shellsde.algebra import CoefficientTable
 from shellsde.chain import ChainCaps
-from shellsde.moments import embedded_matrix
 from shellsde.sde import _add_velocity_terms
 
 

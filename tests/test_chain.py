@@ -7,10 +7,9 @@ import pytest
 import chain_oracle as oracle
 import shellsde as s
 from chain_oracle import chain_rng, explosion_tail_bound
-from rates_oracle import embedded_step
+from rates_oracle import embedded_matrix, embedded_step
 from shellsde import chain
 from shellsde.chain import ChainCaps
-from shellsde.moments import embedded_matrix
 
 
 def _dead_novikov():

@@ -210,9 +210,25 @@ def test_start_shell_out_of_range_is_usage_error(argv, top, capsys):
         # the decay constants have no upper truncation level
         (["constants", "--shells", "0"], "--shells must be >= 1, got 0"),
         (["constants", "--shells", "-3"], "--shells must be >= 1, got -3"),
+        # a list flag names itself for an empty item, a non-number, and a time that is not finite or is negative
+        (["triangulate", "--times", ","], "--times"),
+        (["triangulate", "--times", "0.5,x"], "--times"),
+        (["triangulate", "--times", "0.5,nan"], "--times"),
+        (["triangulate", "--times", "0.5,inf"], "--times"),
+        (["triangulate", "--times=-0.5,0.5"], "--times"),
+        (["dissipation", "--shells-list", "10,,20"], "--shells-list"),
+        (["dissipation", "--shells-list", "10,2.5"], "--shells-list"),
+        # refused before the SDE leg runs, at the default --paths
+        (["triangulate", "--replicates", "-3"], "--replicates"),
+        (["triangulate", "--replicates", "0"], "--replicates must be at least 1, got 0"),
     ],
 )
-def test_bad_ensemble_size_is_usage_error(argv, name, capsys):
+def test_bad_ensemble_size_is_usage_error(argv, name, capsys, monkeypatch):
+    def must_not_run(*args, **kwargs):
+        raise AssertionError("run_ensemble ran before the usage error")
+
+    if name not in ("paths", "threads"):  # the ensemble refuses these itself; every other bad flag comes first
+        monkeypatch.setattr(sde, "run_ensemble", must_not_run)
     assert main(argv + ["--model", "novikov"]) == 2
     captured = capsys.readouterr()
     assert captured.out == ""
@@ -367,6 +383,16 @@ def test_triangulate_rejects_non_identity_grams(tmp_path, capsys):
     path = tmp_path / "goy_scaled.json"
     save_model(scaled, str(path))
     assert main(["triangulate", "--model", str(path), "--paths", "10", "--replicates", "10"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: ") and "B B^T" in captured.err
+
+
+def test_constants_rejects_non_identity_grams(goy_scaled, tmp_path, capsys):
+    # the decay constants read the embedded chain, which the identity grams close
+    path = tmp_path / "goy_scaled.json"
+    save_model(goy_scaled, str(path))
+    assert main(["constants", "--model", str(path)]) == 2
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err.startswith("error: ") and "B B^T" in captured.err

@@ -6,11 +6,13 @@ import numpy as np
 import pytest
 
 import shellsde as s
-from rates_oracle import escape_past, expm_oracle, forward_contraction, n0, qmatrix, r_max_abs, radau_oracle
-from shellsde.algebra import BilinearMap, IdentityGramError, jump_rates
+from rates_oracle import (
+    embedded_matrix, escape_past, expm_oracle, forward_contraction, n0, qmatrix, r_max_abs, radau_oracle
+)
+from shellsde.algebra import IdentityGramError, jump_rates
 from shellsde.cli import _time_grid
 from shellsde.modelio import load_model
-from shellsde.moments import MASS_TOL, embedded_matrix
+from shellsde.moments import MASS_TOL
 from shellsde.noise import MAX_SHELLS
 from shellsde.sde import NumericalBlowupError  # the ensembles' error: both routes refuse with one class
 
@@ -74,16 +76,16 @@ def test_pi_growth_exponent(novikov, goy):
         assert abs(slope - 2.0 * math.log(spec.lam)) <= 1e-9
 
 
-def test_non_identity_gram_refused(goy):
-    scaled = dataclasses.replace(
-        goy,
-        interactions=tuple(
-            dataclasses.replace(it, B=BilinearMap(1.1 * it.B.entries)) for it in goy.interactions
-        ),
-    )
-    assert s.validate_model(scaled).accepted  # algebra is still conservative
+def test_non_identity_gram_refused(goy_scaled):
+    assert s.validate_model(goy_scaled).accepted  # algebra is still conservative
     with pytest.raises(IdentityGramError):
-        s.build_qmatrix(scaled, 5)
+        s.build_qmatrix(goy_scaled, 5)
+
+
+def test_decay_constants_refuse_non_identity_grams(goy_scaled):
+    # the occupation times read the embedded chain, which the identity grams close
+    with pytest.raises(IdentityGramError):
+        s.decay_constants(goy_scaled, 1.0, 5)
 
 
 def test_qmatrix_rejects_too_many_shells(novikov):

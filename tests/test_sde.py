@@ -440,6 +440,24 @@ def test_run_ensemble_threads_deterministic(novikov, goy):
             assert np.array_equal(getattr(a, field.name), getattr(b, field.name)), field.name
 
 
+@pytest.mark.parametrize("threads", [1, 2])
+@pytest.mark.parametrize("block_size", [40, 20], ids=["one_block", "two_blocks"])
+@pytest.mark.parametrize("weights", [None, "QtoP"])
+def test_record_times_out_of_order_and_repeated(novikov, weights, block_size, threads):
+    # each index gets, bit for bit, the row of its time in the run over the sorted distinct times
+    run = dict(N=6, dt=1e-3, T=0.02, paths=40, which="linear", scheme="split", seed=7, weight_direction=weights,
+               block_size=block_size, threads=threads)
+    times = [0.02, 0.005, 0.02, 0.0]
+    distinct = sorted(set(times))
+    got = s.run_ensemble(novikov, [1.0], record_times=times, **run)
+    ref = s.run_ensemble(novikov, [1.0], record_times=distinct, **run)
+    rows = [distinct.index(t) for t in times]
+    assert list(got.times) == times and (got.ess[1] < 40.0) == (weights is not None)  # weights not all 1
+    for field in dataclasses.fields(got):
+        value = getattr(ref, field.name)
+        assert np.array_equal(getattr(got, field.name), value[rows] if isinstance(value, np.ndarray) else value)
+
+
 def test_run_ensemble_keys_one_stream_per_block_through_slab_rng(novikov, goy, monkeypatch):
     # the benchmark times the noise by hooking sde.slab_rng; the stream reads
     # ceil(cells * P / 64) raw words a step from the bit generator of what it
@@ -869,15 +887,7 @@ def _kernel_model(name, request):
         B = BilinearMap(np.ones((1, 1, 1)))
         inters = (Interaction("1", -5, 3, 1 / 32, B), Interaction("2", 5, 8, -1.0, B))
         return s.ModelSpec(d=1, lam=2.0, sigma=1.0, interactions=inters, pairing={"1": "2", "2": "1"}, istar={"1"})
-    if name != "goy_scaled":
-        return request.getfixturevalue(name)
-    goy = request.getfixturevalue("goy")
-    return dataclasses.replace(
-        goy,
-        interactions=tuple(
-            dataclasses.replace(it, B=BilinearMap(1.1 * it.B.entries)) for it in goy.interactions
-        ),
-    )
+    return request.getfixturevalue(name)
 
 
 def _close(got, expected):
